@@ -15,22 +15,22 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .evaluator import Universe, extend_in_stages
-from .logic import Axiom, AxiomProgram, LogicError, check_stratified, collapse_double_negation
-from .parser import ParseError, parse_program, parse_state, print_program, program_to_json
+from .logic import AxiomProgram, LogicError
+from .parser import (
+    ParseError,
+    format_ground_atom,
+    parse_program,
+    parse_state,
+    print_program,
+    program_to_json,
+)
 from .transformer import (
     compute_metrics,
     eliminate_negative_occurrences,
     merge_to_single_stratum,
+    simplify_program,
 )
-from .verifier import (
-    CheckResult,
-    VerificationPlan,
-    VerificationResult,
-    lint_polarity,
-    run_checks,
-    universe_for,
-    verify_equivalence,
-)
+from .verifier import VerificationPlan, VerificationResult, run_checks, verify_transformed
 
 
 def _read(path: str) -> str:
@@ -43,10 +43,6 @@ def _load_program(path: str) -> AxiomProgram:
 
 def _emit_json(payload) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _fmt_ground(name: str, args: Sequence[str]) -> str:
-    return "(" + " ".join((name,) + tuple(args)) + ")"
 
 
 def cmd_parse(args) -> int:
@@ -65,14 +61,14 @@ def cmd_eval(args) -> int:
     derived = {p.name for p in program.derived_predicates}
     atoms = sorted(k for k in extension.true_atoms if k[0] in derived)
     if args.json:
-        payload = {"derived": [_fmt_ground(n, a) for n, a in atoms]}
+        payload = {"derived": [format_ground_atom(n, a) for n, a in atoms]}
         if args.stages:
             payload["stages"] = [
                 {
                     "stratum": index,
                     "fixpoint": table.fixpoint_stage,
                     "atoms": {
-                        _fmt_ground(n, a): s
+                        format_ground_atom(n, a): s
                         for (n, a), s in sorted(table.stage.items())
                     },
                 }
@@ -84,23 +80,12 @@ def cmd_eval(args) -> int:
         for index, table in enumerate(tables):
             print(f"stratum {index}")
             for (name, tup), stage in sorted(table.stage.items()):
-                print(f"  {_fmt_ground(name, tup)}: {stage}")
+                print(f"  {format_ground_atom(name, tup)}: {stage}")
             print(f"  f: {table.fixpoint_stage}")
     else:
         for name, tup in atoms:
-            print(_fmt_ground(name, tup))
+            print(format_ground_atom(name, tup))
     return 0
-
-
-def _simplified(program: AxiomProgram) -> AxiomProgram:
-    strata = tuple(
-        tuple(
-            Axiom(ax.head_pred, ax.head_vars, collapse_double_negation(ax.body))
-            for ax in stratum
-        )
-        for stratum in program.strata
-    )
-    return AxiomProgram(program.signature.values(), program.universe_hint, strata)
 
 
 def cmd_transform(args) -> int:
@@ -110,7 +95,7 @@ def cmd_transform(args) -> int:
     )
     result = merge_to_single_stratum(transformed) if args.merge else transformed
     if args.simplify:
-        result = _simplified(result)
+        result = simplify_program(result)
     text = print_program(result)
     if args.report:
         Path(args.report).write_text(
@@ -151,10 +136,13 @@ def _default_sizes(program: AxiomProgram) -> tuple[int, ...]:
 def cmd_verify(args) -> int:
     program = _load_program(args.program)
     sizes = tuple(args.universe) if args.universe else _default_sizes(program)
-    if args.checks == "all":
-        checks = VerificationPlan.__dataclass_fields__["checks"].default
-    else:
+    transformed_checks = ("polarity", "equivalence")
+    if args.checks != "all":
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
+    elif args.transformed:
+        checks = transformed_checks
+    else:
+        checks = VerificationPlan.__dataclass_fields__["checks"].default
     plan = VerificationPlan(
         universe_sizes=sizes,
         mode="sampled" if args.samples is not None else "exhaustive",
@@ -163,41 +151,13 @@ def cmd_verify(args) -> int:
         checks=checks,
     )
     if args.transformed:
-        supported = {"polarity", "equivalence"}
-        requested = set(plan.checks) if args.checks != "all" else supported
-        unsupported = requested - supported
+        unsupported = set(plan.checks) - set(transformed_checks)
         if unsupported:
             raise LogicError(
                 "--transformed only supports checks polarity,equivalence; got "
                 + ",".join(sorted(unsupported))
             )
-        provided = _load_program(args.transformed)
-        results: list[CheckResult] = []
-        if "polarity" in requested:
-            occurrences = lint_polarity(provided)
-            violations = check_stratified(provided)
-            notes = tuple(
-                [f"negative derived occurrence at {ref.to_json()}" for ref in occurrences]
-                + [f"stratification: {v.message}" for v in violations]
-            )
-            results.append(
-                CheckResult("polarity", 0, len(occurrences) + len(violations), None, notes)
-            )
-        if "equivalence" in requested:
-            clean = not lint_polarity(provided)
-            for size in plan.universe_sizes:
-                universe = universe_for(program, size)
-                results.append(
-                    verify_equivalence(
-                        program,
-                        universe,
-                        plan,
-                        transformed=provided,
-                        include_merged=clean,
-                        label=f"equivalence[n={size}]",
-                    )
-                )
-        result = VerificationResult(tuple(results))
+        result = verify_transformed(program, _load_program(args.transformed), plan)
     else:
         result = run_checks(program, plan)
     if args.json:

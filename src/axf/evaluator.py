@@ -437,53 +437,18 @@ def extend_stratum_in_stages(
     every earlier stratum.  The state must not assign the stratum's own
     predicates yet.
 
-    ``program`` supplies the signature for validation when available;
-    without it the stratum is evaluated as-is.
+    The stratum is evaluated as-is, without a signature check; ``program``
+    is accepted but not read.
     """
     affected = set(affected_predicates(stratum))
     for name, _ in state.true_atoms:
         if name in affected:
             raise EvalError(f"state already assigns stratum predicate {name}")
+    engine = Engine(AxiomProgram((), (), (stratum,), validate=False), universe)
     atoms = set(state.true_atoms)
-    stage: dict[GroundAtom, int] = {}
-    env: dict[str, str] = {}
-    objects = universe.objects
-    for ax in stratum:
-        check_no_shadowing(ax.body)
-    compiled = [
-        (ax.head_pred, ax.head_vars, compile_formula(ax.body, objects)) for ax in stratum
-    ]
-    combos_cache: dict[int, tuple[tuple[str, ...], ...]] = {}
-
-    def combos(arity: int) -> tuple[tuple[str, ...], ...]:
-        got = combos_cache.get(arity)
-        if got is None:
-            got = tuple(product(objects, repeat=arity))
-            combos_cache[arity] = got
-        return got
-
-    rounds = 0
-    while True:
-        snapshot = frozenset(atoms)
-        added: list[GroundAtom] = []
-        for head, head_vars, body in compiled:
-            for combo in combos(len(head_vars)):
-                key = (head, combo)
-                if key in atoms:
-                    continue
-                for v, o in zip(head_vars, combo):
-                    env[v] = o
-                if body(env, snapshot):
-                    added.append(key)
-                    atoms.add(key)
-        if not added:
-            break
-        rounds += 1
-        for key in added:
-            stage[key] = rounds
+    stage, rounds = engine._run_staged(engine.compiled[0], atoms)
     table = StageTable(stratum_index, universe, stage, rounds)
-    covered = state.covered | affected
-    return TruthAssignment(universe, frozenset(atoms), covered), table
+    return TruthAssignment(universe, frozenset(atoms), state.covered | affected), table
 
 
 def stage_relations(table: StageTable, preds: Sequence[Predicate]) -> StageRelations:

@@ -17,8 +17,10 @@ that runs to the end of the line.  Variables carry a ``?`` sigil in the
 concrete syntax only; internally names are stored bare.
 
 Parsing is total: any byte string either yields an AST or raises ParseError
-carrying a list of diagnostics, each with a span into the input.  ``imply``
-is desugared to ``(or (not a) b)`` while reading.  A quantifier that rebinds
+carrying a list of diagnostics, each with a span into the input.  Lists nest
+at most ``MAX_NESTING`` deep, counting the enclosing ``(program``,
+``(stratum`` and ``(axiom`` forms, because every later pass walks formulas
+recursively.  ``imply`` is desugared to ``(or (not a) b)`` while reading.  A quantifier that rebinds
 a variable already bound further out (including head variables) is renamed
 on the spot (``x`` becomes ``x__1``), so downstream code never needs
 capture-avoidance logic.
@@ -60,6 +62,8 @@ RESERVED = {
     "program", "objects", "basic", "derived", "stratum", "axiom", "state",
     "and", "or", "not", "imply", "exists", "forall", "true", "false",
 }
+
+MAX_NESTING = 256
 
 
 @dataclass(frozen=True)
@@ -141,15 +145,21 @@ def _lex(text: str, filename: str) -> tuple[list[_Token], list[Diagnostic]]:
 
 
 def _read(tokens: list[_Token], filename: str, length: int) -> tuple[list[_SNode], list[Diagnostic]]:
-    """Group tokens into nested lists; reports unbalanced parentheses."""
+    """Group tokens into nested lists; reports unbalanced parentheses and
+    the first list nested deeper than ``MAX_NESTING``."""
     diags: list[Diagnostic] = []
     top: list[_SNode] = []
     stack: list[tuple[list[_SNode], SourceSpan]] = []
     current = top
+    too_deep = False
     for tok in tokens:
         if tok.text == "(":
             stack.append((current, tok.span))
             current = []
+            if len(stack) > MAX_NESTING and not too_deep:
+                too_deep = True
+                message = f"lists nest deeper than {MAX_NESTING} levels"
+                diags.append(Diagnostic("too-deep", message, tok.span))
         elif tok.text == ")":
             if not stack:
                 diags.append(Diagnostic("unbalanced-paren", "unmatched ')'", tok.span))
@@ -669,15 +679,19 @@ def print_program(program: AxiomProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_ground_atom(name: str, args: Iterable[str]) -> str:
+    """Concrete syntax of a ground atom: ``(name a b)``."""
+    return "(" + " ".join((name, *args)) + ")"
+
+
+def format_state(atoms: Iterable[tuple[str, tuple[str, ...]]]) -> str:
+    """``(state ...)`` with the ground atoms in the given order."""
+    return "(state" + "".join(" " + format_ground_atom(n, a) for n, a in atoms) + ")"
+
+
 def print_state(assignment) -> str:
     """Serialize a basic state as ``(state ...)`` with atoms sorted."""
-    atoms = sorted(assignment.true_atoms)
-    if not atoms:
-        return "(state)\n"
-    parts = [
-        "(" + name + "".join(" " + c for c in args) + ")" for name, args in atoms
-    ]
-    return "(state " + " ".join(parts) + ")\n"
+    return format_state(sorted(assignment.true_atoms)) + "\n"
 
 
 def program_to_json(program: AxiomProgram) -> dict:

@@ -48,6 +48,7 @@ from .logic import (
     Top,
     Var,
     affected_predicates,
+    collapse_double_negation,
     free_vars,
     iter_atoms,
     make_conj,
@@ -769,4 +770,16 @@ def merge_to_single_stratum(program: AxiomProgram) -> AxiomProgram:
         )
     axioms = tuple(ax for stratum in program.strata for ax in stratum)
     strata = (axioms,) if axioms else ()
+    return AxiomProgram(program.signature.values(), program.universe_hint, strata)
+
+
+def simplify_program(program: AxiomProgram) -> AxiomProgram:
+    """The program with every double negation in its bodies collapsed."""
+    strata = tuple(
+        tuple(
+            Axiom(ax.head_pred, ax.head_vars, collapse_double_negation(ax.body))
+            for ax in stratum
+        )
+        for stratum in program.strata
+    )
     return AxiomProgram(program.signature.values(), program.universe_hint, strata)

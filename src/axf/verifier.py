@@ -59,6 +59,7 @@ from .logic import (
     iter_atoms,
     negative_occurrences,
 )
+from .parser import format_ground_atom, format_state
 from .transformer import (
     eliminate_negative_occurrences,
     generate_stage_axioms,
@@ -110,10 +111,7 @@ class Counterexample:
     detail: str
 
     def state_text(self) -> str:
-        parts = []
-        for name, args in self.state_atoms:
-            parts.append("(" + " ".join((name,) + args) + ")")
-        return "(state" + ("" if not parts else " " + " ".join(parts)) + ")"
+        return format_state(self.state_atoms)
 
     def to_json(self) -> dict:
         return {
@@ -237,18 +235,17 @@ def universe_for(program: AxiomProgram, size: int) -> Universe:
 
 
 # ---------------------------------------------------------------------------
-# Chunk workers (top level so a process pool can pickle them)
-
-def _ce_key(ce: Counterexample) -> tuple:
-    return (ce.state_atoms, ce.detail)
-
+# The sweep.  Each check has a comparator factory that compiles the check's
+# engines once per chunk and returns ``compare(atoms) -> detail | None``,
+# where a detail marks a failing state.  Factories and ``_run_chunk`` are top
+# level so a process pool can pickle them.
 
 def _merge_best(
     best: Optional[Counterexample], new: Optional[Counterexample]
 ) -> Optional[Counterexample]:
     if new is None:
         return best
-    if best is None or _ce_key(new) < _ce_key(best):
+    if best is None or (new.state_atoms, new.detail) < (best.state_atoms, best.detail):
         return new
     return best
 
@@ -260,24 +257,16 @@ def _atoms_by_pred(atoms: frozenset[GroundAtom]) -> dict[str, set[tuple[str, ...
     return out
 
 
-def _fmt_atom(name: str, args: tuple[str, ...]) -> str:
-    return "(" + " ".join((name,) + args) + ")"
-
-
-def _theorem1_chunk(bundle, universe: Universe, spec) -> tuple[int, int, Optional[Counterexample]]:
-    program, stratum_index, members, arities, names, fam_program = bundle
+def _theorem1_comparator(universe, program, stratum_index, members, arities, names, fam_program):
     oracle_engine = Engine(program, universe)
     fam_engine = Engine(fam_program, universe)
     member_preds = [program.predicate(m) for m in members]
     m = len(members)
-    checked = failures = 0
-    best: Optional[Counterexample] = None
-    for atoms in _spec_states(spec):
-        checked += 1
+
+    def compare(atoms: frozenset[GroundAtom]) -> Optional[str]:
         _, tables = oracle_engine.run_with_stages(atoms, upto=stratum_index + 1)
         oracle = stage_relations(tables[stratum_index], member_preds)
         by_pred = _atoms_by_pred(fam_engine.run(atoms))
-        detail = None
         for rel in RELATION_NAMES:
             for i in range(1, m + 1):
                 for j in range(1, m + 1):
@@ -290,159 +279,115 @@ def _theorem1_chunk(bundle, universe: Universe, spec) -> tuple[int, int, Optiona
                     if got != want:
                         a, b = min(got.symmetric_difference(want))
                         side = "axioms" if (a, b) in got else "oracle"
-                        detail = (
+                        return (
                             f"{rel}[{i},{j}] disagrees on ({','.join(a)} ; {','.join(b)}):"
                             f" only the {side} relate them"
                         )
-                        break
-                if detail:
-                    break
-            if detail:
-                break
-        if detail:
-            failures += 1
-            best = _merge_best(
-                best,
-                Counterexample("theorem1", universe.objects, tuple(sorted(atoms)), detail),
-            )
-    return checked, failures, best
+        return None
+
+    return compare
 
 
-def _theorem2_chunk(bundle, universe: Universe, spec) -> tuple[int, int, Optional[Counterexample]]:
-    prefix_program, fam_program, members, arities, nleq_names = bundle
+def _theorem2_comparator(universe, prefix_program, fam_program, members, arities, nleq_names):
     prefix_engine = Engine(prefix_program, universe)
     fam_engine = Engine(fam_program, universe)
     combos = [
         tuple(product(universe.objects, repeat=arity)) for arity in arities
     ]
-    checked = failures = 0
-    best: Optional[Counterexample] = None
-    for atoms in _spec_states(spec):
-        checked += 1
+
+    def compare(atoms: frozenset[GroundAtom]) -> Optional[str]:
         derived = prefix_engine.run(atoms)
         stage_ext = fam_engine.run(atoms)
-        detail = None
         for k, member in enumerate(members):
             for combo in combos[k]:
                 holds = (member, combo) in derived
                 never = (nleq_names[k], combo + combo) in stage_ext
                 if holds == never:
-                    detail = (
-                        f"{_fmt_atom(member, combo)} is {str(holds).lower()} but "
-                        f"{_fmt_atom(nleq_names[k], combo + combo)} is {str(never).lower()}"
+                    return (
+                        f"{format_ground_atom(member, combo)} is {str(holds).lower()} but "
+                        f"{format_ground_atom(nleq_names[k], combo + combo)} is {str(never).lower()}"
                     )
-                    break
-            if detail:
-                break
-        if detail:
-            failures += 1
-            best = _merge_best(
-                best,
-                Counterexample("theorem2", universe.objects, tuple(sorted(atoms)), detail),
-            )
-    return checked, failures, best
+        return None
+
+    return compare
 
 
-def _equivalence_chunk(bundle, universe: Universe, spec) -> tuple[int, int, Optional[Counterexample]]:
-    original, transformed, merged, derived_names = bundle
+def _equivalence_comparator(universe, original, transformed, merged, derived_names):
     engines = [Engine(original, universe), Engine(transformed, universe)]
     labels = ["original", "transformed"]
     if merged is not None:
         engines.append(Engine(merged, universe))
         labels.append("merged")
     names = frozenset(derived_names)
-    checked = failures = 0
-    best: Optional[Counterexample] = None
-    for atoms in _spec_states(spec):
-        checked += 1
+
+    def compare(atoms: frozenset[GroundAtom]) -> Optional[str]:
         views = [
             {k for k in engine.run(atoms) if k[0] in names} for engine in engines
         ]
-        detail = None
         for other in range(1, len(views)):
             if views[other] != views[0]:
                 name, args = min(views[0].symmetric_difference(views[other]))
                 holds = (name, args) in views[0]
-                detail = (
-                    f"{_fmt_atom(name, args)} is {str(holds).lower()} in the original "
+                return (
+                    f"{format_ground_atom(name, args)} is {str(holds).lower()} in the original "
                     f"but {str(not holds).lower()} in the {labels[other]} program"
                 )
-                break
-        if detail:
-            failures += 1
-            best = _merge_best(
-                best,
-                Counterexample(
-                    "equivalence", universe.objects, tuple(sorted(atoms)), detail
-                ),
-            )
-    return checked, failures, best
+        return None
+
+    return compare
 
 
-def _aux_chunk(bundle, universe: Universe, spec) -> tuple[int, int, Optional[Counterexample]]:
-    plain, optimized, shared_names = bundle
+def _aux_comparator(universe, plain, optimized, shared_names):
     engines = [Engine(plain, universe), Engine(optimized, universe)]
     names = frozenset(shared_names)
-    checked = failures = 0
-    best: Optional[Counterexample] = None
-    for atoms in _spec_states(spec):
-        checked += 1
+
+    def compare(atoms: frozenset[GroundAtom]) -> Optional[str]:
         a = {k for k in engines[0].run(atoms) if k[0] in names}
         b = {k for k in engines[1].run(atoms) if k[0] in names}
-        if a != b:
-            name, args = min(a.symmetric_difference(b))
-            holds = (name, args) in a
-            detail = (
-                f"{_fmt_atom(name, args)} is {str(holds).lower()} without the shared "
-                f"conjuncts but {str(not holds).lower()} with them"
-            )
-            failures += 1
-            best = _merge_best(
-                best,
-                Counterexample("aux", universe.objects, tuple(sorted(atoms)), detail),
-            )
-    return checked, failures, best
+        if a == b:
+            return None
+        name, args = min(a.symmetric_difference(b))
+        holds = (name, args) in a
+        return (
+            f"{format_ground_atom(name, args)} is {str(holds).lower()} without the shared "
+            f"conjuncts but {str(not holds).lower()} with them"
+        )
+
+    return compare
 
 
-def _order_chunk(bundle, universe: Universe, spec) -> tuple[int, int, Optional[Counterexample]]:
-    program, order_seeds = bundle
+def _order_comparator(universe, program, order_seeds):
     engine = Engine(program, universe)
-    checked = failures = 0
-    best: Optional[Counterexample] = None
-    for atoms in _spec_states(spec):
-        checked += 1
+
+    def compare(atoms: frozenset[GroundAtom]) -> Optional[str]:
         baseline = engine.run(atoms)
-        detail = None
         for seed in order_seeds:
             got = engine.run(atoms, rng=random.Random(f"order:{seed}"))
             if got != baseline:
                 name, args = min(got.symmetric_difference(baseline))
-                detail = (
+                return (
                     f"evaluation order {seed} "
-                    f"{'adds' if (name, args) in got else 'misses'} {_fmt_atom(name, args)}"
+                    f"{'adds' if (name, args) in got else 'misses'} {format_ground_atom(name, args)}"
                 )
-                break
-        if detail:
+        return None
+
+    return compare
+
+
+def _run_chunk(job) -> tuple[int, int, Optional[Counterexample]]:
+    check, factory, bundle, universe, spec = job
+    compare = factory(universe, *bundle)
+    checked = failures = 0
+    best: Optional[Counterexample] = None
+    for atoms in _spec_states(spec):
+        checked += 1
+        detail = compare(atoms)
+        if detail is not None:
             failures += 1
             best = _merge_best(
-                best,
-                Counterexample("order", universe.objects, tuple(sorted(atoms)), detail),
+                best, Counterexample(check, universe.objects, tuple(sorted(atoms)), detail)
             )
     return checked, failures, best
-
-
-_CHUNK_FUNS = {
-    "theorem1": _theorem1_chunk,
-    "theorem2": _theorem2_chunk,
-    "equivalence": _equivalence_chunk,
-    "aux": _aux_chunk,
-    "order": _order_chunk,
-}
-
-
-def _run_chunk(args):
-    check, bundle, universe, spec = args
-    return _CHUNK_FUNS[check](bundle, universe, spec)
 
 
 def worker_count() -> int:
@@ -460,49 +405,49 @@ def worker_count() -> int:
 
 def _sweep(
     check: str,
-    bundle,
+    factory,
+    bundle: tuple,
+    program: AxiomProgram,
     universe: Universe,
-    cells: tuple[GroundAtom, ...],
-    plan: VerificationPlan,
+    plan: Optional[VerificationPlan],
     states: Optional[Iterable[frozenset[GroundAtom]]],
-) -> tuple[int, int, Optional[Counterexample]]:
+    label: str,
+) -> CheckResult:
+    """Run ``factory``'s comparator over the given states, or else the
+    planned ones over ``program``'s basic cells, chunked across worker
+    processes once there are 64 states or more."""
+    plan = plan or VerificationPlan()
+    cells = basic_cells(program, universe)
     if states is not None:
-        spec = ("explicit", tuple(frozenset(s) for s in states))
-        return _CHUNK_FUNS[check](bundle, universe, spec)
-    if plan.mode == "exhaustive":
-        if len(cells) > _MAX_EXHAUSTIVE_BITS:
-            raise BudgetError(
-                f"2^{len(cells)} basic states exceed the exhaustive budget of "
-                f"2^{_MAX_EXHAUSTIVE_BITS}; use sampled mode"
-            )
-        total = 1 << len(cells)
-
-        def spec_for(start: int, stop: int) -> tuple:
-            return ("exhaustive", cells, start, stop)
-
+        specs = [("explicit", tuple(frozenset(s) for s in states))]
     else:
-        total = plan.samples
-
-        def spec_for(start: int, stop: int) -> tuple:
-            return ("sampled", cells, plan.seed, start, stop)
-
-    workers = worker_count()
-    if workers == 1 or total < 64:
-        return _CHUNK_FUNS[check](bundle, universe, spec_for(0, total))
-    workers = min(workers, total)
-    bounds = [total * k // workers for k in range(workers + 1)]
-    jobs = [
-        (check, bundle, universe, spec_for(bounds[k], bounds[k + 1]))
-        for k in range(workers)
-    ]
-    checked = failures = 0
+        if plan.mode == "exhaustive":
+            if len(cells) > _MAX_EXHAUSTIVE_BITS:
+                raise BudgetError(
+                    f"2^{len(cells)} basic states exceed the exhaustive budget of "
+                    f"2^{_MAX_EXHAUSTIVE_BITS}; use sampled mode"
+                )
+            total = 1 << len(cells)
+            head: tuple = ("exhaustive", cells)
+        else:
+            total = plan.samples
+            head = ("sampled", cells, plan.seed)
+        workers = worker_count()
+        workers = 1 if total < 64 else min(workers, total)
+        bounds = [total * k // workers for k in range(workers + 1)]
+        specs = [head + (bounds[k], bounds[k + 1]) for k in range(workers)]
+    jobs = [(check, factory, bundle, universe, spec) for spec in specs]
+    if len(jobs) == 1:
+        parts = [_run_chunk(jobs[0])]
+    else:
+        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            parts = list(pool.map(_run_chunk, jobs))
     best: Optional[Counterexample] = None
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part_checked, part_failures, part_best in pool.map(_run_chunk, jobs):
-            checked += part_checked
-            failures += part_failures
-            best = _merge_best(best, part_best)
-    return checked, failures, best
+    for _, _, part_best in parts:
+        best = _merge_best(best, part_best)
+    return CheckResult(
+        label, sum(p[0] for p in parts), sum(p[1] for p in parts), best
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +473,6 @@ def verify_theorem1(
     label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: stage relations by axioms == stage relations by oracle."""
-    plan = plan or VerificationPlan()
     family = generate_stage_axioms(
         program, stratum_index, optimize_aux=optimize_aux, mutation=mutation
     )
@@ -540,10 +484,9 @@ def verify_theorem1(
         dict(family.names),
         _family_program(program, stratum_index, family),
     )
-    cells = basic_cells(program, universe)
-    checked, failures, best = _sweep("theorem1", bundle, universe, cells, plan, states)
-    return CheckResult(
-        label or f"theorem1[stratum={stratum_index}]", checked, failures, best
+    label = label or f"theorem1[stratum={stratum_index}]"
+    return _sweep(
+        "theorem1", _theorem1_comparator, bundle, program, universe, plan, states, label
     )
 
 
@@ -559,7 +502,6 @@ def verify_theorem2(
     label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: P_i(a) holds in the stratum's fixpoint iff nleq_ii(a,a) fails."""
-    plan = plan or VerificationPlan()
     family = generate_stage_axioms(
         program, stratum_index, optimize_aux=optimize_aux, mutation=mutation
     )
@@ -578,10 +520,9 @@ def verify_theorem2(
         family.arities,
         nleq_names,
     )
-    cells = basic_cells(program, universe)
-    checked, failures, best = _sweep("theorem2", bundle, universe, cells, plan, states)
-    return CheckResult(
-        label or f"theorem2[stratum={stratum_index}]", checked, failures, best
+    label = label or f"theorem2[stratum={stratum_index}]"
+    return _sweep(
+        "theorem2", _theorem2_comparator, bundle, program, universe, plan, states, label
     )
 
 
@@ -598,7 +539,6 @@ def verify_equivalence(
     label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: the transformation preserves every original derived atom."""
-    plan = plan or VerificationPlan()
     if transformed is None:
         transformed, _ = eliminate_negative_occurrences(
             original, optimize_aux=optimize_aux, mutation=mutation
@@ -606,9 +546,10 @@ def verify_equivalence(
     merged = merge_to_single_stratum(transformed) if include_merged else None
     derived_names = tuple(p.name for p in original.derived_predicates)
     bundle = (original, transformed, merged, derived_names)
-    cells = basic_cells(original, universe)
-    checked, failures, best = _sweep("equivalence", bundle, universe, cells, plan, states)
-    return CheckResult(label or "equivalence", checked, failures, best)
+    return _sweep(
+        "equivalence", _equivalence_comparator, bundle, original, universe, plan, states,
+        label or "equivalence",
+    )
 
 
 def verify_aux(
@@ -620,14 +561,13 @@ def verify_aux(
     label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: the aux rewrite leaves every shared predicate's extension alone."""
-    plan = plan or VerificationPlan()
     plain, _ = eliminate_negative_occurrences(program, optimize_aux=False)
     optimized, _ = eliminate_negative_occurrences(program, optimize_aux=True)
     shared = tuple(sorted(set(plain.signature) & set(optimized.signature)))
     bundle = (plain, optimized, shared)
-    cells = basic_cells(program, universe)
-    checked, failures, best = _sweep("aux", bundle, universe, cells, plan, states)
-    return CheckResult(label or "aux", checked, failures, best)
+    return _sweep(
+        "aux", _aux_comparator, bundle, program, universe, plan, states, label or "aux"
+    )
 
 
 def verify_order_independence(
@@ -640,11 +580,10 @@ def verify_order_independence(
     label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: chaotic evaluation agrees with the staged fixpoint."""
-    plan = plan or VerificationPlan()
     bundle = (program, tuple(range(orders)))
-    cells = basic_cells(program, universe)
-    checked, failures, best = _sweep("order", bundle, universe, cells, plan, states)
-    return CheckResult(label or "order", checked, failures, best)
+    return _sweep(
+        "order", _order_comparator, bundle, program, universe, plan, states, label or "order"
+    )
 
 
 def lint_polarity(program: AxiomProgram) -> list:
@@ -653,31 +592,62 @@ def lint_polarity(program: AxiomProgram) -> list:
     return negative_occurrences(program, derived)
 
 
+def _polarity_result(
+    programs: Sequence[AxiomProgram], occurrences: Sequence, label: str
+) -> CheckResult:
+    """One failure and one note for each negative derived occurrence and for
+    each stratification violation in ``programs``."""
+    violations = [v for p in programs for v in check_stratified(p)]
+    notes = [f"negative derived occurrence at {ref.to_json()}" for ref in occurrences]
+    notes += [f"stratification: {v.message}" for v in violations]
+    return CheckResult(label, 0, len(occurrences) + len(violations), None, tuple(notes))
+
+
 def check_polarity(
     program: AxiomProgram,
     *,
     optimize_aux: bool = False,
     label: Optional[str] = None,
 ) -> CheckResult:
-    """Static check: transform, then lint polarity and stratification of
-    both the transformed and the merged program."""
+    """Static check: transform, then check that both the transformed and the
+    merged program are well stratified.  The transform only returns once no
+    derived predicate occurs negatively, and merging refuses any program
+    where one does, so polarity needs no pass of its own here."""
     transformed, _ = eliminate_negative_occurrences(program, optimize_aux=optimize_aux)
-    notes = []
+    programs = (transformed, merge_to_single_stratum(transformed))
+    return _polarity_result(programs, (), label or "polarity")
+
+
+def verify_transformed(
+    original: AxiomProgram,
+    transformed: AxiomProgram,
+    plan: Optional[VerificationPlan] = None,
+) -> VerificationResult:
+    """Check a transformed program built elsewhere against its original.
+
+    Runs the plan's polarity check (negative derived occurrences and
+    stratification of ``transformed`` as given) and its equivalence sweep
+    at each planned size, with the merged form only when ``transformed``
+    has no negative derived occurrence.  Other checks need the transformer's
+    own stage families and are not run."""
+    plan = plan or VerificationPlan()
     occurrences = lint_polarity(transformed)
-    for ref in occurrences:
-        notes.append(f"negative derived occurrence at {ref.to_json()}")
-    violations = check_stratified(transformed)
-    try:
-        merged = merge_to_single_stratum(transformed)
-        violations += check_stratified(merged)
-    except LogicError as exc:
-        notes.append(f"merge refused: {exc}")
-        violations += [None]
-    for v in violations:
-        if v is not None:
-            notes.append(f"stratification: {v.message}")
-    failures = len(occurrences) + len(violations)
-    return CheckResult(label or "polarity", 0, failures, None, tuple(notes))
+    results: list[CheckResult] = []
+    if "polarity" in plan.checks:
+        results.append(_polarity_result((transformed,), occurrences, "polarity"))
+    if "equivalence" in plan.checks:
+        for size in plan.universe_sizes:
+            results.append(
+                verify_equivalence(
+                    original,
+                    universe_for(original, size),
+                    plan,
+                    transformed=transformed,
+                    include_merged=not occurrences,
+                    label=f"equivalence[n={size}]",
+                )
+            )
+    return VerificationResult(tuple(results))
 
 
 def run_checks(program: AxiomProgram, plan: Optional[VerificationPlan] = None) -> VerificationResult:

@@ -2,7 +2,8 @@ from pathlib import Path
 
 import pytest
 
-from axf import parse_program, parse_state
+import axf.verifier
+from axf import Axiom, AxiomProgram, Top, eliminate_negative_occurrences, parse_program, parse_state
 
 ROOT = Path(__file__).resolve().parent.parent
 PATH_PROGRAM = ROOT / "samples" / "path.axp"
@@ -25,3 +26,44 @@ def path_state(path_program):
     return parse_state(
         PATH_STATE.read_text(encoding="utf-8"), path_program, str(PATH_STATE)
     )
+
+
+# Seven basic cells over two objects: 128 basic states, enough for a sweep
+# to start a process pool, and cheap to evaluate.
+POOL_SOURCE = """
+(program
+  (objects a b)
+  (basic (E 2) (F 1) (G 0))
+  (derived (reach 1) (lonely 0))
+  (stratum
+    (axiom (reach ?x)
+      (or (F ?x) (exists (?y) (and (reach ?y) (E ?y ?x))))))
+  (stratum
+    (axiom (lonely) (and (G) (exists (?x) (not (reach ?x)))))))
+"""
+
+
+@pytest.fixture()
+def pool_programs():
+    """The pool-sized program and its transform with ``lonely`` made true,
+    which fails on states in both halves of a two-worker sweep."""
+    program = parse_program(POOL_SOURCE)
+    out, _ = eliminate_negative_occurrences(program)
+    *strata, last = out.strata
+    (ax,) = last
+    corrupted = strata + [(Axiom(ax.head_pred, ax.head_vars, Top()),)]
+    return program, AxiomProgram(out.signature.values(), out.universe_hint, corrupted)
+
+
+@pytest.fixture()
+def pool_starts(monkeypatch):
+    """The worker counts of the process pools the verifier starts."""
+    starts = []
+    real = axf.verifier.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        starts.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(axf.verifier, "ProcessPoolExecutor", counting)
+    return starts

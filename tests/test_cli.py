@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from axf import TransformError
+from axf import TransformError, print_program
+from axf.parser import MAX_NESTING
 from axf.cli import main
 
 
@@ -275,16 +276,42 @@ class TestVerify:
         blob = json.loads(out)
         assert all(c["failures"] == 0 for c in blob["checks"])
 
-    def test_parallel_output_matches(self, capsys, monkeypatch):
-        monkeypatch.delenv("AXF_THREADS", raising=False)
-        _, serial, _ = run(
-            capsys, "verify", "samples/path.axp", "--universe", "2", "--checks", "equivalence"
-        )
+    def test_parallel_output_matches(
+        self, capsys, monkeypatch, tmp_path, pool_programs, pool_starts
+    ):
+        program, bad = pool_programs
+        source, wrong = tmp_path / "p.axp", tmp_path / "wrong.axp"
+        source.write_text(print_program(program))
+        wrong.write_text(print_program(bad))
+        argv = ("verify", str(source), "--transformed", str(wrong), "--universe", "2")
+        monkeypatch.setenv("AXF_THREADS", "1")
+        code, serial, _ = run(capsys, *argv)
+        assert pool_starts == []
         monkeypatch.setenv("AXF_THREADS", "2")
-        _, parallel, _ = run(
-            capsys, "verify", "samples/path.axp", "--universe", "2", "--checks", "equivalence"
-        )
+        _, parallel, _ = run(capsys, *argv)
+        assert pool_starts == [2]
+        assert code == 1 and "states=128 failures=" in serial
         assert serial == parallel
+
+    def test_transformed_polarity_failure_text(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "verify",
+            "samples/path.axp",
+            "--transformed",
+            "samples/path.axp",
+            "--universe",
+            "2",
+            "--checks",
+            "polarity,equivalence",
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL polarity failures=1",
+            "  note: negative derived occurrence at "
+            "{'stratum': 1, 'axiom': 0, 'path': [0, 0], 'polarity': 'negative'}",
+            "PASS equivalence[n=2] states=16",
+        ]
 
     def test_bad_threads_exit_2(self, capsys, monkeypatch):
         monkeypatch.setenv("AXF_THREADS", "abc")
@@ -342,6 +369,36 @@ class TestExitCodes:
         prog.write_text("(program (objects a) (basic (B 1)) (derived))")
         code, _, err = run(capsys, "verify", str(prog), "--transformed", str(prog), "--checks", "theorem1")
         assert code == 2
+
+    @staticmethod
+    def negation_chain(tmp_path, depth):
+        """A program whose lists nest ``depth`` deep: (program (stratum
+        (axiom (and (B) (not ... (P)))))) with depth - 5 nots."""
+        nots = depth - 5
+        body = "(and (B) " + "(not " * nots + "(P)" + ")" * (nots + 1)
+        prog = tmp_path / "deep.axp"
+        prog.write_text(
+            "(program (objects a) (basic (B 0)) (derived (P 0) (Q 0))"
+            f" (stratum (axiom (P) (B))) (stratum (axiom (Q) {body})))"
+        )
+        return str(prog)
+
+    def test_deep_nesting_exit_2(self, capsys, tmp_path):
+        for depth in (MAX_NESTING + 1, 3000):
+            prog = self.negation_chain(tmp_path, depth)
+            for argv in (("parse", prog), ("transform", prog), ("verify", prog, "--universe", "1")):
+                code, _, err = run(capsys, *argv)
+                assert code == 2
+                assert f"{prog}:1:" in err and "too-deep" in err
+                assert "RecursionError" not in err
+
+    def test_nesting_at_limit_runs(self, capsys, tmp_path):
+        prog = self.negation_chain(tmp_path, MAX_NESTING)
+        code, out, _ = run(capsys, "transform", prog)
+        assert code == 0 and "nleq" in out
+        code, out, err = run(capsys, "verify", prog, "--universe", "1")
+        assert code == 0 and err == ""
+        assert "FAIL" not in out
 
     def test_no_command_shows_help(self, capsys):
         with pytest.raises(SystemExit):

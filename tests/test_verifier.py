@@ -256,14 +256,17 @@ class TestBudgets:
 
 
 class TestParallel:
-    def test_parallel_matches_serial(self, path_program, monkeypatch):
-        bad = TestCounterexamples().corrupt(path_program)
-        monkeypatch.delenv("AXF_THREADS", raising=False)
-        serial = verify_equivalence(path_program, U2, transformed=bad)
+    def test_parallel_matches_serial(self, pool_programs, pool_starts, monkeypatch):
+        program, bad = pool_programs
+        u2 = universe_for(program, 2)
+        monkeypatch.setenv("AXF_THREADS", "1")
+        serial = verify_equivalence(program, u2, transformed=bad)
+        assert pool_starts == []
         monkeypatch.setenv("AXF_THREADS", "2")
-        parallel = verify_equivalence(path_program, U2, transformed=bad)
-        assert serial.failures == parallel.failures
-        assert serial.states_checked == parallel.states_checked
+        parallel = verify_equivalence(program, u2, transformed=bad)
+        assert pool_starts == [2]
+        assert serial.states_checked == parallel.states_checked == 128
+        assert serial.failures == parallel.failures > 0
         assert serial.counterexample == parallel.counterexample
 
     def test_worker_count_env(self, monkeypatch):
