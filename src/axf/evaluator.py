@@ -27,7 +27,7 @@ sweeps over many basic states pay compilation once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -148,15 +148,6 @@ def check_no_shadowing(formula: Formula, bound: frozenset[str] | None = None) ->
     names apart, but hand-built formulas must be checked."""
     if bound is None:
         bound = frozenset(free_vars(formula))
-    if isinstance(formula, (Atom, Top, Bottom)):
-        return
-    if isinstance(formula, Not):
-        check_no_shadowing(formula.sub, bound)
-        return
-    if isinstance(formula, (And, Or)):
-        for sub in formula.subs:
-            check_no_shadowing(sub, bound)
-        return
     if isinstance(formula, (Exists, Forall)):
         clash = bound.intersection(formula.vars)
         if clash:
@@ -164,9 +155,9 @@ def check_no_shadowing(formula: Formula, bound: frozenset[str] | None = None) ->
                 "cannot evaluate a formula that shadows bound variables: "
                 + ", ".join(sorted(clash))
             )
-        check_no_shadowing(formula.sub, bound | frozenset(formula.vars))
-        return
-    raise LogicError(f"unknown formula node {type(formula).__name__}")
+        bound = bound | frozenset(formula.vars)
+    for sub in formula.children():
+        check_no_shadowing(sub, bound)
 
 
 def compile_formula(formula: Formula, objects: Sequence[str]) -> _Compiled:

@@ -4,6 +4,13 @@ Terms, first order formulas, axioms, and whole programs, plus the purely
 syntactic operations everything else builds on: free variables, polarity of
 atom occurrences, substitution, stratification checking, and size counting.
 
+This module is the one home of the formula tree's shape and of program
+validity.  Every node kind lists and replaces its own subformulas
+(``Formula.children`` / ``Formula.rebuild``), so a walker elsewhere handles
+only the node kinds it cares about.  ``check_stratified`` checks signature
+use and all four stratification conditions in one pass over the body
+occurrences, and ``AxiomProgram.validate`` raises on what it finds.
+
 A program owns a signature of basic and derived predicates, an ordered list
 of object constants, and a sequence of strata; each stratum is a tuple of
 axioms ``head <- body``.  Heads are atoms of derived predicates applied to
@@ -14,7 +21,7 @@ modules and treat everything here as immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal, Mapping, Optional, Union
+from typing import Iterable, Iterator, Literal, Mapping, Optional, Sequence, Union
 
 Kind = Literal["basic", "derived"]
 Polarity = Literal["positive", "negative"]
@@ -102,30 +109,58 @@ Term = Union[Var, Const]
 
 @dataclass(frozen=True)
 class Formula:
-    """Base class; ``span`` records source provenance and never affects equality."""
+    """Base class; ``span`` records source provenance and never affects equality.
+
+    Each node kind owns its shape: ``children()`` lists the subformulas in
+    occurrence-path order and ``rebuild(subs)`` returns the same node over
+    new children, keeping its span.  Walkers handle the node kinds they care
+    about and rebuild the rest.
+    """
 
     span: Optional[SourceSpan] = field(default=None, compare=False, repr=False, kw_only=True)
 
+    def children(self) -> tuple[Formula, ...]:
+        raise LogicError(f"unknown formula node {type(self).__name__}")
+
+    def rebuild(self, subs: Sequence[Formula]) -> Formula:
+        raise LogicError(f"unknown formula node {type(self).__name__}")
+
+
+class _Leaf:
+    """Children protocol of the nodes without subformulas."""
+
+    def children(self) -> tuple[Formula, ...]:
+        return ()
+
+    def rebuild(self, subs: Sequence[Formula]) -> Formula:
+        return self
+
 
 @dataclass(frozen=True)
-class Atom(Formula):
+class Atom(_Leaf, Formula):
     pred: str
     args: tuple[Term, ...] = ()
 
 
 @dataclass(frozen=True)
-class Top(Formula):
+class Top(_Leaf, Formula):
     pass
 
 
 @dataclass(frozen=True)
-class Bottom(Formula):
+class Bottom(_Leaf, Formula):
     pass
 
 
 @dataclass(frozen=True)
 class Not(Formula):
     sub: Formula
+
+    def children(self) -> tuple[Formula, ...]:
+        return (self.sub,)
+
+    def rebuild(self, subs: Sequence[Formula]) -> Formula:
+        return Not(subs[0], span=self.span)
 
 
 @dataclass(frozen=True)
@@ -136,6 +171,12 @@ class And(Formula):
         if len(self.subs) < 2:
             raise LogicError("And needs at least two conjuncts")
 
+    def children(self) -> tuple[Formula, ...]:
+        return self.subs
+
+    def rebuild(self, subs: Sequence[Formula]) -> Formula:
+        return type(self)(tuple(subs), span=self.span)
+
 
 @dataclass(frozen=True)
 class Or(Formula):
@@ -144,6 +185,8 @@ class Or(Formula):
     def __post_init__(self) -> None:
         if len(self.subs) < 2:
             raise LogicError("Or needs at least two disjuncts")
+
+    children, rebuild = And.children, And.rebuild
 
 
 @dataclass(frozen=True)
@@ -157,6 +200,12 @@ class Exists(Formula):
         if len(set(self.vars)) != len(self.vars):
             raise LogicError("duplicate variable in quantifier")
 
+    def children(self) -> tuple[Formula, ...]:
+        return (self.sub,)
+
+    def rebuild(self, subs: Sequence[Formula]) -> Formula:
+        return type(self)(self.vars, subs[0], span=self.span)
+
 
 @dataclass(frozen=True)
 class Forall(Formula):
@@ -168,6 +217,8 @@ class Forall(Formula):
             raise LogicError("Forall needs at least one variable")
         if len(set(self.vars)) != len(self.vars):
             raise LogicError("duplicate variable in quantifier")
+
+    children, rebuild = Exists.children, Exists.rebuild
 
 
 def make_conj(parts: Iterable[Formula]) -> Formula:
@@ -200,24 +251,13 @@ def make_forall(vars: Iterable[str], sub: Formula) -> Formula:
     return Forall(vars, sub) if vars else sub
 
 
-def children(formula: Formula) -> tuple[Formula, ...]:
-    """Subformulas in child-index order, matching occurrence paths."""
-    if isinstance(formula, Not):
-        return (formula.sub,)
-    if isinstance(formula, (And, Or)):
-        return formula.subs
-    if isinstance(formula, (Exists, Forall)):
-        return (formula.sub,)
-    return ()
-
-
 def free_vars(formula: Formula) -> frozenset[str]:
     if isinstance(formula, Atom):
         return frozenset(t.name for t in formula.args if isinstance(t, Var))
     if isinstance(formula, (Exists, Forall)):
         return free_vars(formula.sub) - frozenset(formula.vars)
     out: frozenset[str] = frozenset()
-    for sub in children(formula):
+    for sub in formula.children():
         out |= free_vars(sub)
     return out
 
@@ -227,11 +267,9 @@ def node_count(formula: Formula) -> int:
     quantified variable."""
     if isinstance(formula, Atom):
         return 1 + len(formula.args)
-    if isinstance(formula, (Top, Bottom)):
-        return 1
     if isinstance(formula, (Exists, Forall)):
         return 1 + len(formula.vars) + node_count(formula.sub)
-    return 1 + sum(node_count(sub) for sub in children(formula))
+    return 1 + sum(node_count(sub) for sub in formula.children())
 
 
 def iter_atoms(formula: Formula) -> Iterator[tuple[tuple[int, ...], Atom, Polarity]]:
@@ -246,9 +284,8 @@ def iter_atoms(formula: Formula) -> Iterator[tuple[tuple[int, ...], Atom, Polari
             yield path, f, (NEGATIVE if negations % 2 else POSITIVE)
             return
         if isinstance(f, Not):
-            yield from walk(f.sub, path + (0,), negations + 1)
-            return
-        for i, sub in enumerate(children(f)):
+            negations += 1
+        for i, sub in enumerate(f.children()):
             yield from walk(sub, path + (i,), negations)
 
     yield from walk(formula, (), 0)
@@ -257,7 +294,7 @@ def iter_atoms(formula: Formula) -> Iterator[tuple[tuple[int, ...], Atom, Polari
 def formula_at(formula: Formula, path: Iterable[int]) -> Formula:
     node = formula
     for step in path:
-        subs = children(node)
+        subs = node.children()
         if not 0 <= step < len(subs):
             raise LogicError(f"invalid path step {step} at {type(node).__name__}")
         node = subs[step]
@@ -276,7 +313,7 @@ def polarity_of(body: Formula, path: Iterable[int]) -> Polarity:
     for step in path:
         if isinstance(node, Not):
             negations += 1
-        subs = children(node)
+        subs = node.children()
         if not 0 <= step < len(subs):
             raise LogicError(f"invalid occurrence path {path!r}")
         node = subs[step]
@@ -299,24 +336,14 @@ def substitute(formula: Formula, binding: Mapping[str, Term]) -> Formula:
             binding.get(t.name, t) if isinstance(t, Var) else t for t in formula.args
         )
         return Atom(formula.pred, args, span=formula.span)
-    if isinstance(formula, (Top, Bottom)):
-        return formula
-    if isinstance(formula, Not):
-        return Not(substitute(formula.sub, binding), span=formula.span)
-    if isinstance(formula, And):
-        return And(tuple(substitute(s, binding) for s in formula.subs), span=formula.span)
-    if isinstance(formula, Or):
-        return Or(tuple(substitute(s, binding) for s in formula.subs), span=formula.span)
     if isinstance(formula, (Exists, Forall)):
-        inner = {v: t for v, t in binding.items() if v not in formula.vars}
-        for t in inner.values():
+        binding = {v: t for v, t in binding.items() if v not in formula.vars}
+        for t in binding.values():
             if isinstance(t, Var) and t.name in formula.vars:
                 raise LogicError(
                     f"substitution would capture variable {t.name} under a quantifier"
                 )
-        cls = type(formula)
-        return cls(formula.vars, substitute(formula.sub, inner), span=formula.span)
-    raise LogicError(f"unknown formula node {type(formula).__name__}")
+    return formula.rebuild([substitute(s, binding) for s in formula.children()])
 
 
 def prune_constants(formula: Formula) -> Formula:
@@ -325,7 +352,7 @@ def prune_constants(formula: Formula) -> Formula:
     over a constant body is that constant.  No other rewriting happens here;
     in particular double negations survive.
     """
-    if isinstance(formula, (Atom, Top, Bottom)):
+    if not formula.children():  # a leaf; an unknown node kind raises here
         return formula
     if isinstance(formula, Not):
         sub = prune_constants(formula.sub)
@@ -349,32 +376,18 @@ def prune_constants(formula: Formula) -> Formula:
         if len(kept) == 1:
             return kept[0]
         return type(formula)(tuple(kept), span=formula.span)
-    if isinstance(formula, (Exists, Forall)):
-        sub = prune_constants(formula.sub)
-        if isinstance(sub, (Top, Bottom)):
-            return sub
-        return type(formula)(formula.vars, sub, span=formula.span)
-    raise LogicError(f"unknown formula node {type(formula).__name__}")
+    sub = prune_constants(formula.sub)  # Exists or Forall
+    if isinstance(sub, (Top, Bottom)):
+        return sub
+    return type(formula)(formula.vars, sub, span=formula.span)
 
 
 def collapse_double_negation(formula: Formula) -> Formula:
     """Rewrite every Not(Not(f)) to f, bottom-up."""
-    if isinstance(formula, (Atom, Top, Bottom)):
-        return formula
-    if isinstance(formula, Not):
-        sub = collapse_double_negation(formula.sub)
-        if isinstance(sub, Not):
-            return sub.sub
-        return Not(sub, span=formula.span)
-    if isinstance(formula, (And, Or)):
-        return type(formula)(
-            tuple(collapse_double_negation(s) for s in formula.subs), span=formula.span
-        )
-    if isinstance(formula, (Exists, Forall)):
-        return type(formula)(
-            formula.vars, collapse_double_negation(formula.sub), span=formula.span
-        )
-    raise LogicError(f"unknown formula node {type(formula).__name__}")
+    subs = [collapse_double_negation(s) for s in formula.children()]
+    if isinstance(formula, Not) and isinstance(subs[0], Not):
+        return subs[0].sub
+    return formula.rebuild(subs)
 
 
 @dataclass(frozen=True)
@@ -466,7 +479,6 @@ class AxiomProgram:
             self.validate()
 
     def validate(self) -> None:
-        check_signature_use(self)
         violations = check_stratified(self)
         if violations:
             raise StratificationError(violations)
@@ -484,16 +496,6 @@ class AxiomProgram:
     @property
     def derived_predicates(self) -> tuple[Predicate, ...]:
         return tuple(p for p in self.signature.values() if p.kind == "derived")
-
-    def affected(self, stratum_index: int) -> tuple[str, ...]:
-        return affected_predicates(self.strata[stratum_index])
-
-    def defining_stratum(self, pred_name: str) -> Optional[int]:
-        """Index of the stratum affecting ``pred_name``, None if unaffected."""
-        for i, stratum in enumerate(self.strata):
-            if any(ax.head_pred == pred_name for ax in stratum):
-                return i
-        return None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AxiomProgram):
@@ -549,8 +551,10 @@ def check_signature_use(program: AxiomProgram) -> None:
 
 
 def check_stratified(program: AxiomProgram) -> list[Violation]:
-    """Check the four stratification conditions; an empty list means the
-    program is stratified.
+    """Check the signature use (raising SignatureError) and the four
+    stratification conditions; an empty list means the program is
+    stratified.  Head-level (a) violations come first, then the body
+    violations in source order: stratum, axiom, preorder occurrence.
 
     A derived predicate that no axiom affects satisfies (c) and (d)
     vacuously: it is constantly false and imposes no ordering.
@@ -560,9 +564,7 @@ def check_stratified(program: AxiomProgram) -> list[Violation]:
     affecting: dict[str, list[int]] = {}
     for si, stratum in enumerate(program.strata):
         for name in affected_predicates(stratum):
-            affecting.setdefault(name, [])
-            if si not in affecting[name]:
-                affecting[name].append(si)
+            affecting.setdefault(name, []).append(si)
 
     violations: list[Violation] = []
 
@@ -587,29 +589,21 @@ def check_stratified(program: AxiomProgram) -> list[Violation]:
 
     for si, stratum in enumerate(program.strata):
         for ai, axiom in enumerate(stratum):
-            # (b) for the head: an earlier stratum must not mention this predicate.
-            for earlier in range(si):
-                for ei, eax in enumerate(program.strata[earlier]):
-                    if eax.head_pred == axiom.head_pred:
-                        continue  # reported under (a)
-                    for path, atom, pol in iter_atoms(eax.body):
-                        if atom.pred == axiom.head_pred:
-                            violations.append(
-                                Violation(
-                                    "b",
-                                    earlier,
-                                    ei,
-                                    OccurrenceRef(earlier, ei, path, pol),
-                                    f"predicate {axiom.head_pred} is affected by stratum "
-                                    f"{si + 1} but occurs in stratum {earlier + 1}",
-                                )
-                            )
             for path, atom, pol in iter_atoms(axiom.body):
-                pred = program.signature[atom.pred]
-                if pred.kind != "derived":
-                    continue
                 for di in affecting.get(atom.pred, ()):
                     ref = OccurrenceRef(si, ai, path, pol)
+                    # A predicate occurring in its own axiom is reported under (a).
+                    if di > si and atom.pred != axiom.head_pred:
+                        violations.append(
+                            Violation(
+                                "b",
+                                si,
+                                ai,
+                                ref,
+                                f"predicate {atom.pred} is affected by stratum "
+                                f"{di + 1} but occurs in stratum {si + 1}",
+                            )
+                        )
                     if pol == POSITIVE and di > si:
                         violations.append(
                             Violation(

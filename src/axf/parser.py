@@ -27,12 +27,14 @@ capture-avoidance logic.
 
 ``print_program`` is the inverse: deterministic text whose reparse is
 structurally equal to the original program, including for transformed
-programs with generated predicate names.
+programs with generated predicate names.  It raises LogicError rather than
+return text nested deeper than ``MAX_NESTING``, which the reader would refuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Optional, Union
 
 from .logic import (
@@ -108,9 +110,8 @@ class _SList:
 _SNode = Union[_SAtom, _SList]
 
 
-def _lex(text: str, filename: str) -> tuple[list[_Token], list[Diagnostic]]:
+def _lex(text: str, filename: str) -> list[_Token]:
     tokens: list[_Token] = []
-    diags: list[Diagnostic] = []
     i = 0
     line = 1
     col = 1
@@ -141,18 +142,19 @@ def _lex(text: str, filename: str) -> tuple[list[_Token], list[Diagnostic]]:
                 i += 1
                 col += 1
             tokens.append(_Token(text[start:i], span(start, i, sline, scol)))
-    return tokens, diags
+    return tokens
 
 
-def _read(tokens: list[_Token], filename: str, length: int) -> tuple[list[_SNode], list[Diagnostic]]:
-    """Group tokens into nested lists; reports unbalanced parentheses and
-    the first list nested deeper than ``MAX_NESTING``."""
+def _read(text: str, filename: str) -> list[_SNode]:
+    """Lex ``text`` and group the tokens into nested lists; raises ParseError
+    for unbalanced parentheses and the first list nested deeper than
+    ``MAX_NESTING``."""
     diags: list[Diagnostic] = []
     top: list[_SNode] = []
     stack: list[tuple[list[_SNode], SourceSpan]] = []
     current = top
     too_deep = False
-    for tok in tokens:
+    for tok in _lex(text, filename):
         if tok.text == "(":
             stack.append((current, tok.span))
             current = []
@@ -176,7 +178,9 @@ def _read(tokens: list[_Token], filename: str, length: int) -> tuple[list[_SNode
         parent, open_span = stack.pop()
         diags.append(Diagnostic("unbalanced-paren", "unclosed '('", open_span))
         current = parent
-    return top, diags
+    if diags:
+        raise ParseError(diags)
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +225,8 @@ class _Builder:
 
 def parse_program(text: str, filename: str = "<string>") -> AxiomProgram:
     """Parse a program; raises ParseError with all collected diagnostics."""
+    forms = _read(text, filename)
     b = _Builder(filename)
-    tokens, lex_diags = _lex(text, filename)
-    b.diags.extend(lex_diags)
-    forms, read_diags = _read(tokens, filename, len(text))
-    b.diags.extend(read_diags)
-    if b.diags:
-        raise ParseError(b.diags)
-
     whole = SourceSpan(filename, 0, len(text), 1, 1)
     if len(forms) != 1:
         b.err("program-shape", "input must be exactly one (program ...) form", whole)
@@ -276,7 +274,6 @@ def parse_program(text: str, filename: str = "<string>") -> AxiomProgram:
         b.err("not-stratified", v.message, span)
     if b.diags:
         raise ParseError(b.diags)
-    program.validate()
     return program
 
 
@@ -556,13 +553,8 @@ def parse_state(text: str, program: AxiomProgram, filename: str = "<string>"):
     over the program's declared objects."""
     from .evaluator import TruthAssignment, Universe
 
+    forms = _read(text, filename)
     b = _Builder(filename)
-    tokens, lex_diags = _lex(text, filename)
-    b.diags.extend(lex_diags)
-    forms, read_diags = _read(tokens, filename, len(text))
-    b.diags.extend(read_diags)
-    if b.diags:
-        raise ParseError(b.diags)
     whole = SourceSpan(filename, 0, len(text), 1, 1)
     if len(forms) != 1 or not isinstance(forms[0], _SList) or not b.head_is(forms[0], "state"):
         b.err("state-shape", "input must be exactly one (state ...) form", whole)
@@ -676,7 +668,15 @@ def print_program(program: AxiomProgram) -> str:
             lines.append(f"    (axiom {head}")
             lines.append(f"      {format_formula(axiom.body)}){tail}")
     lines[-1] += ")"
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    # Names cannot contain parentheses, so every one in the text is a list.
+    depth = max(accumulate(1 if c == "(" else -1 for c in text if c in "()"))
+    if depth > MAX_NESTING:
+        raise LogicError(
+            f"printed program would nest lists {depth} deep; the reader accepts "
+            f"at most MAX_NESTING = {MAX_NESTING}"
+        )
+    return text
 
 
 def format_ground_atom(name: str, args: Iterable[str]) -> str:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional
 
 from .evaluator import RELATION_NAMES
 from .logic import (
@@ -41,15 +41,12 @@ from .logic import (
     LogicError,
     NEGATIVE,
     Not,
-    Or,
     Predicate,
     Stratum,
     Term,
-    Top,
     Var,
     affected_predicates,
     collapse_double_negation,
-    free_vars,
     iter_atoms,
     make_conj,
     make_disj,
@@ -123,23 +120,13 @@ def substitute_stage(
             if mode in (StageMode.NOT_NLT, StageMode.NOT_NLEQ):
                 return Not(repl)
             return repl
-        if isinstance(f, (Top, Bottom)):
-            return f
-        if isinstance(f, Not):
-            return Not(walk(f.sub))
-        if isinstance(f, And):
-            return And(tuple(walk(s) for s in f.subs))
-        if isinstance(f, Or):
-            return Or(tuple(walk(s) for s in f.subs))
         if isinstance(f, (Exists, Forall)):
             caught = extra_vars.intersection(f.vars)
             if caught:
                 raise TransformError(
                     "stage substitution would capture " + ", ".join(sorted(caught))
                 )
-            sub = walk(f.sub)
-            return type(f)(f.vars, sub)
-        raise LogicError(f"unknown formula node {type(f).__name__}")
+        return f.rebuild([walk(s) for s in f.children()])
 
     return walk(formula)
 
@@ -152,20 +139,11 @@ def _collect_var_names(formula: Formula) -> set[str]:
 
     def walk(f: Formula) -> None:
         if isinstance(f, Atom):
-            for t in f.args:
-                if isinstance(t, Var):
-                    out.add(t.name)
-            return
-        if isinstance(f, (Top, Bottom)):
-            return
-        if isinstance(f, Not):
-            walk(f.sub)
-        elif isinstance(f, (And, Or)):
-            for s in f.subs:
-                walk(s)
+            out.update(t.name for t in f.args if isinstance(t, Var))
         elif isinstance(f, (Exists, Forall)):
             out.update(f.vars)
-            walk(f.sub)
+        for s in f.children():
+            walk(s)
 
     walk(formula)
     return out
@@ -188,14 +166,6 @@ def _fresh_namer(avoid: set[str], prefix: str = "w") -> Callable[[], str]:
 
 def _freshen_bound(formula: Formula, fresh: Callable[[], str]) -> Formula:
     """Alpha-rename every bound variable to a fresh name."""
-    if isinstance(formula, (Atom, Top, Bottom)):
-        return formula
-    if isinstance(formula, Not):
-        return Not(_freshen_bound(formula.sub, fresh))
-    if isinstance(formula, And):
-        return And(tuple(_freshen_bound(s, fresh) for s in formula.subs))
-    if isinstance(formula, Or):
-        return Or(tuple(_freshen_bound(s, fresh) for s in formula.subs))
     if isinstance(formula, (Exists, Forall)):
         new_names = tuple(fresh() for _ in formula.vars)
         renamed = substitute(
@@ -203,7 +173,7 @@ def _freshen_bound(formula: Formula, fresh: Callable[[], str]) -> Formula:
             {old: Var(new) for old, new in zip(formula.vars, new_names)},
         )
         return type(formula)(new_names, _freshen_bound(renamed, fresh))
-    raise LogicError(f"unknown formula node {type(formula).__name__}")
+    return formula.rebuild([_freshen_bound(s, fresh) for s in formula.children()])
 
 
 def normalize_stratum(stratum: Stratum) -> tuple[Axiom, ...]:
@@ -610,21 +580,11 @@ def _replace_negative(
                     return Bottom()
                 return Not(Atom(repl, f.args + f.args))
             return f
-        if isinstance(f, (Top, Bottom)):
-            return f
         if isinstance(f, Not):
-            return Not(walk(f.sub, not negative, path + (0,)))
-        if isinstance(f, And):
-            return And(
-                tuple(walk(s, negative, path + (n,)) for n, s in enumerate(f.subs))
-            )
-        if isinstance(f, Or):
-            return Or(
-                tuple(walk(s, negative, path + (n,)) for n, s in enumerate(f.subs))
-            )
-        if isinstance(f, (Exists, Forall)):
-            return type(f)(f.vars, walk(f.sub, negative, path + (0,)))
-        raise LogicError(f"unknown formula node {type(f).__name__}")
+            negative = not negative
+        return f.rebuild(
+            [walk(s, negative, path + (n,)) for n, s in enumerate(f.children())]
+        )
 
     return walk(formula, False, ()), hits
 

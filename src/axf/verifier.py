@@ -29,13 +29,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 from math import log
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .evaluator import (
     Engine,
     GroundAtom,
     RELATION_NAMES,
-    StageTable,
     Universe,
     stage_relations,
 )

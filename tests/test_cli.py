@@ -24,6 +24,20 @@ class TestParse:
         assert out == print_program(path_program)
         assert out.endswith("\n")
 
+    def test_bullet_b_reported_once(self, capsys, tmp_path):
+        bad = tmp_path / "b.axp"
+        bad.write_text(
+            "(program (objects a) (basic (B 0)) (derived (P 0) (Q 0))"
+            " (stratum (axiom (Q) (P)))"
+            " (stratum (axiom (P) (B)) (axiom (P) (not (B)))))"
+        )
+        code, out, err = run(capsys, "parse", str(bad))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"{bad}:1:78: not-stratified: predicate P is affected by stratum 2 but occurs in stratum 1",
+            f"{bad}:1:78: not-stratified: P occurs positively in stratum 1 but is affected only in stratum 2",
+        ]
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "parse", "samples/path.axp", "--json")
         blob = json.loads(out)
@@ -394,11 +408,31 @@ class TestExitCodes:
 
     def test_nesting_at_limit_runs(self, capsys, tmp_path):
         prog = self.negation_chain(tmp_path, MAX_NESTING)
-        code, out, _ = run(capsys, "transform", prog)
-        assert code == 0 and "nleq" in out
+        # The rewrite wraps the innermost atom in one more list, which the
+        # reader would refuse, so the printer refuses to write it.
+        code, out, err = run(capsys, "transform", prog)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"MAX_NESTING = {MAX_NESTING}" in err
         code, out, err = run(capsys, "verify", prog, "--universe", "1")
         assert code == 0 and err == ""
         assert "FAIL" not in out
+
+    def test_nesting_below_limit_transform_reparses(self, capsys, tmp_path):
+        # MAX_NESTING - 5 nots put (P) MAX_NESTING - 1 deep under an odd number
+        # of negations; its rewrite (not (nleq ...)) reaches the limit exactly.
+        nots = MAX_NESTING - 5
+        prog = tmp_path / "chain.axp"
+        prog.write_text(
+            "(program (objects a) (basic (B 0)) (derived (P 0) (Q 0))"
+            f" (stratum (axiom (P) (B))) (stratum (axiom (Q) {'(not ' * nots}(P){')' * nots})))"
+        )
+        out_file = tmp_path / "out.axp"
+        code, _, err = run(capsys, "transform", str(prog), "-o", str(out_file))
+        assert code == 0 and err == ""
+        assert "nleq" in out_file.read_text(encoding="utf-8")
+        code, out, err = run(capsys, "parse", str(out_file))
+        assert code == 0 and err == ""
+        assert out == out_file.read_text(encoding="utf-8")
 
     def test_no_command_shows_help(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,6 +1,8 @@
 """Core AST behavior: construction guards, polarity, substitution,
 simplification, and the stratification checks."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from axf import (
     Const,
     Exists,
     Forall,
+    Formula,
     LogicError,
     Not,
     Or,
@@ -23,6 +26,7 @@ from axf import (
     Top,
     Var,
     affected_predicates,
+    check_no_shadowing,
     check_stratified,
     collapse_double_negation,
     free_vars,
@@ -32,7 +36,7 @@ from axf import (
     prune_constants,
     substitute,
 )
-from axf.logic import NEGATIVE, POSITIVE, formula_at, polarity_of
+from axf.logic import NEGATIVE, POSITIVE, SourceSpan, formula_at, polarity_of
 
 
 def atom(pred, *names):
@@ -79,6 +83,53 @@ class TestConstruction:
         tagged = Atom("P", (Var("x"),), span=SourceSpan("f", 0, 1, 1, 1))
         assert plain == tagged
         assert hash(plain) == hash(tagged)
+
+
+class TestNodeProtocol:
+    SPAN = SourceSpan("f", 0, 1, 1, 1)
+
+    def nodes(self):
+        a, b = atom("P", "x"), atom("Q", "x")
+        s = self.SPAN
+        return [
+            Atom("P", (Var("x"),), span=s),
+            Top(span=s),
+            Bottom(span=s),
+            Not(a, span=s),
+            And((a, b), span=s),
+            Or((a, b), span=s),
+            Exists(("y",), a, span=s),
+            Forall(("y",), a, span=s),
+        ]
+
+    def test_every_node_kind_is_covered(self):
+        kinds = {c for c in Formula.__subclasses__() if c.__module__ == "axf.logic"}
+        assert {type(f) for f in self.nodes()} == kinds
+
+    def test_rebuild_of_children_is_identity_and_keeps_span(self):
+        for f in self.nodes():
+            out = f.rebuild(f.children())
+            assert out == f and type(out) is type(f)
+            assert out.span is self.SPAN
+
+    def test_rebuild_replaces_children_in_order(self):
+        c = atom("R", "x")
+        for f in self.nodes():
+            new = [c] * len(f.children())
+            assert list(f.rebuild(new).children()) == new
+
+    def test_foreign_node_is_refused(self):
+        @dataclass(frozen=True)
+        class Foreign(Formula):
+            pass
+
+        for f in (Foreign(), Not(Foreign())):
+            with pytest.raises(LogicError, match="unknown formula node Foreign"):
+                substitute(f, {"x": Var("y")})
+            with pytest.raises(LogicError, match="unknown formula node Foreign"):
+                collapse_double_negation(f)
+            with pytest.raises(LogicError, match="unknown formula node Foreign"):
+                check_no_shadowing(f)
 
 
 class TestPolarity:
@@ -197,6 +248,50 @@ class TestStratification:
         )
         bullets = {v.bullet for v in check_stratified(prog)}
         assert "b" in bullets
+
+    def test_bullet_b_once_per_affecting_stratum(self):
+        # P has two axioms in stratum 2 and occurs in stratum 1.
+        prog = AxiomProgram(
+            [self.B, self.P, self.Q],
+            ("a",),
+            (
+                (Axiom("Q", ("x",), atom("P", "x")),),
+                (Axiom("P", ("x",), atom("B", "x")), Axiom("P", ("x",), atom("B", "x"))),
+            ),
+            validate=False,
+        )
+        assert [v.bullet for v in check_stratified(prog)] == ["b", "c"]
+
+    def test_violations_in_source_order(self):
+        R = Predicate("R", 1, "derived")
+        prog = AxiomProgram(
+            [self.B, self.P, self.Q, R],
+            ("a",),
+            (
+                (Axiom("Q", ("x",), And((atom("P", "x"), Not(atom("R", "x"))))),),
+                (
+                    Axiom("P", ("x",), atom("B", "x")),
+                    Axiom("P", ("x",), atom("B", "x")),
+                    Axiom("R", ("x",), Not(atom("P", "x"))),
+                ),
+                (Axiom("R", ("x",), atom("B", "x")),),
+            ),
+            validate=False,
+        )
+        found = [
+            (v.bullet, v.stratum_index, v.axiom_index, v.occurrence and v.occurrence.path)
+            for v in check_stratified(prog)
+        ]
+        assert found == [
+            ("a", 2, 0, None),
+            ("b", 0, 0, (0,)),
+            ("c", 0, 0, (0,)),
+            ("b", 0, 0, (1, 0)),
+            ("d", 0, 0, (1, 0)),
+            ("b", 0, 0, (1, 0)),
+            ("d", 0, 0, (1, 0)),
+            ("d", 1, 2, (0,)),
+        ]
 
     def test_same_stratum_negative_is_bullet_d(self):
         prog = AxiomProgram(
