@@ -30,7 +30,7 @@ from .transformer import (
     merge_to_single_stratum,
     simplify_program,
 )
-from .verifier import VerificationPlan, VerificationResult, run_checks, verify_transformed
+from .verifier import TRANSFORMED_CHECKS, VerificationPlan, VerificationResult, run_checks
 
 
 def _read(path: str) -> str:
@@ -136,13 +136,10 @@ def _default_sizes(program: AxiomProgram) -> tuple[int, ...]:
 def cmd_verify(args) -> int:
     program = _load_program(args.program)
     sizes = tuple(args.universe) if args.universe else _default_sizes(program)
-    transformed_checks = ("polarity", "equivalence")
     if args.checks != "all":
         checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
-    elif args.transformed:
-        checks = transformed_checks
     else:
-        checks = VerificationPlan.__dataclass_fields__["checks"].default
+        checks = TRANSFORMED_CHECKS if args.transformed else VerificationPlan().checks
     plan = VerificationPlan(
         universe_sizes=sizes,
         mode="sampled" if args.samples is not None else "exhaustive",
@@ -150,16 +147,8 @@ def cmd_verify(args) -> int:
         seed=args.seed,
         checks=checks,
     )
-    if args.transformed:
-        unsupported = set(plan.checks) - set(transformed_checks)
-        if unsupported:
-            raise LogicError(
-                "--transformed only supports checks polarity,equivalence; got "
-                + ",".join(sorted(unsupported))
-            )
-        result = verify_transformed(program, _load_program(args.transformed), plan)
-    else:
-        result = run_checks(program, plan)
+    transformed = _load_program(args.transformed) if args.transformed else None
+    result = run_checks(program, plan, transformed=transformed)
     if args.json:
         _emit_json(result.to_json())
     else:

@@ -283,9 +283,6 @@ class Engine:
             ]
             for stratum in program.strata
         ]
-        self.affected: list[tuple[str, ...]] = [
-            affected_predicates(stratum) for stratum in program.strata
-        ]
         self._combos: dict[int, tuple[tuple[str, ...], ...]] = {}
 
     def combos(self, arity: int) -> tuple[tuple[str, ...], ...]:
@@ -422,14 +419,11 @@ def extend_stratum_in_stages(
     state: TruthAssignment,
     *,
     stratum_index: int = 0,
-    program: Optional[AxiomProgram] = None,
 ) -> tuple[TruthAssignment, StageTable]:
     """Run one stratum's staged fixpoint on a state already extended through
     every earlier stratum.  The state must not assign the stratum's own
-    predicates yet.
-
-    The stratum is evaluated as-is, without a signature check; ``program``
-    is accepted but not read.
+    predicates yet.  The stratum is evaluated as-is, without a signature
+    check.
     """
     affected = set(affected_predicates(stratum))
     for name, _ in state.true_atoms:

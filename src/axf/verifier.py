@@ -13,8 +13,10 @@ the staged evaluator.  Checks:
   aux          the shared-conjunct optimization does not change any stage
                relation
   order        chaotic evaluation orders all reach the staged fixpoint
-  polarity     the transformed program has no negative derived occurrence
-               and both it and its merged form are well stratified
+  polarity     the transformed program has no negative derived occurrence;
+               one lint of the transform suffices, because every program is
+               checked for stratification when it is built, and the merge of
+               a lint-clean transform is stratified
 
 Sweeps honor AXF_THREADS (default: machine CPU count) with a process pool;
 every counterexample is aggregated and the lexicographically smallest state
@@ -54,7 +56,6 @@ from .logic import (
     Term,
     Top,
     Var,
-    check_stratified,
     iter_atoms,
     negative_occurrences,
 )
@@ -76,6 +77,9 @@ class BudgetError(VerifyError):
 
 _MAX_EXHAUSTIVE_BITS = 24
 _ALL_CHECKS = ("polarity", "theorem1", "theorem2", "equivalence", "aux", "order")
+# The checks that apply to a transformed program built elsewhere; the others
+# need the transformer's own stage families.
+TRANSFORMED_CHECKS = ("polarity", "equivalence")
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,8 @@ class VerificationPlan:
             raise VerifyError(f"unknown mode {self.mode!r}")
         if self.samples < 1:
             raise VerifyError("samples must be positive")
+        if not self.checks:
+            raise VerifyError("at least one check is required")
         for c in self.checks:
             if c not in _ALL_CHECKS:
                 raise VerifyError(f"unknown check {c!r}")
@@ -287,15 +293,15 @@ def _theorem1_comparator(universe, program, stratum_index, members, arities, nam
     return compare
 
 
-def _theorem2_comparator(universe, prefix_program, fam_program, members, arities, nleq_names):
-    prefix_engine = Engine(prefix_program, universe)
+def _theorem2_comparator(universe, program, stratum_index, fam_program, members, arities, nleq_names):
+    oracle_engine = Engine(program, universe)
     fam_engine = Engine(fam_program, universe)
     combos = [
         tuple(product(universe.objects, repeat=arity)) for arity in arities
     ]
 
     def compare(atoms: frozenset[GroundAtom]) -> Optional[str]:
-        derived = prefix_engine.run(atoms)
+        derived = oracle_engine.run(atoms, upto=stratum_index + 1)
         stage_ext = fam_engine.run(atoms)
         for k, member in enumerate(members):
             for combo in combos[k]:
@@ -468,13 +474,10 @@ def verify_theorem1(
     *,
     states: Optional[Iterable[frozenset[GroundAtom]]] = None,
     mutation: Optional[str] = None,
-    optimize_aux: bool = False,
     label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: stage relations by axioms == stage relations by oracle."""
-    family = generate_stage_axioms(
-        program, stratum_index, optimize_aux=optimize_aux, mutation=mutation
-    )
+    family = generate_stage_axioms(program, stratum_index, mutation=mutation)
     bundle = (
         program,
         stratum_index,
@@ -496,24 +499,16 @@ def verify_theorem2(
     plan: Optional[VerificationPlan] = None,
     *,
     states: Optional[Iterable[frozenset[GroundAtom]]] = None,
-    mutation: Optional[str] = None,
-    optimize_aux: bool = False,
     label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: P_i(a) holds in the stratum's fixpoint iff nleq_ii(a,a) fails."""
-    family = generate_stage_axioms(
-        program, stratum_index, optimize_aux=optimize_aux, mutation=mutation
-    )
-    prefix = AxiomProgram(
-        program.signature.values(),
-        program.universe_hint,
-        program.strata[: stratum_index + 1],
-    )
+    family = generate_stage_axioms(program, stratum_index)
     nleq_names = tuple(
         family.names[("nleq", k, k)] for k in range(1, len(family.members) + 1)
     )
     bundle = (
-        prefix,
+        program,
+        stratum_index,
         _family_program(program, stratum_index, family),
         family.members,
         family.arities,
@@ -533,15 +528,11 @@ def verify_equivalence(
     transformed: Optional[AxiomProgram] = None,
     include_merged: bool = True,
     states: Optional[Iterable[frozenset[GroundAtom]]] = None,
-    mutation: Optional[str] = None,
-    optimize_aux: bool = False,
     label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: the transformation preserves every original derived atom."""
     if transformed is None:
-        transformed, _ = eliminate_negative_occurrences(
-            original, optimize_aux=optimize_aux, mutation=mutation
-        )
+        transformed, _ = eliminate_negative_occurrences(original)
     merged = merge_to_single_stratum(transformed) if include_merged else None
     derived_names = tuple(p.name for p in original.derived_predicates)
     bundle = (original, transformed, merged, derived_names)
@@ -591,101 +582,64 @@ def lint_polarity(program: AxiomProgram) -> list:
     return negative_occurrences(program, derived)
 
 
-def _polarity_result(
-    programs: Sequence[AxiomProgram], occurrences: Sequence, label: str
-) -> CheckResult:
-    """One failure and one note for each negative derived occurrence and for
-    each stratification violation in ``programs``."""
-    violations = [v for p in programs for v in check_stratified(p)]
-    notes = [f"negative derived occurrence at {ref.to_json()}" for ref in occurrences]
-    notes += [f"stratification: {v.message}" for v in violations]
-    return CheckResult(label, 0, len(occurrences) + len(violations), None, tuple(notes))
+def _polarity_of(transformed: AxiomProgram) -> CheckResult:
+    """One failure and one note for each negative derived occurrence in
+    ``transformed``.  Building an ``AxiomProgram`` checks stratification, and
+    merging a program with no such occurrence keeps it stratified, so this
+    lint is the whole check."""
+    notes = tuple(
+        f"negative derived occurrence at {ref.to_json()}" for ref in lint_polarity(transformed)
+    )
+    return CheckResult("polarity", 0, len(notes), None, notes)
 
 
-def check_polarity(
-    program: AxiomProgram,
-    *,
-    optimize_aux: bool = False,
-    label: Optional[str] = None,
-) -> CheckResult:
-    """Static check: transform, then check that both the transformed and the
-    merged program are well stratified.  The transform only returns once no
-    derived predicate occurs negatively, and merging refuses any program
-    where one does, so polarity needs no pass of its own here."""
-    transformed, _ = eliminate_negative_occurrences(program, optimize_aux=optimize_aux)
-    programs = (transformed, merge_to_single_stratum(transformed))
-    return _polarity_result(programs, (), label or "polarity")
-
-
-def verify_transformed(
-    original: AxiomProgram,
-    transformed: AxiomProgram,
-    plan: Optional[VerificationPlan] = None,
-) -> VerificationResult:
-    """Check a transformed program built elsewhere against its original.
-
-    Runs the plan's polarity check (negative derived occurrences and
-    stratification of ``transformed`` as given) and its equivalence sweep
-    at each planned size, with the merged form only when ``transformed``
-    has no negative derived occurrence.  Other checks need the transformer's
-    own stage families and are not run."""
-    plan = plan or VerificationPlan()
-    occurrences = lint_polarity(transformed)
-    results: list[CheckResult] = []
-    if "polarity" in plan.checks:
-        results.append(_polarity_result((transformed,), occurrences, "polarity"))
-    if "equivalence" in plan.checks:
-        for size in plan.universe_sizes:
-            results.append(
-                verify_equivalence(
-                    original,
-                    universe_for(original, size),
-                    plan,
-                    transformed=transformed,
-                    include_merged=not occurrences,
-                    label=f"equivalence[n={size}]",
-                )
-            )
-    return VerificationResult(tuple(results))
-
-
-def run_checks(program: AxiomProgram, plan: Optional[VerificationPlan] = None) -> VerificationResult:
-    """Run the planned checks over every planned universe size."""
-    plan = plan or VerificationPlan()
-    results: list[CheckResult] = []
-    if "polarity" in plan.checks:
-        results.append(check_polarity(program))
+def check_polarity(program: AxiomProgram) -> CheckResult:
+    """Static check: transform, then lint the result for negative derived
+    occurrences."""
     transformed, _ = eliminate_negative_occurrences(program)
+    return _polarity_of(transformed)
+
+
+def run_checks(
+    program: AxiomProgram,
+    plan: Optional[VerificationPlan] = None,
+    *,
+    transformed: Optional[AxiomProgram] = None,
+) -> VerificationResult:
+    """Run the planned checks over every planned universe size.
+
+    ``transformed`` is a transformation of ``program`` built elsewhere, to be
+    checked in place of the one built here; only ``TRANSFORMED_CHECKS`` apply
+    to it.  The equivalence sweep includes the merged form only when the
+    polarity lint passes, since merging needs a lint-clean program."""
+    plan = plan or VerificationPlan()
+    if transformed is None:
+        transformed, _ = eliminate_negative_occurrences(program)
+    else:
+        unsupported = set(plan.checks) - set(TRANSFORMED_CHECKS)
+        if unsupported:
+            raise VerifyError(
+                f"--transformed only supports checks {','.join(TRANSFORMED_CHECKS)}; got "
+                + ",".join(sorted(unsupported))
+            )
+    polarity = _polarity_of(transformed)
+    results = [polarity] if "polarity" in plan.checks else []
     strata_with_members = [
         index for index, stratum in enumerate(program.strata) if stratum
     ]
     for size in plan.universe_sizes:
         universe = universe_for(program, size)
         for check in plan.checks:
-            if check == "polarity":
-                continue
-            if check == "theorem1":
-                for index in strata_with_members:
-                    results.append(
-                        verify_theorem1(
-                            program,
-                            index,
-                            universe,
-                            plan,
-                            label=f"theorem1[n={size},stratum={index}]",
-                        )
+            label = f"{check}[n={size}]"
+            if check in ("theorem1", "theorem2"):
+                verify = verify_theorem1 if check == "theorem1" else verify_theorem2
+                results.extend(
+                    verify(
+                        program, index, universe, plan,
+                        label=f"{check}[n={size},stratum={index}]",
                     )
-            elif check == "theorem2":
-                for index in strata_with_members:
-                    results.append(
-                        verify_theorem2(
-                            program,
-                            index,
-                            universe,
-                            plan,
-                            label=f"theorem2[n={size},stratum={index}]",
-                        )
-                    )
+                    for index in strata_with_members
+                )
             elif check == "equivalence":
                 results.append(
                     verify_equivalence(
@@ -693,19 +647,14 @@ def run_checks(program: AxiomProgram, plan: Optional[VerificationPlan] = None) -
                         universe,
                         plan,
                         transformed=transformed,
-                        label=f"equivalence[n={size}]",
+                        include_merged=polarity.passed,
+                        label=label,
                     )
                 )
             elif check == "aux":
-                results.append(
-                    verify_aux(program, universe, plan, label=f"aux[n={size}]")
-                )
+                results.append(verify_aux(program, universe, plan, label=label))
             elif check == "order":
-                results.append(
-                    verify_order_independence(
-                        program, universe, plan, label=f"order[n={size}]"
-                    )
-                )
+                results.append(verify_order_independence(program, universe, plan, label=label))
     return VerificationResult(tuple(results))
 
 

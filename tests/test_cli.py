@@ -201,6 +201,11 @@ class TestVerify:
         )
         assert code == 2 and "theorem9" in err
 
+    def test_empty_checks_exit_2(self, capsys):
+        for checks in ("", ","):
+            code, out, err = run(capsys, "verify", "samples/path.axp", "--checks", checks)
+            assert (code, out) == (2, "") and "at least one check" in err
+
     def test_sampled_mode(self, capsys):
         code, out, _ = run(
             capsys,

@@ -1,22 +1,29 @@
 """Fixpoint evaluation, derivation stages, and the stage relations."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from axf import (
+    And,
     Atom,
     Axiom,
     AxiomProgram,
+    Bottom,
     Const,
     Engine,
     EvalError,
     Exists,
+    Forall,
     Not,
+    Or,
     Predicate,
     RELATION_NAMES,
+    RandomProfile,
+    Top,
     TruthAssignment,
     Universe,
     Var,
@@ -24,7 +31,9 @@ from axf import (
     extend,
     extend_in_stages,
     extend_stratum_in_stages,
+    eliminate_negative_occurrences,
     generate_random_program,
+    merge_to_single_stratum,
     parse_program,
     stage_relations,
 )
@@ -159,9 +168,7 @@ class TestStages:
 
 class TestStageRelations:
     def fixture(self, path_program, path_state):
-        _, table = extend_stratum_in_stages(
-            path_program.strata[0], U3, path_state, program=path_program
-        )
+        _, table = extend_stratum_in_stages(path_program.strata[0], U3, path_state)
         preds = [path_program.signature["path"]]
         return table, stage_relations(table, preds)
 
@@ -221,9 +228,7 @@ def test_stage_invariants_exhaustive(path_program):
     pred = [path_program.signature["path"]]
     for atoms in all_states(E_CELLS):
         state = basic_state(u, atoms)
-        _, table = extend_stratum_in_stages(
-            path_program.strata[0], u, state, program=path_program
-        )
+        _, table = extend_stratum_in_stages(path_program.strata[0], u, state)
         f = table.fixpoint_stage
         stages = set(table.stage.values())
         assert all(1 <= s <= f for s in stages)
@@ -276,3 +281,67 @@ def test_extend_is_deterministic(path_program, path_state):
     ra, ta = extend_in_stages(path_program, U3, path_state)
     rb, tb = extend_in_stages(path_program, U3, path_state)
     assert ra == rb and [t.stage for t in ta] == [t.stage for t in tb]
+
+
+# A reference interpreter that shares no code with the engine: it walks the
+# formula tree, and each round evaluates every axiom on the atoms known when
+# the round starts, until a round adds nothing.
+
+def _holds(formula, env, atoms, objects):
+    if isinstance(formula, Atom):
+        args = tuple(env[t.name] if isinstance(t, Var) else t.name for t in formula.args)
+        return (formula.pred, args) in atoms
+    if isinstance(formula, (Top, Bottom)):
+        return isinstance(formula, Top)
+    if isinstance(formula, Not):
+        return not _holds(formula.sub, env, atoms, objects)
+    if isinstance(formula, (And, Or)):
+        test = all if isinstance(formula, And) else any
+        return test(_holds(sub, env, atoms, objects) for sub in formula.subs)
+    if isinstance(formula, (Exists, Forall)):
+        test = any if isinstance(formula, Exists) else all
+        return test(
+            _holds(formula.sub, {**env, **dict(zip(formula.vars, combo))}, atoms, objects)
+            for combo in product(objects, repeat=len(formula.vars))
+        )
+    raise TypeError(f"unknown formula node {type(formula).__name__}")
+
+
+def reference_extend(program, objects, basic_atoms):
+    atoms = frozenset(basic_atoms)
+    for stratum in program.strata:
+        while True:
+            new = {
+                (ax.head_pred, combo)
+                for ax in stratum
+                for combo in product(objects, repeat=len(ax.head_vars))
+                if _holds(ax.body, dict(zip(ax.head_vars, combo)), atoms, objects)
+            }
+            if new <= atoms:
+                break
+            atoms |= new
+    return atoms
+
+
+@given(st.integers(min_value=0, max_value=10 ** 6))
+@settings(max_examples=30, deadline=None)
+def test_extend_matches_reference_interpreter(seed):
+    """The original, transformed and merged programs extend one seeded state
+    exactly as the reference interpreter does."""
+    original = generate_random_program(
+        seed, RandomProfile(objects=3, strata=3, max_members=2)
+    )
+    transformed, _ = eliminate_negative_occurrences(original)
+    universe = Universe(original.universe_hint)
+    basic = [p for p in original.signature.values() if p.kind == "basic"]
+    rng = random.Random(seed)
+    atoms = frozenset(
+        (p.name, combo)
+        for p in basic
+        for combo in product(universe.objects, repeat=p.arity)
+        if rng.random() < 0.5
+    )
+    state = TruthAssignment(universe, atoms, frozenset(p.name for p in basic))
+    for program in (original, transformed, merge_to_single_stratum(transformed)):
+        got = extend(program, universe, state).true_atoms
+        assert got == reference_extend(program, universe.objects, atoms)

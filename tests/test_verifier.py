@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import axf.verifier
 from axf import (
     AxiomProgram,
     Axiom,
@@ -58,6 +59,8 @@ class TestPlans:
             VerificationPlan(samples=0)
         with pytest.raises(VerifyError):
             VerificationPlan(checks=("theorem9",))
+        with pytest.raises(VerifyError):
+            VerificationPlan(checks=())
 
     def test_universe_for_pads_and_prefixes(self, path_program):
         assert universe_for(path_program, 2).objects == ("a", "b")
@@ -128,6 +131,27 @@ class TestPositiveChecks:
     def test_polarity_check(self, path_program):
         res = check_polarity(path_program)
         assert res.passed
+
+    def test_polarity_check_reports_occurrences(self, path_program, monkeypatch):
+        monkeypatch.setattr(
+            axf.verifier, "eliminate_negative_occurrences", lambda program: (program, None)
+        )
+        res = check_polarity(path_program)
+        assert res.failures == 1
+        assert res.notes == (
+            "negative derived occurrence at "
+            "{'stratum': 1, 'axiom': 0, 'path': [0, 0], 'polarity': 'negative'}",
+        )
+
+    def test_transformed_refuses_other_checks_before_sweeping(self, path_program, monkeypatch):
+        transformed, _ = eliminate_negative_occurrences(path_program)
+        sweeps = []
+        monkeypatch.setattr(axf.verifier, "_sweep", lambda *args: sweeps.append(args))
+        with pytest.raises(VerifyError, match="only supports checks polarity,equivalence"):
+            run_checks(
+                path_program, VerificationPlan(checks=("theorem1",)), transformed=transformed
+            )
+        assert sweeps == []
 
     def test_run_checks_names_and_shape(self, path_program):
         plan = VerificationPlan(universe_sizes=(2,), checks=("polarity", "theorem1"))
