@@ -34,7 +34,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .logic import (
     And,
     Atom,
-    Axiom,
     AxiomProgram,
     Bottom,
     Const,
@@ -47,7 +46,6 @@ from .logic import (
     Predicate,
     Top,
     Var,
-    affected_predicates,
     free_vars,
     iter_atoms,
 )
@@ -230,29 +228,6 @@ def _quantifier_loop(var: str, fn: _Compiled, objs: tuple[str, ...], want: bool)
     return ev
 
 
-def eval_formula(
-    formula: Formula, assignment: TruthAssignment, env: Mapping[str, str] | None = None
-) -> bool:
-    """Truth of a formula under an assignment and variable bindings."""
-    env = dict(env or {})
-    missing = free_vars(formula) - set(env)
-    if missing:
-        raise EvalError("env missing variables: " + ", ".join(sorted(missing)))
-    objects = set(assignment.universe.objects)
-    for name, value in env.items():
-        if value not in objects:
-            raise EvalError(f"env binds ?{name} to unknown object {value}")
-    for _, atom, _ in iter_atoms(formula):
-        if atom.pred not in assignment.covered:
-            raise EvalError(f"assignment does not cover predicate {atom.pred}")
-        for term in atom.args:
-            if isinstance(term, Const) and term.name not in objects:
-                raise EvalError(f"unknown object {term.name} in formula")
-    check_no_shadowing(formula)
-    fn = compile_formula(formula, assignment.universe.objects)
-    return fn(env, assignment.true_atoms)
-
-
 # ---------------------------------------------------------------------------
 # Extension engine
 
@@ -296,6 +271,7 @@ class Engine:
         if basic_state.universe != self.universe:
             raise EvalError("basic state universe differs from the engine universe")
         basic = frozenset(p.name for p in self.program.basic_predicates)
+        objects = set(self.universe.objects)
         if basic_state.covered != basic:
             raise EvalError("basic state must cover exactly the basic predicates")
         for name, args in basic_state.true_atoms:
@@ -305,7 +281,7 @@ class Engine:
             if len(args) != pred.arity:
                 raise EvalError(f"state atom {name} has wrong arity")
             for c in args:
-                if c not in set(self.universe.objects):
+                if c not in objects:
                     raise EvalError(f"state mentions object {c} outside the universe")
 
     def run(
@@ -328,12 +304,11 @@ class Engine:
         return frozenset(atoms)
 
     def run_with_stages(
-        self, basic_atoms: frozenset[GroundAtom], *, upto: Optional[int] = None
+        self, basic_atoms: frozenset[GroundAtom]
     ) -> tuple[frozenset[GroundAtom], list[StageTable]]:
         atoms = set(basic_atoms)
         tables: list[StageTable] = []
-        strata = self.compiled if upto is None else self.compiled[:upto]
-        for si, compiled in enumerate(strata):
+        for si, compiled in enumerate(self.compiled):
             stage, f = self._run_staged(compiled, atoms)
             tables.append(StageTable(si, self.universe, stage, f))
         return frozenset(atoms), tables
@@ -411,29 +386,6 @@ def extend_in_stages(
     engine.check_basic_state(basic_state)
     atoms, tables = engine.run_with_stages(basic_state.true_atoms)
     return TruthAssignment(universe, atoms, engine.full_cover()), tables
-
-
-def extend_stratum_in_stages(
-    stratum: Sequence[Axiom],
-    universe: Universe,
-    state: TruthAssignment,
-    *,
-    stratum_index: int = 0,
-) -> tuple[TruthAssignment, StageTable]:
-    """Run one stratum's staged fixpoint on a state already extended through
-    every earlier stratum.  The state must not assign the stratum's own
-    predicates yet.  The stratum is evaluated as-is, without a signature
-    check.
-    """
-    affected = set(affected_predicates(stratum))
-    for name, _ in state.true_atoms:
-        if name in affected:
-            raise EvalError(f"state already assigns stratum predicate {name}")
-    engine = Engine(AxiomProgram((), (), (stratum,), validate=False), universe)
-    atoms = set(state.true_atoms)
-    stage, rounds = engine._run_staged(engine.compiled[0], atoms)
-    table = StageTable(stratum_index, universe, stage, rounds)
-    return TruthAssignment(universe, frozenset(atoms), state.covered | affected), table
 
 
 def stage_relations(table: StageTable, preds: Sequence[Predicate]) -> StageRelations:

@@ -18,9 +18,12 @@ the staged evaluator.  Checks:
                checked for stratification when it is built, and the merge of
                a lint-clean transform is stratified
 
-Sweeps honor AXF_THREADS (default: machine CPU count) with a process pool;
-every counterexample is aggregated and the lexicographically smallest state
-is reported, so results do not depend on worker count or chunk order.
+``run_checks`` makes one pass per universe size: one stream of states feeds
+every planned check, and each state runs each program once.  Sweeps of 64
+states or more are chunked over AXF_THREADS processes (default: machine CPU
+count) from one process pool per run, reused across sizes; every
+counterexample is aggregated and the lexicographically smallest state is
+reported, so results do not depend on worker count or chunk order.
 """
 
 from __future__ import annotations
@@ -28,10 +31,11 @@ from __future__ import annotations
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from itertools import product
 from math import log
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .evaluator import (
     Engine,
@@ -240,10 +244,19 @@ def universe_for(program: AxiomProgram, size: int) -> Universe:
 
 
 # ---------------------------------------------------------------------------
-# The sweep.  Each check has a comparator factory that compiles the check's
-# engines once per chunk and returns ``compare(atoms) -> detail | None``,
-# where a detail marks a failing state.  Factories and ``_run_chunk`` are top
-# level so a process pool can pickle them.
+# The sweep.  One pass runs every planned check over one universe's states.
+# A check is ``(name, label, factory, bundle)``; ``factory(*bundle)`` returns
+# ``compare(state) -> detail | None``, where a detail marks a failing state.
+# Each chunk compiles one engine per program, keyed by the program's role
+# ("original", ("family", i), "transformed", "merged", "optimized"), and runs
+# each engine once per state; every comparator reads those shared runs.
+# Factories and ``_run_chunk`` are top level so a process pool can pickle them.
+
+class _State(NamedTuple):
+    atoms: frozenset[GroundAtom]
+    runs: dict  # role -> (derived atoms, stage tables) of the state
+    engines: dict  # role -> Engine, for checks that run a program again
+
 
 def _merge_best(
     best: Optional[Counterexample], new: Optional[Counterexample]
@@ -262,20 +275,17 @@ def _atoms_by_pred(atoms: frozenset[GroundAtom]) -> dict[str, set[tuple[str, ...
     return out
 
 
-def _theorem1_comparator(universe, program, stratum_index, members, arities, names, fam_program):
-    oracle_engine = Engine(program, universe)
-    fam_engine = Engine(fam_program, universe)
-    member_preds = [program.predicate(m) for m in members]
+def _theorem1_comparator(stratum_index, members, names):
+    family = ("family", stratum_index)
     m = len(members)
 
-    def compare(atoms: frozenset[GroundAtom]) -> Optional[str]:
-        _, tables = oracle_engine.run_with_stages(atoms, upto=stratum_index + 1)
-        oracle = stage_relations(tables[stratum_index], member_preds)
-        by_pred = _atoms_by_pred(fam_engine.run(atoms))
+    def compare(state: _State) -> Optional[str]:
+        oracle = stage_relations(state.runs["original"][1][stratum_index], members)
+        by_pred = _atoms_by_pred(state.runs[family][0])
         for rel in RELATION_NAMES:
             for i in range(1, m + 1):
                 for j in range(1, m + 1):
-                    ai = arities[i - 1]
+                    ai = members[i - 1].arity
                     got = frozenset(
                         (args[:ai], args[ai:])
                         for args in by_pred.get(names[(rel, i, j)], ())
@@ -293,23 +303,22 @@ def _theorem1_comparator(universe, program, stratum_index, members, arities, nam
     return compare
 
 
-def _theorem2_comparator(universe, program, stratum_index, fam_program, members, arities, nleq_names):
-    oracle_engine = Engine(program, universe)
-    fam_engine = Engine(fam_program, universe)
-    combos = [
-        tuple(product(universe.objects, repeat=arity)) for arity in arities
-    ]
+def _theorem2_comparator(stratum_index, members, nleq_names):
+    """Reads the members off the full run of the original: a stratified
+    program derives each predicate in one stratum, so later strata add no
+    member atom."""
+    family = ("family", stratum_index)
 
-    def compare(atoms: frozenset[GroundAtom]) -> Optional[str]:
-        derived = oracle_engine.run(atoms, upto=stratum_index + 1)
-        stage_ext = fam_engine.run(atoms)
+    def compare(state: _State) -> Optional[str]:
+        derived = state.runs["original"][0]
+        stage_ext = state.runs[family][0]
         for k, member in enumerate(members):
-            for combo in combos[k]:
-                holds = (member, combo) in derived
+            for combo in state.engines["original"].combos(member.arity):
+                holds = (member.name, combo) in derived
                 never = (nleq_names[k], combo + combo) in stage_ext
                 if holds == never:
                     return (
-                        f"{format_ground_atom(member, combo)} is {str(holds).lower()} but "
+                        f"{format_ground_atom(member.name, combo)} is {str(holds).lower()} but "
                         f"{format_ground_atom(nleq_names[k], combo + combo)} is {str(never).lower()}"
                     )
         return None
@@ -317,38 +326,30 @@ def _theorem2_comparator(universe, program, stratum_index, fam_program, members,
     return compare
 
 
-def _equivalence_comparator(universe, original, transformed, merged, derived_names):
-    engines = [Engine(original, universe), Engine(transformed, universe)]
-    labels = ["original", "transformed"]
-    if merged is not None:
-        engines.append(Engine(merged, universe))
-        labels.append("merged")
+def _equivalence_comparator(roles, derived_names):
     names = frozenset(derived_names)
 
-    def compare(atoms: frozenset[GroundAtom]) -> Optional[str]:
-        views = [
-            {k for k in engine.run(atoms) if k[0] in names} for engine in engines
-        ]
+    def compare(state: _State) -> Optional[str]:
+        views = [{k for k in state.runs[role][0] if k[0] in names} for role in roles]
         for other in range(1, len(views)):
             if views[other] != views[0]:
                 name, args = min(views[0].symmetric_difference(views[other]))
                 holds = (name, args) in views[0]
                 return (
                     f"{format_ground_atom(name, args)} is {str(holds).lower()} in the original "
-                    f"but {str(not holds).lower()} in the {labels[other]} program"
+                    f"but {str(not holds).lower()} in the {roles[other]} program"
                 )
         return None
 
     return compare
 
 
-def _aux_comparator(universe, plain, optimized, shared_names):
-    engines = [Engine(plain, universe), Engine(optimized, universe)]
+def _aux_comparator(shared_names):
     names = frozenset(shared_names)
 
-    def compare(atoms: frozenset[GroundAtom]) -> Optional[str]:
-        a = {k for k in engines[0].run(atoms) if k[0] in names}
-        b = {k for k in engines[1].run(atoms) if k[0] in names}
+    def compare(state: _State) -> Optional[str]:
+        a = {k for k in state.runs["transformed"][0] if k[0] in names}
+        b = {k for k in state.runs["optimized"][0] if k[0] in names}
         if a == b:
             return None
         name, args = min(a.symmetric_difference(b))
@@ -361,13 +362,13 @@ def _aux_comparator(universe, plain, optimized, shared_names):
     return compare
 
 
-def _order_comparator(universe, program, order_seeds):
-    engine = Engine(program, universe)
-
-    def compare(atoms: frozenset[GroundAtom]) -> Optional[str]:
-        baseline = engine.run(atoms)
+def _order_comparator(order_seeds):
+    def compare(state: _State) -> Optional[str]:
+        baseline = state.runs["original"][0]
         for seed in order_seeds:
-            got = engine.run(atoms, rng=random.Random(f"order:{seed}"))
+            got = state.engines["original"].run(
+                state.atoms, rng=random.Random(f"order:{seed}")
+            )
             if got != baseline:
                 name, args = min(got.symmetric_difference(baseline))
                 return (
@@ -379,20 +380,24 @@ def _order_comparator(universe, program, order_seeds):
     return compare
 
 
-def _run_chunk(job) -> tuple[int, int, Optional[Counterexample]]:
-    check, factory, bundle, universe, spec = job
-    compare = factory(universe, *bundle)
-    checked = failures = 0
-    best: Optional[Counterexample] = None
+def _run_chunk(job) -> list[tuple[int, int, Optional[Counterexample]]]:
+    """A (checked, failures, least counterexample) triple for each check."""
+    checks, programs, universe, spec = job
+    engines = {role: Engine(program, universe) for role, program in programs.items()}
+    compares = [factory(*bundle) for _, _, factory, bundle in checks]
+    tallies = [[0, 0, None] for _ in checks]
     for atoms in _spec_states(spec):
-        checked += 1
-        detail = compare(atoms)
-        if detail is not None:
-            failures += 1
-            best = _merge_best(
-                best, Counterexample(check, universe.objects, tuple(sorted(atoms)), detail)
-            )
-    return checked, failures, best
+        runs = {role: engine.run_with_stages(atoms) for role, engine in engines.items()}
+        state = _State(atoms, runs, engines)
+        for tally, (name, _, _, _), compare in zip(tallies, checks, compares):
+            tally[0] += 1
+            detail = compare(state)
+            if detail is not None:
+                tally[1] += 1
+                tally[2] = _merge_best(
+                    tally[2], Counterexample(name, universe.objects, tuple(sorted(atoms)), detail)
+                )
+    return [tuple(tally) for tally in tallies]
 
 
 def worker_count() -> int:
@@ -408,19 +413,40 @@ def worker_count() -> int:
     return os.cpu_count() or 1
 
 
+class _Pool:
+    """The process pool of one verification run: the first sweep with more
+    than one chunk starts it, later sweeps reuse it, ``close`` shuts it
+    down."""
+
+    _executor: Optional[ProcessPoolExecutor] = None
+
+    def map_chunks(self, jobs: list) -> list:
+        if len(jobs) == 1:
+            return [_run_chunk(jobs[0])]
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=len(jobs))
+        return list(self._executor.map(_run_chunk, jobs))
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+
+
 def _sweep(
-    check: str,
-    factory,
-    bundle: tuple,
+    checks: list,
+    programs: dict,
     program: AxiomProgram,
     universe: Universe,
     plan: Optional[VerificationPlan],
-    states: Optional[Iterable[frozenset[GroundAtom]]],
-    label: str,
-) -> CheckResult:
-    """Run ``factory``'s comparator over the given states, or else the
-    planned ones over ``program``'s basic cells, chunked across worker
-    processes once there are 64 states or more."""
+    states: Optional[Iterable[frozenset[GroundAtom]]] = None,
+    pool: Optional[_Pool] = None,
+) -> list[CheckResult]:
+    """Run ``checks`` over the given states, or else the planned ones over
+    ``program``'s basic cells, chunked across ``pool`` (a pool of their own
+    if none is given) once there are 64 states or more."""
+    if pool is None:
+        with closing(_Pool()) as own:
+            return _sweep(checks, programs, program, universe, plan, states, own)
     plan = plan or VerificationPlan()
     cells = basic_cells(program, universe)
     if states is not None:
@@ -441,22 +467,21 @@ def _sweep(
         workers = 1 if total < 64 else min(workers, total)
         bounds = [total * k // workers for k in range(workers + 1)]
         specs = [head + (bounds[k], bounds[k + 1]) for k in range(workers)]
-    jobs = [(check, factory, bundle, universe, spec) for spec in specs]
-    if len(jobs) == 1:
-        parts = [_run_chunk(jobs[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            parts = list(pool.map(_run_chunk, jobs))
-    best: Optional[Counterexample] = None
-    for _, _, part_best in parts:
-        best = _merge_best(best, part_best)
-    return CheckResult(
-        label, sum(p[0] for p in parts), sum(p[1] for p in parts), best
-    )
+    parts = pool.map_chunks([(checks, programs, universe, spec) for spec in specs])
+    results = []
+    for k, (_, label, _, _) in enumerate(checks):
+        best: Optional[Counterexample] = None
+        for part in parts:
+            best = _merge_best(best, part[k][2])
+        results.append(
+            CheckResult(label, sum(p[k][0] for p in parts), sum(p[k][1] for p in parts), best)
+        )
+    return results
 
 
 # ---------------------------------------------------------------------------
-# Public checks
+# Public checks.  Each ``verify_*`` function sweeps one check, built by the
+# same ``_*_check`` helper that ``run_checks`` uses.
 
 def _family_program(
     program: AxiomProgram, stratum_index: int, family
@@ -464,6 +489,43 @@ def _family_program(
     predicates = list(program.signature.values()) + list(family.predicates)
     strata = program.strata[:stratum_index] + (family.axioms,)
     return AxiomProgram(predicates, program.universe_hint, strata)
+
+
+def _theorem_check(check: str, label: str, program: AxiomProgram, stratum_index: int, family):
+    """theorem1 or theorem2 on one stratum."""
+    members = tuple(program.predicate(m) for m in family.members)
+    if check == "theorem1":
+        return (check, label, _theorem1_comparator, (stratum_index, members, dict(family.names)))
+    nleq_names = tuple(family.names[("nleq", k, k)] for k in range(1, len(members) + 1))
+    return (check, label, _theorem2_comparator, (stratum_index, members, nleq_names))
+
+
+def _equivalence_check(label: str, original: AxiomProgram, include_merged: bool) -> tuple:
+    roles = ("original", "transformed") + (("merged",) if include_merged else ())
+    derived_names = tuple(p.name for p in original.derived_predicates)
+    return ("equivalence", label, _equivalence_comparator, (roles, derived_names))
+
+
+def _aux_check(label: str, plain: AxiomProgram, optimized: AxiomProgram) -> tuple:
+    shared = tuple(sorted(set(plain.signature) & set(optimized.signature)))
+    return ("aux", label, _aux_comparator, (shared,))
+
+
+def _order_check(label: str, orders: int) -> tuple:
+    return ("order", label, _order_comparator, (tuple(range(orders)),))
+
+
+def _verify_theorem(check, program, stratum_index, universe, plan, states, mutation, label):
+    family = generate_stage_axioms(program, stratum_index, mutation=mutation)
+    label = label or f"{check}[stratum={stratum_index}]"
+    programs = {
+        "original": program,
+        ("family", stratum_index): _family_program(program, stratum_index, family),
+    }
+    return _sweep(
+        [_theorem_check(check, label, program, stratum_index, family)],
+        programs, program, universe, plan, states,
+    )[0]
 
 
 def verify_theorem1(
@@ -477,18 +539,8 @@ def verify_theorem1(
     label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: stage relations by axioms == stage relations by oracle."""
-    family = generate_stage_axioms(program, stratum_index, mutation=mutation)
-    bundle = (
-        program,
-        stratum_index,
-        family.members,
-        family.arities,
-        dict(family.names),
-        _family_program(program, stratum_index, family),
-    )
-    label = label or f"theorem1[stratum={stratum_index}]"
-    return _sweep(
-        "theorem1", _theorem1_comparator, bundle, program, universe, plan, states, label
+    return _verify_theorem(
+        "theorem1", program, stratum_index, universe, plan, states, mutation, label
     )
 
 
@@ -502,21 +554,8 @@ def verify_theorem2(
     label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: P_i(a) holds in the stratum's fixpoint iff nleq_ii(a,a) fails."""
-    family = generate_stage_axioms(program, stratum_index)
-    nleq_names = tuple(
-        family.names[("nleq", k, k)] for k in range(1, len(family.members) + 1)
-    )
-    bundle = (
-        program,
-        stratum_index,
-        _family_program(program, stratum_index, family),
-        family.members,
-        family.arities,
-        nleq_names,
-    )
-    label = label or f"theorem2[stratum={stratum_index}]"
-    return _sweep(
-        "theorem2", _theorem2_comparator, bundle, program, universe, plan, states, label
+    return _verify_theorem(
+        "theorem2", program, stratum_index, universe, plan, states, None, label
     )
 
 
@@ -533,13 +572,13 @@ def verify_equivalence(
     """Sweep: the transformation preserves every original derived atom."""
     if transformed is None:
         transformed, _ = eliminate_negative_occurrences(original)
-    merged = merge_to_single_stratum(transformed) if include_merged else None
-    derived_names = tuple(p.name for p in original.derived_predicates)
-    bundle = (original, transformed, merged, derived_names)
+    programs = {"original": original, "transformed": transformed}
+    if include_merged:
+        programs["merged"] = merge_to_single_stratum(transformed)
     return _sweep(
-        "equivalence", _equivalence_comparator, bundle, original, universe, plan, states,
-        label or "equivalence",
-    )
+        [_equivalence_check(label or "equivalence", original, include_merged)],
+        programs, original, universe, plan, states,
+    )[0]
 
 
 def verify_aux(
@@ -553,11 +592,10 @@ def verify_aux(
     """Sweep: the aux rewrite leaves every shared predicate's extension alone."""
     plain, _ = eliminate_negative_occurrences(program, optimize_aux=False)
     optimized, _ = eliminate_negative_occurrences(program, optimize_aux=True)
-    shared = tuple(sorted(set(plain.signature) & set(optimized.signature)))
-    bundle = (plain, optimized, shared)
     return _sweep(
-        "aux", _aux_comparator, bundle, program, universe, plan, states, label or "aux"
-    )
+        [_aux_check(label or "aux", plain, optimized)],
+        {"transformed": plain, "optimized": optimized}, program, universe, plan, states,
+    )[0]
 
 
 def verify_order_independence(
@@ -570,10 +608,10 @@ def verify_order_independence(
     label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: chaotic evaluation agrees with the staged fixpoint."""
-    bundle = (program, tuple(range(orders)))
     return _sweep(
-        "order", _order_comparator, bundle, program, universe, plan, states, label or "order"
-    )
+        [_order_check(label or "order", orders)], {"original": program}, program, universe,
+        plan, states,
+    )[0]
 
 
 def lint_polarity(program: AxiomProgram) -> list:
@@ -611,7 +649,11 @@ def run_checks(
     ``transformed`` is a transformation of ``program`` built elsewhere, to be
     checked in place of the one built here; only ``TRANSFORMED_CHECKS`` apply
     to it.  The equivalence sweep includes the merged form only when the
-    polarity lint passes, since merging needs a lint-clean program."""
+    polarity lint passes, since merging needs a lint-clean program.
+
+    The transforms, the merge and the stage families are built once, before
+    the first size.  Each size is then one sweep of every planned check, and
+    the sweeps share one process pool."""
     plan = plan or VerificationPlan()
     if transformed is None:
         transformed, _ = eliminate_negative_occurrences(program)
@@ -624,37 +666,43 @@ def run_checks(
             )
     polarity = _polarity_of(transformed)
     results = [polarity] if "polarity" in plan.checks else []
-    strata_with_members = [
-        index for index, stratum in enumerate(program.strata) if stratum
-    ]
-    for size in plan.universe_sizes:
-        universe = universe_for(program, size)
-        for check in plan.checks:
-            label = f"{check}[n={size}]"
-            if check in ("theorem1", "theorem2"):
-                verify = verify_theorem1 if check == "theorem1" else verify_theorem2
-                results.extend(
-                    verify(
-                        program, index, universe, plan,
-                        label=f"{check}[n={size},stratum={index}]",
+    planned = set(plan.checks)
+    programs: dict = {}
+    if planned & {"theorem1", "theorem2", "equivalence", "order"}:
+        programs["original"] = program
+    families = {}
+    if planned & {"theorem1", "theorem2"}:
+        for index, stratum in enumerate(program.strata):
+            if stratum:
+                families[index] = generate_stage_axioms(program, index)
+                programs[("family", index)] = _family_program(program, index, families[index])
+    if planned & {"equivalence", "aux"}:
+        programs["transformed"] = transformed
+    if "equivalence" in planned and polarity.passed:
+        programs["merged"] = merge_to_single_stratum(transformed)
+    if "aux" in planned:
+        programs["optimized"], _ = eliminate_negative_occurrences(program, optimize_aux=True)
+    with closing(_Pool()) as pool:
+        for size in plan.universe_sizes:
+            universe = universe_for(program, size)
+            checks = []
+            for check in plan.checks:
+                label = f"{check}[n={size}]"
+                if check in ("theorem1", "theorem2"):
+                    checks.extend(
+                        _theorem_check(
+                            check, f"{check}[n={size},stratum={index}]", program, index, family
+                        )
+                        for index, family in families.items()
                     )
-                    for index in strata_with_members
-                )
-            elif check == "equivalence":
-                results.append(
-                    verify_equivalence(
-                        program,
-                        universe,
-                        plan,
-                        transformed=transformed,
-                        include_merged=polarity.passed,
-                        label=label,
-                    )
-                )
-            elif check == "aux":
-                results.append(verify_aux(program, universe, plan, label=label))
-            elif check == "order":
-                results.append(verify_order_independence(program, universe, plan, label=label))
+                elif check == "equivalence":
+                    checks.append(_equivalence_check(label, program, "merged" in programs))
+                elif check == "aux":
+                    checks.append(_aux_check(label, transformed, programs["optimized"]))
+                elif check == "order":
+                    checks.append(_order_check(label, 8))
+            if checks:
+                results.extend(_sweep(checks, programs, program, universe, plan, None, pool))
     return VerificationResult(tuple(results))
 
 

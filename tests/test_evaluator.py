@@ -23,14 +23,13 @@ from axf import (
     Predicate,
     RELATION_NAMES,
     RandomProfile,
+    SignatureError,
     Top,
     TruthAssignment,
     Universe,
     Var,
-    eval_formula,
     extend,
     extend_in_stages,
-    extend_stratum_in_stages,
     eliminate_negative_occurrences,
     generate_random_program,
     merge_to_single_stratum,
@@ -65,45 +64,42 @@ class TestUniverseAndAssignment:
 
 
 class TestEvalFormula:
-    state = basic_state(U3, {("E", ("a", "b")), ("E", ("b", "c"))})
+    """Formula truth, read off ``Engine`` runs of a one-axiom program."""
+
+    atoms = frozenset({("E", ("a", "b")), ("E", ("b", "c"))})
+
+    def holds(self, formula, head_vars=(), args=(), objects=U3.objects):
+        """Whether ``formula`` holds with ``head_vars`` bound to ``args``;
+        ``objects`` declares the program's constants."""
+        program = AxiomProgram(
+            [Predicate("E", 2, "basic"), Predicate("Q", len(head_vars), "derived")],
+            objects,
+            [[Axiom("Q", head_vars, formula)]],
+        )
+        return ("Q", args) in Engine(program, U3).run(self.atoms)
 
     def test_quantifiers_and_connectives(self):
         reaches = Exists(("y",), Atom("E", (Var("x"), Var("y"))))
-        assert eval_formula(reaches, self.state, {"x": "a"})
-        assert not eval_formula(reaches, self.state, {"x": "c"})
-        assert eval_formula(Not(reaches), self.state, {"x": "c"})
+        assert self.holds(reaches, ("x",), ("a",))
+        assert not self.holds(reaches, ("x",), ("c",))
+        assert self.holds(Not(reaches), ("x",), ("c",))
 
     def test_constants(self):
-        f = Atom("E", (Const("a"), Const("b")))
-        assert eval_formula(f, self.state)
-        assert not eval_formula(Atom("E", (Const("b"), Const("a"))), self.state)
-
-    def test_missing_env_binding(self):
-        with pytest.raises(EvalError):
-            eval_formula(Atom("E", (Var("x"), Var("y"))), self.state, {"x": "a"})
-
-    def test_env_binding_outside_universe(self):
-        with pytest.raises(EvalError):
-            eval_formula(Atom("E", (Var("x"), Var("x"))), self.state, {"x": "zz"})
+        assert self.holds(Atom("E", (Const("a"), Const("b"))))
+        assert not self.holds(Atom("E", (Const("b"), Const("a"))))
 
     def test_uncovered_predicate(self):
-        with pytest.raises(EvalError):
-            eval_formula(Atom("path", (Const("a"), Const("b"))), self.state)
+        with pytest.raises(SignatureError):
+            self.holds(Atom("path", (Const("a"), Const("b"))))
 
     def test_unknown_constant(self):
         with pytest.raises(EvalError):
-            eval_formula(Atom("E", (Const("zz"), Const("a"))), self.state)
+            self.holds(Atom("E", (Const("zz"), Const("a"))), objects=U3.objects + ("zz",))
 
     def test_shadowing_rejected(self):
         f = Exists(("x",), Exists(("x",), Atom("E", (Var("x"), Var("x")))))
         with pytest.raises(EvalError):
-            eval_formula(f, self.state)
-
-    def test_caller_env_not_mutated(self):
-        env = {"x": "a"}
-        f = Exists(("y",), Atom("E", (Var("x"), Var("y"))))
-        eval_formula(f, self.state, env)
-        assert env == {"x": "a"}
+            self.holds(f)
 
 
 class TestStages:
@@ -144,15 +140,6 @@ class TestStages:
         assert all(name != "acyclic" for name, _ in only_first)
         assert engine.run(path_state.true_atoms, upto=0) == path_state.true_atoms
 
-    def test_stratum_preassigned_rejected(self, path_program, path_state):
-        already = TruthAssignment(
-            U3,
-            path_state.true_atoms | {("path", ("a", "b"))},
-            frozenset({"E", "path"}),
-        )
-        with pytest.raises(EvalError):
-            extend_stratum_in_stages(path_program.strata[0], U3, already)
-
     def test_check_basic_state_guards(self, path_program):
         engine = Engine(path_program, U3)
         wrong_universe = basic_state(Universe(("a", "b")), set())
@@ -168,7 +155,7 @@ class TestStages:
 
 class TestStageRelations:
     def fixture(self, path_program, path_state):
-        _, table = extend_stratum_in_stages(path_program.strata[0], U3, path_state)
+        table = extend_in_stages(path_program, U3, path_state)[1][0]
         preds = [path_program.signature["path"]]
         return table, stage_relations(table, preds)
 
@@ -228,7 +215,7 @@ def test_stage_invariants_exhaustive(path_program):
     pred = [path_program.signature["path"]]
     for atoms in all_states(E_CELLS):
         state = basic_state(u, atoms)
-        _, table = extend_stratum_in_stages(path_program.strata[0], u, state)
+        table = extend_in_stages(path_program, u, state)[1][0]
         f = table.fixpoint_stage
         stages = set(table.stage.values())
         assert all(1 <= s <= f for s in stages)

@@ -304,6 +304,83 @@ class TestParallel:
             worker_count()
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """The argument tuples of each call to ``axf.verifier.<name>``."""
+    calls = []
+    real = getattr(axf.verifier, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(axf.verifier, name, counting)
+    return calls
+
+
+SAMPLED_2_3 = VerificationPlan(universe_sizes=(2, 3), mode="sampled", samples=64)
+
+
+class TestOnePass:
+    def test_builds_each_input_once(self, path_program, monkeypatch):
+        transforms = count_calls(monkeypatch, "eliminate_negative_occurrences")
+        families = count_calls(monkeypatch, "generate_stage_axioms")
+        run_checks(path_program, VerificationPlan(universe_sizes=(1, 2)))
+        # the plain and the optimize_aux transform; one family per stratum
+        assert len(transforms) == 2
+        assert len(families) == 2
+
+    def test_one_pool_per_run(self, pool_programs, pool_starts, monkeypatch):
+        monkeypatch.setenv("AXF_THREADS", "2")
+        result = run_checks(pool_programs[0], SAMPLED_2_3)
+        assert all(c.states_checked == 64 for c in result.checks[1:])
+        assert pool_starts == [2]
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["all-checks", "corrupt-transform"])
+    def test_pass_equals_single_checks(self, pool_programs, monkeypatch, corrupt):
+        """The same results at one and two workers, and the same as the
+        ``verify_*`` entry points, in order, under the same labels."""
+        program, bad = pool_programs
+        if corrupt:
+            plan = VerificationPlan(
+                universe_sizes=(2, 3), mode="sampled", samples=64,
+                checks=("polarity", "equivalence"),
+            )
+            transformed = bad
+        else:
+            plan, transformed = SAMPLED_2_3, None
+        blobs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("AXF_THREADS", threads)
+            blobs.append(run_checks(program, plan, transformed=transformed).to_json())
+        assert blobs[0] == blobs[1]
+        singles = []
+        for size in plan.universe_sizes:
+            u = universe_for(program, size)
+            for check in plan.checks:
+                label = f"{check}[n={size}]"
+                if check == "theorem1":
+                    singles += [
+                        verify_theorem1(program, i, u, plan, label=f"theorem1[n={size},stratum={i}]")
+                        for i in (0, 1)
+                    ]
+                elif check == "theorem2":
+                    singles += [
+                        verify_theorem2(program, i, u, plan, label=f"theorem2[n={size},stratum={i}]")
+                        for i in (0, 1)
+                    ]
+                elif check == "equivalence":
+                    singles.append(
+                        verify_equivalence(program, u, plan, transformed=transformed, label=label)
+                    )
+                elif check == "aux":
+                    singles.append(verify_aux(program, u, plan, label=label))
+                elif check == "order":
+                    singles.append(verify_order_independence(program, u, plan, label=label))
+        assert blobs[0]["checks"][0]["name"] == "polarity"
+        assert blobs[0]["checks"][1:] == [c.to_json() for c in singles]
+        assert any(c.failures for c in singles) == corrupt
+
+
 class TestRandomPrograms:
     def test_many_seeds_validate(self):
         for seed in range(300):
