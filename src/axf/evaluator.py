@@ -2,15 +2,16 @@
 
 A TruthAssignment is a closed-world set of true ground atoms over a fixed
 object universe.  ``extend`` computes the unique extension of a basic state
-stratum by stratum.  Two interchangeable per-stratum engines exist:
+stratum by stratum.  One per-stratum fixpoint loop runs in two orders:
 
- - a chaotic one that fires one applicable axiom instance at a time, in an
-   order controlled by a caller-supplied RNG; any order reaches the same
-   fixed point because same-stratum predicates only occur positively, and
+ - staged: each round applies all axioms in parallel against a frozen
+   snapshot of the state and records, for every derived atom, the first
+   snapshot in which it holds;
 
- - a staged one that repeatedly applies all axioms in parallel against a
-   frozen snapshot of the state and records, for every derived atom, the
-   first snapshot in which it holds.
+ - chaotic: each round visits the axioms and their head instances in an
+   order drawn from a caller-supplied RNG and reads the live state; any
+   order reaches the same fixed point because same-stratum predicates only
+   occur positively.
 
 Stage convention: snapshot 0 is the state before anything is derived, and
 round l (l = 1, 2, ...) adds every head instance whose body holds in
@@ -285,22 +286,13 @@ class Engine:
                     raise EvalError(f"state mentions object {c} outside the universe")
 
     def run(
-        self,
-        basic_atoms: frozenset[GroundAtom],
-        *,
-        upto: Optional[int] = None,
-        rng: Optional[random.Random] = None,
+        self, basic_atoms: frozenset[GroundAtom], *, rng: Optional[random.Random] = None
     ) -> frozenset[GroundAtom]:
-        """Extend a basic state through the first ``upto`` strata (all by
-        default); ``rng`` switches to chaotic order for order-independence
-        experiments."""
+        """Extend a basic state through every stratum; ``rng`` switches to
+        chaotic order for order-independence experiments."""
         atoms = set(basic_atoms)
-        strata = self.compiled if upto is None else self.compiled[:upto]
-        for compiled in strata:
-            if rng is None:
-                self._run_staged(compiled, atoms)
-            else:
-                self._run_chaotic(compiled, atoms, rng)
+        for compiled in self.compiled:
+            self._fixpoint(compiled, atoms, rng)
         return frozenset(atoms)
 
     def run_with_stages(
@@ -309,27 +301,43 @@ class Engine:
         atoms = set(basic_atoms)
         tables: list[StageTable] = []
         for si, compiled in enumerate(self.compiled):
-            stage, f = self._run_staged(compiled, atoms)
+            stage, f = self._fixpoint(compiled, atoms, None)
             tables.append(StageTable(si, self.universe, stage, f))
         return frozenset(atoms), tables
 
-    def _run_staged(
-        self, compiled: list[_CompiledAxiom], atoms: set[GroundAtom]
+    def _fixpoint(
+        self,
+        compiled: list[_CompiledAxiom],
+        atoms: set[GroundAtom],
+        rng: Optional[random.Random],
     ) -> tuple[dict[GroundAtom, int], int]:
+        """Add the stratum's derivable atoms to ``atoms``; return each added
+        atom's round and the number of productive rounds.  Without ``rng``
+        every body reads the snapshot taken at the start of its round, so
+        rounds are stages; with it, each round shuffles the axioms, then each
+        axiom's head instances, and every body reads the live set."""
         stage: dict[GroundAtom, int] = {}
         rounds = 0
         env: dict[str, str] = {}
         while True:
-            snapshot = frozenset(atoms)
+            if rng is None:
+                order, reads = compiled, frozenset(atoms)
+            else:
+                order, reads = list(compiled), atoms
+                rng.shuffle(order)
             added: list[GroundAtom] = []
-            for head, head_vars, body in compiled:
-                for combo in self.combos(len(head_vars)):
+            for head, head_vars, body in order:
+                combos = self.combos(len(head_vars))
+                if rng is not None:
+                    combos = list(combos)
+                    rng.shuffle(combos)
+                for combo in combos:
                     key = (head, combo)
                     if key in atoms:
                         continue
                     for v, o in zip(head_vars, combo):
                         env[v] = o
-                    if body(env, snapshot):
+                    if body(env, reads):
                         added.append(key)
                         atoms.add(key)
             if not added:
@@ -337,28 +345,6 @@ class Engine:
             rounds += 1
             for key in added:
                 stage[key] = rounds
-
-    def _run_chaotic(
-        self, compiled: list[_CompiledAxiom], atoms: set[GroundAtom], rng: random.Random
-    ) -> None:
-        env: dict[str, str] = {}
-        changed = True
-        while changed:
-            changed = False
-            order = list(compiled)
-            rng.shuffle(order)
-            for head, head_vars, body in order:
-                combos = list(self.combos(len(head_vars)))
-                rng.shuffle(combos)
-                for combo in combos:
-                    key = (head, combo)
-                    if key in atoms:
-                        continue
-                    for v, o in zip(head_vars, combo):
-                        env[v] = o
-                    if body(env, atoms):
-                        atoms.add(key)
-                        changed = True
 
     def full_cover(self) -> frozenset[str]:
         return frozenset(self.program.signature)

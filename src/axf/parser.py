@@ -330,7 +330,7 @@ def _parse_decls(
         if name is None:
             continue
         arity_tok = decl.items[1]
-        if not isinstance(arity_tok, _SAtom) or not arity_tok.text.isdigit():
+        if not isinstance(arity_tok, _SAtom) or not (arity_tok.text.isascii() and arity_tok.text.isdigit()):
             b.err("bad-declaration", "arity must be a nonnegative integer", decl.items[1].span)
             continue
         if name.text in predicates:

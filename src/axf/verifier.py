@@ -245,12 +245,13 @@ def universe_for(program: AxiomProgram, size: int) -> Universe:
 
 # ---------------------------------------------------------------------------
 # The sweep.  One pass runs every planned check over one universe's states.
-# A check is ``(name, label, factory, bundle)``; ``factory(*bundle)`` returns
-# ``compare(state) -> detail | None``, where a detail marks a failing state.
-# Each chunk compiles one engine per program, keyed by the program's role
-# ("original", ("family", i), "transformed", "merged", "optimized"), and runs
-# each engine once per state; every comparator reads those shared runs.
-# Factories and ``_run_chunk`` are top level so a process pool can pickle them.
+# ``_programs`` builds the programs the checks read, keyed by role
+# ("original", ("family", i), "transformed", "merged", "optimized"), and
+# ``_checks`` turns check names into ``(name, label, compare, args)`` tuples;
+# ``compare(*args, state)`` returns a detail for a failing state, else None.
+# Each chunk compiles one engine per role and runs it once per state; every
+# comparator reads those shared runs.  Comparators and ``_run_chunk`` are top
+# level so a process pool can pickle them.
 
 class _State(NamedTuple):
     atoms: frozenset[GroundAtom]
@@ -275,123 +276,97 @@ def _atoms_by_pred(atoms: frozenset[GroundAtom]) -> dict[str, set[tuple[str, ...
     return out
 
 
-def _theorem1_comparator(stratum_index, members, names):
-    family = ("family", stratum_index)
+def _theorem1(stratum_index, members, names, state: _State) -> Optional[str]:
+    oracle = stage_relations(state.runs["original"][1][stratum_index], members)
+    by_pred = _atoms_by_pred(state.runs[("family", stratum_index)][0])
     m = len(members)
-
-    def compare(state: _State) -> Optional[str]:
-        oracle = stage_relations(state.runs["original"][1][stratum_index], members)
-        by_pred = _atoms_by_pred(state.runs[family][0])
-        for rel in RELATION_NAMES:
-            for i in range(1, m + 1):
-                for j in range(1, m + 1):
-                    ai = members[i - 1].arity
-                    got = frozenset(
-                        (args[:ai], args[ai:])
-                        for args in by_pred.get(names[(rel, i, j)], ())
+    for rel in RELATION_NAMES:
+        for i in range(1, m + 1):
+            for j in range(1, m + 1):
+                ai = members[i - 1].arity
+                got = frozenset(
+                    (args[:ai], args[ai:]) for args in by_pred.get(names[(rel, i, j)], ())
+                )
+                want = oracle.get(rel, i, j)
+                if got != want:
+                    a, b = min(got.symmetric_difference(want))
+                    side = "axioms" if (a, b) in got else "oracle"
+                    return (
+                        f"{rel}[{i},{j}] disagrees on ({','.join(a)} ; {','.join(b)}):"
+                        f" only the {side} relate them"
                     )
-                    want = oracle.get(rel, i, j)
-                    if got != want:
-                        a, b = min(got.symmetric_difference(want))
-                        side = "axioms" if (a, b) in got else "oracle"
-                        return (
-                            f"{rel}[{i},{j}] disagrees on ({','.join(a)} ; {','.join(b)}):"
-                            f" only the {side} relate them"
-                        )
-        return None
-
-    return compare
+    return None
 
 
-def _theorem2_comparator(stratum_index, members, nleq_names):
+def _theorem2(stratum_index, members, names, state: _State) -> Optional[str]:
     """Reads the members off the full run of the original: a stratified
     program derives each predicate in one stratum, so later strata add no
     member atom."""
-    family = ("family", stratum_index)
-
-    def compare(state: _State) -> Optional[str]:
-        derived = state.runs["original"][0]
-        stage_ext = state.runs[family][0]
-        for k, member in enumerate(members):
-            for combo in state.engines["original"].combos(member.arity):
-                holds = (member.name, combo) in derived
-                never = (nleq_names[k], combo + combo) in stage_ext
-                if holds == never:
-                    return (
-                        f"{format_ground_atom(member.name, combo)} is {str(holds).lower()} but "
-                        f"{format_ground_atom(nleq_names[k], combo + combo)} is {str(never).lower()}"
-                    )
-        return None
-
-    return compare
-
-
-def _equivalence_comparator(roles, derived_names):
-    names = frozenset(derived_names)
-
-    def compare(state: _State) -> Optional[str]:
-        views = [{k for k in state.runs[role][0] if k[0] in names} for role in roles]
-        for other in range(1, len(views)):
-            if views[other] != views[0]:
-                name, args = min(views[0].symmetric_difference(views[other]))
-                holds = (name, args) in views[0]
+    derived = state.runs["original"][0]
+    stage_ext = state.runs[("family", stratum_index)][0]
+    for k, member in enumerate(members, 1):
+        nleq = names[("nleq", k, k)]
+        for combo in state.engines["original"].combos(member.arity):
+            holds = (member.name, combo) in derived
+            never = (nleq, combo + combo) in stage_ext
+            if holds == never:
                 return (
-                    f"{format_ground_atom(name, args)} is {str(holds).lower()} in the original "
-                    f"but {str(not holds).lower()} in the {roles[other]} program"
+                    f"{format_ground_atom(member.name, combo)} is {str(holds).lower()} but "
+                    f"{format_ground_atom(nleq, combo + combo)} is {str(never).lower()}"
                 )
-        return None
-
-    return compare
+    return None
 
 
-def _aux_comparator(shared_names):
-    names = frozenset(shared_names)
-
-    def compare(state: _State) -> Optional[str]:
-        a = {k for k in state.runs["transformed"][0] if k[0] in names}
-        b = {k for k in state.runs["optimized"][0] if k[0] in names}
-        if a == b:
-            return None
-        name, args = min(a.symmetric_difference(b))
-        holds = (name, args) in a
-        return (
-            f"{format_ground_atom(name, args)} is {str(holds).lower()} without the shared "
-            f"conjuncts but {str(not holds).lower()} with them"
-        )
-
-    return compare
-
-
-def _order_comparator(order_seeds):
-    def compare(state: _State) -> Optional[str]:
-        baseline = state.runs["original"][0]
-        for seed in order_seeds:
-            got = state.engines["original"].run(
-                state.atoms, rng=random.Random(f"order:{seed}")
+def _equivalence(roles, derived_names, state: _State) -> Optional[str]:
+    views = [{k for k in state.runs[role][0] if k[0] in derived_names} for role in roles]
+    for other in range(1, len(views)):
+        if views[other] != views[0]:
+            name, args = min(views[0].symmetric_difference(views[other]))
+            holds = (name, args) in views[0]
+            return (
+                f"{format_ground_atom(name, args)} is {str(holds).lower()} in the original "
+                f"but {str(not holds).lower()} in the {roles[other]} program"
             )
-            if got != baseline:
-                name, args = min(got.symmetric_difference(baseline))
-                return (
-                    f"evaluation order {seed} "
-                    f"{'adds' if (name, args) in got else 'misses'} {format_ground_atom(name, args)}"
-                )
-        return None
+    return None
 
-    return compare
+
+def _aux(shared_names, state: _State) -> Optional[str]:
+    a = {k for k in state.runs["transformed"][0] if k[0] in shared_names}
+    b = {k for k in state.runs["optimized"][0] if k[0] in shared_names}
+    if a == b:
+        return None
+    name, args = min(a.symmetric_difference(b))
+    holds = (name, args) in a
+    return (
+        f"{format_ground_atom(name, args)} is {str(holds).lower()} without the shared "
+        f"conjuncts but {str(not holds).lower()} with them"
+    )
+
+
+def _order(order_seeds, state: _State) -> Optional[str]:
+    baseline = state.runs["original"][0]
+    for seed in order_seeds:
+        got = state.engines["original"].run(state.atoms, rng=random.Random(f"order:{seed}"))
+        if got != baseline:
+            name, args = min(got.symmetric_difference(baseline))
+            return (
+                f"evaluation order {seed} "
+                f"{'adds' if (name, args) in got else 'misses'} {format_ground_atom(name, args)}"
+            )
+    return None
 
 
 def _run_chunk(job) -> list[tuple[int, int, Optional[Counterexample]]]:
     """A (checked, failures, least counterexample) triple for each check."""
     checks, programs, universe, spec = job
     engines = {role: Engine(program, universe) for role, program in programs.items()}
-    compares = [factory(*bundle) for _, _, factory, bundle in checks]
     tallies = [[0, 0, None] for _ in checks]
     for atoms in _spec_states(spec):
         runs = {role: engine.run_with_stages(atoms) for role, engine in engines.items()}
         state = _State(atoms, runs, engines)
-        for tally, (name, _, _, _), compare in zip(tallies, checks, compares):
+        for tally, (name, _, compare, args) in zip(tallies, checks):
             tally[0] += 1
-            detail = compare(state)
+            detail = compare(*args, state)
             if detail is not None:
                 tally[1] += 1
                 tally[2] = _merge_best(
@@ -438,31 +413,28 @@ def _sweep(
     program: AxiomProgram,
     universe: Universe,
     plan: Optional[VerificationPlan],
-    states: Optional[Iterable[frozenset[GroundAtom]]] = None,
-    pool: Optional[_Pool] = None,
+    states: Optional[Iterable[frozenset[GroundAtom]]],
+    pool: _Pool,
 ) -> list[CheckResult]:
     """Run ``checks`` over the given states, or else the planned ones over
-    ``program``'s basic cells, chunked across ``pool`` (a pool of their own
-    if none is given) once there are 64 states or more."""
-    if pool is None:
-        with closing(_Pool()) as own:
-            return _sweep(checks, programs, program, universe, plan, states, own)
+    ``program``'s basic cells, chunked across ``pool`` once there are 64
+    states or more."""
     plan = plan or VerificationPlan()
-    cells = basic_cells(program, universe)
     if states is not None:
         specs = [("explicit", tuple(frozenset(s) for s in states))]
     else:
         if plan.mode == "exhaustive":
-            if len(cells) > _MAX_EXHAUSTIVE_BITS:
+            bits = sum(len(universe.objects) ** p.arity for p in program.basic_predicates)
+            if bits > _MAX_EXHAUSTIVE_BITS:
                 raise BudgetError(
-                    f"2^{len(cells)} basic states exceed the exhaustive budget of "
+                    f"2^{bits} basic states exceed the exhaustive budget of "
                     f"2^{_MAX_EXHAUSTIVE_BITS}; use sampled mode"
                 )
-            total = 1 << len(cells)
-            head: tuple = ("exhaustive", cells)
+            total = 1 << bits
+            head: tuple = ("exhaustive", basic_cells(program, universe))
         else:
             total = plan.samples
-            head = ("sampled", cells, plan.seed)
+            head = ("sampled", basic_cells(program, universe), plan.seed)
         workers = worker_count()
         workers = 1 if total < 64 else min(workers, total)
         bounds = [total * k // workers for k in range(workers + 1)]
@@ -479,53 +451,109 @@ def _sweep(
     return results
 
 
+def _programs(
+    program: AxiomProgram,
+    planned: set[str],
+    transformed: Optional[AxiomProgram] = None,
+    strata: Iterable[int] = (),
+    mutation: Optional[str] = None,
+) -> tuple[dict, dict, Optional[CheckResult]]:
+    """The programs the ``planned`` checks read, keyed by role; the stage
+    family of each of ``strata``, keyed by index; and the polarity result of
+    the transform, or None when no transform is given or read.
+
+    ``transformed`` stands in for the transform of ``program``.  The merged
+    form is built only when the polarity lint passes, since merging needs a
+    lint-clean program."""
+    if transformed is None and planned & {"polarity", "equivalence", "aux"}:
+        transformed, _ = eliminate_negative_occurrences(program)
+    polarity = None
+    if transformed is not None:
+        notes = tuple(
+            f"negative derived occurrence at {ref.to_json()}" for ref in lint_polarity(transformed)
+        )
+        polarity = CheckResult("polarity", 0, len(notes), None, notes)
+    programs: dict = {}
+    if planned & {"theorem1", "theorem2", "equivalence", "order"}:
+        programs["original"] = program
+    families = {}
+    if planned & {"theorem1", "theorem2"}:
+        for index in strata:
+            family = families[index] = generate_stage_axioms(program, index, mutation=mutation)
+            programs[("family", index)] = AxiomProgram(
+                list(program.signature.values()) + list(family.predicates),
+                program.universe_hint,
+                program.strata[:index] + (family.axioms,),
+            )
+    if planned & {"equivalence", "aux"}:
+        programs["transformed"] = transformed
+    if "equivalence" in planned and polarity.passed:
+        programs["merged"] = merge_to_single_stratum(transformed)
+    if "aux" in planned:
+        programs["optimized"], _ = eliminate_negative_occurrences(program, optimize_aux=True)
+    return programs, families, polarity
+
+
+def _checks(
+    program: AxiomProgram,
+    planned: Sequence[str],
+    programs: dict,
+    families: dict,
+    *,
+    size: Optional[int] = None,
+    label: Optional[str] = None,
+    orders: int = 8,
+) -> list[tuple]:
+    """The sweep's check tuples for the ``planned`` names, in order: one per
+    stage family for theorem1 and theorem2, none for polarity.  Labels name
+    the universe ``size`` when one is given; ``label`` replaces them."""
+    tags = () if size is None else (f"n={size}",)
+
+    def name(check: str, *more: str) -> str:
+        parts = tags + more
+        return label or (f"{check}[{','.join(parts)}]" if parts else check)
+
+    checks = []
+    for check in planned:
+        if check in ("theorem1", "theorem2"):
+            compare = _theorem1 if check == "theorem1" else _theorem2
+            for index, family in families.items():
+                members = tuple(program.predicate(m) for m in family.members)
+                args = (index, members, dict(family.names))
+                checks.append((check, name(check, f"stratum={index}"), compare, args))
+        elif check == "equivalence":
+            roles = tuple(r for r in ("original", "transformed", "merged") if r in programs)
+            derived = frozenset(p.name for p in program.derived_predicates)
+            checks.append((check, name(check), _equivalence, (roles, derived)))
+        elif check == "aux":
+            shared = set(programs["transformed"].signature) & set(programs["optimized"].signature)
+            checks.append((check, name(check), _aux, (frozenset(shared),)))
+        elif check == "order":
+            checks.append((check, name(check), _order, (tuple(range(orders)),)))
+    return checks
+
+
 # ---------------------------------------------------------------------------
-# Public checks.  Each ``verify_*`` function sweeps one check, built by the
-# same ``_*_check`` helper that ``run_checks`` uses.
+# Public checks.  Each ``verify_*`` function is a one-check form of the
+# ``run_checks`` pass: the same builders, swept alone over one universe.
 
-def _family_program(
-    program: AxiomProgram, stratum_index: int, family
-) -> AxiomProgram:
-    predicates = list(program.signature.values()) + list(family.predicates)
-    strata = program.strata[:stratum_index] + (family.axioms,)
-    return AxiomProgram(predicates, program.universe_hint, strata)
-
-
-def _theorem_check(check: str, label: str, program: AxiomProgram, stratum_index: int, family):
-    """theorem1 or theorem2 on one stratum."""
-    members = tuple(program.predicate(m) for m in family.members)
-    if check == "theorem1":
-        return (check, label, _theorem1_comparator, (stratum_index, members, dict(family.names)))
-    nleq_names = tuple(family.names[("nleq", k, k)] for k in range(1, len(members) + 1))
-    return (check, label, _theorem2_comparator, (stratum_index, members, nleq_names))
-
-
-def _equivalence_check(label: str, original: AxiomProgram, include_merged: bool) -> tuple:
-    roles = ("original", "transformed") + (("merged",) if include_merged else ())
-    derived_names = tuple(p.name for p in original.derived_predicates)
-    return ("equivalence", label, _equivalence_comparator, (roles, derived_names))
-
-
-def _aux_check(label: str, plain: AxiomProgram, optimized: AxiomProgram) -> tuple:
-    shared = tuple(sorted(set(plain.signature) & set(optimized.signature)))
-    return ("aux", label, _aux_comparator, (shared,))
-
-
-def _order_check(label: str, orders: int) -> tuple:
-    return ("order", label, _order_comparator, (tuple(range(orders)),))
-
-
-def _verify_theorem(check, program, stratum_index, universe, plan, states, mutation, label):
-    family = generate_stage_axioms(program, stratum_index, mutation=mutation)
-    label = label or f"{check}[stratum={stratum_index}]"
-    programs = {
-        "original": program,
-        ("family", stratum_index): _family_program(program, stratum_index, family),
-    }
-    return _sweep(
-        [_theorem_check(check, label, program, stratum_index, family)],
-        programs, program, universe, plan, states,
-    )[0]
+def _verify_one(
+    check: str,
+    program: AxiomProgram,
+    universe: Universe,
+    plan: Optional[VerificationPlan],
+    states: Optional[Iterable[frozenset[GroundAtom]]],
+    label: Optional[str],
+    *,
+    transformed: Optional[AxiomProgram] = None,
+    strata: Iterable[int] = (),
+    mutation: Optional[str] = None,
+    orders: int = 8,
+) -> CheckResult:
+    programs, families, _ = _programs(program, {check}, transformed, strata, mutation)
+    checks = _checks(program, (check,), programs, families, label=label, orders=orders)
+    with closing(_Pool()) as pool:
+        return _sweep(checks, programs, program, universe, plan, states, pool)[0]
 
 
 def verify_theorem1(
@@ -539,8 +567,9 @@ def verify_theorem1(
     label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: stage relations by axioms == stage relations by oracle."""
-    return _verify_theorem(
-        "theorem1", program, stratum_index, universe, plan, states, mutation, label
+    return _verify_one(
+        "theorem1", program, universe, plan, states, label,
+        strata=(stratum_index,), mutation=mutation,
     )
 
 
@@ -554,8 +583,8 @@ def verify_theorem2(
     label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: P_i(a) holds in the stratum's fixpoint iff nleq_ii(a,a) fails."""
-    return _verify_theorem(
-        "theorem2", program, stratum_index, universe, plan, states, None, label
+    return _verify_one(
+        "theorem2", program, universe, plan, states, label, strata=(stratum_index,)
     )
 
 
@@ -565,20 +594,14 @@ def verify_equivalence(
     plan: Optional[VerificationPlan] = None,
     *,
     transformed: Optional[AxiomProgram] = None,
-    include_merged: bool = True,
     states: Optional[Iterable[frozenset[GroundAtom]]] = None,
     label: Optional[str] = None,
 ) -> CheckResult:
-    """Sweep: the transformation preserves every original derived atom."""
-    if transformed is None:
-        transformed, _ = eliminate_negative_occurrences(original)
-    programs = {"original": original, "transformed": transformed}
-    if include_merged:
-        programs["merged"] = merge_to_single_stratum(transformed)
-    return _sweep(
-        [_equivalence_check(label or "equivalence", original, include_merged)],
-        programs, original, universe, plan, states,
-    )[0]
+    """Sweep: the transformation preserves every original derived atom; the
+    merged form joins in when the transform passes the polarity lint."""
+    return _verify_one(
+        "equivalence", original, universe, plan, states, label, transformed=transformed
+    )
 
 
 def verify_aux(
@@ -590,12 +613,7 @@ def verify_aux(
     label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: the aux rewrite leaves every shared predicate's extension alone."""
-    plain, _ = eliminate_negative_occurrences(program, optimize_aux=False)
-    optimized, _ = eliminate_negative_occurrences(program, optimize_aux=True)
-    return _sweep(
-        [_aux_check(label or "aux", plain, optimized)],
-        {"transformed": plain, "optimized": optimized}, program, universe, plan, states,
-    )[0]
+    return _verify_one("aux", program, universe, plan, states, label)
 
 
 def verify_order_independence(
@@ -608,10 +626,7 @@ def verify_order_independence(
     label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: chaotic evaluation agrees with the staged fixpoint."""
-    return _sweep(
-        [_order_check(label or "order", orders)], {"original": program}, program, universe,
-        plan, states,
-    )[0]
+    return _verify_one("order", program, universe, plan, states, label, orders=orders)
 
 
 def lint_polarity(program: AxiomProgram) -> list:
@@ -620,22 +635,10 @@ def lint_polarity(program: AxiomProgram) -> list:
     return negative_occurrences(program, derived)
 
 
-def _polarity_of(transformed: AxiomProgram) -> CheckResult:
-    """One failure and one note for each negative derived occurrence in
-    ``transformed``.  Building an ``AxiomProgram`` checks stratification, and
-    merging a program with no such occurrence keeps it stratified, so this
-    lint is the whole check."""
-    notes = tuple(
-        f"negative derived occurrence at {ref.to_json()}" for ref in lint_polarity(transformed)
-    )
-    return CheckResult("polarity", 0, len(notes), None, notes)
-
-
 def check_polarity(program: AxiomProgram) -> CheckResult:
     """Static check: transform, then lint the result for negative derived
-    occurrences."""
-    transformed, _ = eliminate_negative_occurrences(program)
-    return _polarity_of(transformed)
+    occurrences, one failure and one note for each."""
+    return _programs(program, {"polarity"})[2]
 
 
 def run_checks(
@@ -655,52 +658,20 @@ def run_checks(
     the first size.  Each size is then one sweep of every planned check, and
     the sweeps share one process pool."""
     plan = plan or VerificationPlan()
-    if transformed is None:
-        transformed, _ = eliminate_negative_occurrences(program)
-    else:
+    if transformed is not None:
         unsupported = set(plan.checks) - set(TRANSFORMED_CHECKS)
         if unsupported:
             raise VerifyError(
                 f"--transformed only supports checks {','.join(TRANSFORMED_CHECKS)}; got "
                 + ",".join(sorted(unsupported))
             )
-    polarity = _polarity_of(transformed)
+    nonempty = [index for index, stratum in enumerate(program.strata) if stratum]
+    programs, families, polarity = _programs(program, set(plan.checks), transformed, nonempty)
     results = [polarity] if "polarity" in plan.checks else []
-    planned = set(plan.checks)
-    programs: dict = {}
-    if planned & {"theorem1", "theorem2", "equivalence", "order"}:
-        programs["original"] = program
-    families = {}
-    if planned & {"theorem1", "theorem2"}:
-        for index, stratum in enumerate(program.strata):
-            if stratum:
-                families[index] = generate_stage_axioms(program, index)
-                programs[("family", index)] = _family_program(program, index, families[index])
-    if planned & {"equivalence", "aux"}:
-        programs["transformed"] = transformed
-    if "equivalence" in planned and polarity.passed:
-        programs["merged"] = merge_to_single_stratum(transformed)
-    if "aux" in planned:
-        programs["optimized"], _ = eliminate_negative_occurrences(program, optimize_aux=True)
     with closing(_Pool()) as pool:
         for size in plan.universe_sizes:
             universe = universe_for(program, size)
-            checks = []
-            for check in plan.checks:
-                label = f"{check}[n={size}]"
-                if check in ("theorem1", "theorem2"):
-                    checks.extend(
-                        _theorem_check(
-                            check, f"{check}[n={size},stratum={index}]", program, index, family
-                        )
-                        for index, family in families.items()
-                    )
-                elif check == "equivalence":
-                    checks.append(_equivalence_check(label, program, "merged" in programs))
-                elif check == "aux":
-                    checks.append(_aux_check(label, transformed, programs["optimized"]))
-                elif check == "order":
-                    checks.append(_order_check(label, 8))
+            checks = _checks(program, plan.checks, programs, families, size=size)
             if checks:
                 results.extend(_sweep(checks, programs, program, universe, plan, None, pool))
     return VerificationResult(tuple(results))

@@ -389,6 +389,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "verify", str(prog), "--transformed", str(prog), "--checks", "theorem1")
         assert code == 2
 
+    def test_non_ascii_digit_arity_exit_2(self, capsys, tmp_path):
+        prog = tmp_path / "p.axp"
+        prog.write_text("(program (objects a) (basic (E \u00b2)) (derived))", encoding="utf-8")
+        code, _, err = run(capsys, "parse", str(prog))
+        assert code == 2
+        assert "arity must be a nonnegative integer" in err
+
     @staticmethod
     def negation_chain(tmp_path, depth):
         """A program whose lists nest ``depth`` deep: (program (stratum

@@ -133,13 +133,6 @@ class TestStages:
         assert not final.holds("acyclic", ())
         assert not final.holds("path", ("a", "c"))
 
-    def test_upto_prefix(self, path_program, path_state):
-        engine = Engine(path_program, U3)
-        only_first = engine.run(path_state.true_atoms, upto=1)
-        assert ("path", ("a", "c")) in only_first
-        assert all(name != "acyclic" for name, _ in only_first)
-        assert engine.run(path_state.true_atoms, upto=0) == path_state.true_atoms
-
     def test_check_basic_state_guards(self, path_program):
         engine = Engine(path_program, U3)
         wrong_universe = basic_state(Universe(("a", "b")), set())

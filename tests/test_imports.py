@@ -1,16 +1,22 @@
 """Code hygiene: every name a module imports with ``from ... import`` is used,
-and every function reads each of its parameters.
+every function reads each of its parameters, every module-level private name
+is referenced in its module, and every name the benchmark traces exists.
 
 ``__init__.py`` is skipped by the import check because its imports are the
 package's re-exports.
 """
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
 
-ALL_SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "axf").glob("*.py"))
+import axf.cli  # every module the benchmark traces, ``axf.cli`` included
+
+ROOT = Path(__file__).resolve().parent.parent
+ALL_SOURCES = sorted((ROOT / "src" / "axf").glob("*.py"))
 SOURCES = [p for p in ALL_SOURCES if p.name != "__init__.py"]
 
 # Methods that take a parameter only to fit a protocol that other
@@ -91,3 +97,83 @@ def test_detects_an_unread_parameter():
     assert unread_parameters(source) == [
         "C.m: unused", "C.m: key", "f: extra", "f.g: y"
     ]
+
+
+def unreferenced_private_names(source: str) -> list[str]:
+    """Every module-level ``_name`` function, class or constant that the
+    module never reads."""
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = [
+                t.id
+                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                if isinstance(t, ast.Name)
+            ]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    read = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return [f"line {line}: {name}" for name, line in defined.items() if name not in read]
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_every_private_name_is_referenced(path):
+    assert unreferenced_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_detects_an_unreferenced_private_name():
+    source = (
+        "_LIMIT = 3\n"
+        "_SPARE: int = 4\n"
+        "def _helper():\n"
+        "    return _LIMIT\n"
+        "def _dead():\n"
+        "    return 0\n"
+        "class _Old:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _helper()\n"
+    )
+    assert unreferenced_private_names(source) == [
+        "line 2: _SPARE", "line 5: _dead", "line 7: _Old"
+    ]
+
+
+def axf_bindings() -> dict:
+    """Every value bound in an ``axf`` module, or in a class it defines."""
+    out = {}
+    for name, module in list(sys.modules.items()):
+        if name == "axf" or name.startswith("axf."):
+            for attr, value in vars(module).items():
+                out[(name, attr)] = value
+                if isinstance(value, type) and value.__module__ == name:
+                    out.update(((name, attr, k), v) for k, v in vars(value).items())
+    return out
+
+
+def test_benchmark_traced_names_resolve(monkeypatch):
+    """``bench/tracing.py`` wraps its entry points by name; a rename in
+    ``axf`` must fail here, not only in traced benchmark runs."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    tracing = importlib.import_module("tracing")
+    before = axf_bindings()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for module, owner, attr in tracing.ENTRY_POINTS:
+            home = sys.modules[f"axf.{module}"]
+            target = home if owner is None else getattr(home, owner)
+            assert hasattr(getattr(target, attr), "__wrapped__"), (module, owner, attr)
+    finally:
+        tracer.uninstall()
+    after = axf_bindings()
+    assert after.keys() == before.keys()
+    assert [key for key, value in before.items() if after[key] is not value] == []

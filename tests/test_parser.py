@@ -175,6 +175,13 @@ class TestDiagnostics:
             )
         assert any("negatively" in m for m in diag_messages(info.value))
 
+    def test_non_ascii_digit_arity_rejected(self):
+        with pytest.raises(ParseError) as info:
+            parse_program("(program (objects a) (basic (E \u00b2)) (derived))")
+        assert [(d.code, d.message) for d in info.value.diagnostics] == [
+            ("bad-declaration", "arity must be a nonnegative integer")
+        ]
+
     def test_sections_must_be_in_order(self):
         with pytest.raises(ParseError):
             parse_program("(program (basic (B 1)) (objects a) (derived))")

@@ -255,6 +255,19 @@ class TestBudgets:
             verify_theorem1(prog, 0, u3)
         assert "sampled" in str(info.value)
 
+    def test_refused_before_building_cells(self, monkeypatch):
+        from axf import parse_program
+
+        # 2^40 cells: building them before the budget check would not finish
+        monkeypatch.setattr(axf.verifier, "basic_cells", lambda *args: pytest.fail("cells built"))
+        prog = parse_program("(program (objects a b) (basic (E 40)) (derived))")
+        with pytest.raises(BudgetError) as info:
+            verify_order_independence(prog, U2)
+        assert str(info.value) == (
+            "2^1099511627776 basic states exceed the exhaustive budget of 2^24; "
+            "use sampled mode"
+        )
+
     def test_sampled_mode_allowed_over_budget(self):
         from axf import parse_program
 
@@ -334,6 +347,16 @@ class TestOnePass:
         result = run_checks(pool_programs[0], SAMPLED_2_3)
         assert all(c.states_checked == 64 for c in result.checks[1:])
         assert pool_starts == [2]
+
+    def test_equivalence_skips_merge_after_failed_lint(self, path_program):
+        """A transform that fails the polarity lint cannot be merged; both
+        forms then compare the original with it alone."""
+        plan = VerificationPlan(universe_sizes=(2,), checks=("equivalence",))
+        (passed,) = run_checks(path_program, plan, transformed=path_program).checks
+        single = verify_equivalence(
+            path_program, U2, transformed=path_program, label="equivalence[n=2]"
+        )
+        assert single.to_json() == passed.to_json()
 
     @pytest.mark.parametrize("corrupt", [False, True], ids=["all-checks", "corrupt-transform"])
     def test_pass_equals_single_checks(self, pool_programs, monkeypatch, corrupt):
