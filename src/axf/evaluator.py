@@ -21,8 +21,11 @@ lie in 1..f and an underivable atom has implicit stage f+1.  With nothing
 derivable at all, f = 0 and every atom of the stratum sits at stage 1 = f+1.
 
 Formulas are compiled once into nested closures (short-circuiting And/Or,
-early-exit quantifier loops); Engine keeps the compiled program around so
-sweeps over many basic states pay compilation once.
+early-exit quantifier loops).  Every variable is resolved to a slot of the
+evaluation environment at compile time: head variables take the first
+slots, and each quantifier gives its variables fresh slots for its scope, so
+a rebound name is sound.  Engine keeps the compiled program around so sweeps
+over many basic states pay compilation once.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .logic import (
     Predicate,
     Top,
     Var,
-    free_vars,
     iter_atoms,
 )
 
@@ -138,40 +140,26 @@ class StageRelations:
 _Compiled = Callable[[dict, frozenset], bool]
 
 
-def check_no_shadowing(formula: Formula, bound: frozenset[str] | None = None) -> None:
-    """Reject formulas where a quantifier rebinds an enclosing bound name
-    or a free variable of the formula.
-
-    Compiled evaluation shares one mutable environment, which is only sound
-    when no variable is shadowed; the parser and the transformer keep bound
-    names apart, but hand-built formulas must be checked."""
-    if bound is None:
-        bound = frozenset(free_vars(formula))
-    if isinstance(formula, (Exists, Forall)):
-        clash = bound.intersection(formula.vars)
-        if clash:
-            raise EvalError(
-                "cannot evaluate a formula that shadows bound variables: "
-                + ", ".join(sorted(clash))
-            )
-        bound = bound | frozenset(formula.vars)
-    for sub in formula.children():
-        check_no_shadowing(sub, bound)
-
-
-def compile_formula(formula: Formula, objects: Sequence[str]) -> _Compiled:
+def compile_formula(
+    formula: Formula, objects: Sequence[str], slots: Mapping[str, int]
+) -> _Compiled:
     """Compile a formula to ``fn(env, atoms) -> bool``.
 
-    ``env`` maps variable names to object names and may be mutated by
-    quantifier loops; because the AST never shadows a bound variable, a
-    binding is always written before any atom below reads it.
+    Each variable is resolved to a slot at compile time: ``slots`` maps the
+    names in scope to their slots, and ``env`` maps slots to object names.
+    A quantifier gives its variables the slots after every slot in scope and
+    writes them as it loops, so a rebound name never overwrites the slot an
+    enclosing binding still reads.
     """
     if isinstance(formula, Atom):
         pred = formula.pred
         if not formula.args:
             key = (pred, ())
             return lambda env, atoms: key in atoms
-        parts = tuple((isinstance(t, Var), t.name) for t in formula.args)
+        parts = tuple(
+            (True, slots[t.name]) if isinstance(t, Var) else (False, t.name)
+            for t in formula.args
+        )
         if all(not isv for isv, _ in parts):
             key = (pred, tuple(n for _, n in parts))
             return lambda env, atoms: key in atoms
@@ -185,10 +173,10 @@ def compile_formula(formula: Formula, objects: Sequence[str]) -> _Compiled:
     if isinstance(formula, Bottom):
         return lambda env, atoms: False
     if isinstance(formula, Not):
-        sub = compile_formula(formula.sub, objects)
+        sub = compile_formula(formula.sub, objects, slots)
         return lambda env, atoms: not sub(env, atoms)
     if isinstance(formula, (And, Or)):
-        subs = tuple(compile_formula(s, objects) for s in formula.subs)
+        subs = tuple(compile_formula(s, objects, slots) for s in formula.subs)
         if isinstance(formula, And):
             if len(subs) == 2:
                 s0, s1 = subs
@@ -209,19 +197,21 @@ def compile_formula(formula: Formula, objects: Sequence[str]) -> _Compiled:
             )
         return lambda env, atoms: any(s(env, atoms) for s in subs)
     if isinstance(formula, (Exists, Forall)):
-        fn = compile_formula(formula.sub, objects)
+        first = max(slots.values(), default=-1) + 1
+        scope = {**slots, **{var: first + n for n, var in enumerate(formula.vars)}}
+        fn = compile_formula(formula.sub, objects, scope)
         objs = tuple(objects)
         want = isinstance(formula, Exists)
         for var in reversed(formula.vars):
-            fn = _quantifier_loop(var, fn, objs, want)
+            fn = _quantifier_loop(scope[var], fn, objs, want)
         return fn
     raise LogicError(f"unknown formula node {type(formula).__name__}")
 
 
-def _quantifier_loop(var: str, fn: _Compiled, objs: tuple[str, ...], want: bool) -> _Compiled:
+def _quantifier_loop(slot: int, fn: _Compiled, objs: tuple[str, ...], want: bool) -> _Compiled:
     def ev(env: dict, atoms: frozenset) -> bool:
         for o in objs:
-            env[var] = o
+            env[slot] = o
             if fn(env, atoms) == want:
                 return want
         return not want
@@ -232,7 +222,7 @@ def _quantifier_loop(var: str, fn: _Compiled, objs: tuple[str, ...], want: bool)
 # ---------------------------------------------------------------------------
 # Extension engine
 
-_CompiledAxiom = tuple[str, tuple[str, ...], _Compiled]
+_CompiledAxiom = tuple[str, int, _Compiled]
 
 
 class Engine:
@@ -243,9 +233,8 @@ class Engine:
         self.universe = universe
         objects = universe.objects
         obj_set = set(objects)
-        for si, stratum in enumerate(program.strata):
+        for stratum in program.strata:
             for axiom in stratum:
-                check_no_shadowing(axiom.body)
                 for _, atom, _ in iter_atoms(axiom.body):
                     for term in atom.args:
                         if isinstance(term, Const) and term.name not in obj_set:
@@ -254,7 +243,11 @@ class Engine:
                             )
         self.compiled: list[list[_CompiledAxiom]] = [
             [
-                (ax.head_pred, ax.head_vars, compile_formula(ax.body, objects))
+                (
+                    ax.head_pred,
+                    len(ax.head_vars),
+                    compile_formula(ax.body, objects, {v: n for n, v in enumerate(ax.head_vars)}),
+                )
                 for ax in stratum
             ]
             for stratum in program.strata
@@ -318,7 +311,7 @@ class Engine:
         axiom's head instances, and every body reads the live set."""
         stage: dict[GroundAtom, int] = {}
         rounds = 0
-        env: dict[str, str] = {}
+        env: dict[int, str] = {}
         while True:
             if rng is None:
                 order, reads = compiled, frozenset(atoms)
@@ -326,8 +319,8 @@ class Engine:
                 order, reads = list(compiled), atoms
                 rng.shuffle(order)
             added: list[GroundAtom] = []
-            for head, head_vars, body in order:
-                combos = self.combos(len(head_vars))
+            for head, arity, body in order:
+                combos = self.combos(arity)
                 if rng is not None:
                     combos = list(combos)
                     rng.shuffle(combos)
@@ -335,8 +328,7 @@ class Engine:
                     key = (head, combo)
                     if key in atoms:
                         continue
-                    for v, o in zip(head_vars, combo):
-                        env[v] = o
+                    env.update(enumerate(combo))
                     if body(env, reads):
                         added.append(key)
                         atoms.add(key)

@@ -301,27 +301,6 @@ def formula_at(formula: Formula, path: Iterable[int]) -> Formula:
     return node
 
 
-def polarity_of(body: Formula, path: Iterable[int]) -> Polarity:
-    """Polarity of the atom at ``path`` in ``body``.
-
-    Only Not nodes flip polarity; implication is desugared before it ever
-    reaches this representation.
-    """
-    path = tuple(path)
-    node = body
-    negations = 0
-    for step in path:
-        if isinstance(node, Not):
-            negations += 1
-        subs = node.children()
-        if not 0 <= step < len(subs):
-            raise LogicError(f"invalid occurrence path {path!r}")
-        node = subs[step]
-    if not isinstance(node, Atom):
-        raise LogicError(f"path {path!r} does not lead to an atom")
-    return NEGATIVE if negations % 2 else POSITIVE
-
-
 def substitute(formula: Formula, binding: Mapping[str, Term]) -> Formula:
     """Replace free variables per ``binding``; bound variables are untouched.
 

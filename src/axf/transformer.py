@@ -590,16 +590,13 @@ def _replace_negative(
 
 
 def eliminate_negative_occurrences(
-    program: AxiomProgram,
-    *,
-    optimize_aux: bool = False,
-    mutation: Optional[str] = None,
+    program: AxiomProgram, *, optimize_aux: bool = False
 ) -> tuple[AxiomProgram, TransformReport]:
     """Rewrite a program so no derived predicate occurs negatively.
 
     Worklist over strata: while some derived predicate occurs negatively,
     take the earliest stratum defining such a predicate, generate its stage
-    relation family once (from the stratum's original axioms), insert the
+    relation family once (from the stratum's original axioms), place the
     family right after that stratum, and rewrite every negative occurrence
     of its members into a double negation of the member's own nleq
     predicate.  Families themselves may carry negative occurrences of
@@ -608,45 +605,43 @@ def eliminate_negative_occurrences(
     the chosen stratum's members, so the loop ends after at most one family
     plus a handful of rewrite passes per stratum.
 
+    Stratum keys fix the layout: original stratum i is keyed (i, 0) and its
+    family (i, 1), so the sorted keys are the current stratum order.  The
+    replacements keep their stratum's key, and stratum indices are assigned
+    once, at the end, from the sorted keys.
+
     A negative occurrence of a derived predicate that no stratum defines is
     replaced by false, which is what the predicate evaluates to.
     """
     metrics_before = compute_metrics(program)
-    working: list[list[Axiom]] = [list(s) for s in program.strata]
-    origin: list[Optional[int]] = list(range(len(working)))
+    working = {(i, 0): list(s) for i, s in enumerate(program.strata)}
     signature = dict(program.signature)
-    family_by_origin: dict[int, StagePredicateFamily] = {}
-    family_records: list[list] = []  # [family, origin, position]
-    replacement_records: list[list] = []  # [pred, stratum, axiom, path, repl, kind]
-    round_counter = 1
+    families: dict[int, StagePredicateFamily] = {}  # by origin, in generation order
+    replacements: list[tuple] = []  # (pred, key, axiom, path, replacement, kind)
     iterations = 0
     budget = (len(working) + 2) * (len(working) + 2) + 4
 
     def apply_targets(targets: Mapping[str, Optional[str]], kind: str) -> None:
-        for si, stratum in enumerate(working):
+        for key in sorted(working):
+            stratum = working[key]
             for ai, ax in enumerate(stratum):
                 new_body, hits = _replace_negative(ax.body, targets)
                 if hits:
                     stratum[ai] = Axiom(ax.head_pred, ax.head_vars, new_body, span=ax.span)
                     for path, pred in hits:
-                        replacement_records.append(
-                            [pred, si, ai, path, targets[pred], kind]
-                        )
+                        replacements.append((pred, key, ai, path, targets[pred], kind))
 
     while True:
         if iterations > budget:
             raise TransformError(
                 "internal error: negative-occurrence elimination did not settle"
             )
-        affected_at: list[set[str]] = [
-            set(affected_predicates(s)) for s in working
-        ]
-        defined_at: dict[str, int] = {}
-        for si, preds in enumerate(affected_at):
-            for p in preds:
-                defined_at.setdefault(p, si)
+        defined_at: dict[str, tuple[int, int]] = {}
+        for key in sorted(working):
+            for p in affected_predicates(working[key]):
+                defined_at.setdefault(p, key)
         negative_preds: set[str] = set()
-        for stratum in working:
+        for stratum in working.values():
             for ax in stratum:
                 for _, atom, pol in iter_atoms(ax.body):
                     if pol == NEGATIVE and signature[atom.pred].kind == "derived":
@@ -658,58 +653,46 @@ def eliminate_negative_occurrences(
         if unaffected:
             apply_targets({p: None for p in unaffected}, "unaffected-false")
             continue
-        target = min(defined_at[p] for p in negative_preds)
-        o = origin[target]
-        if o is None:
+        o, generated = min(defined_at[p] for p in negative_preds)
+        if generated:
             raise TransformError(
                 "internal error: generated stage predicate occurs negatively"
             )
-        family = family_by_origin.get(o)
+        family = families.get(o)
         if family is None:
-            family = generate_stage_axioms(
+            family = families[o] = generate_stage_axioms(
                 program,
                 o,
-                round_index=round_counter,
+                round_index=1 + max((f.round_index for f in families.values()), default=0),
                 optimize_aux=optimize_aux,
-                mutation=mutation,
                 avoid_names=frozenset(signature),
             )
-            round_counter = family.round_index + 1
-            family_by_origin[o] = family
-            position = target + 1
-            working.insert(position, list(family.axioms))
-            origin.insert(position, None)
-            for rec in replacement_records:
-                if rec[1] >= position:
-                    rec[1] += 1
-            for rec in family_records:
-                if rec[2] >= position:
-                    rec[2] += 1
-            family_records.append([family, o, position])
+            working[(o, 1)] = list(family.axioms)
             for pred in family.predicates:
                 signature[pred.name] = pred
-        members = family.members
         targets = {
             member: family.names[("nleq", k + 1, k + 1)]
-            for k, member in enumerate(members)
+            for k, member in enumerate(family.members)
             if member in negative_preds
         }
         apply_targets(targets, "stage")
 
+    layout = sorted(working)
+    index = {key: n for n, key in enumerate(layout)}
     result = AxiomProgram(
         signature.values(),
         program.universe_hint,
-        tuple(tuple(s) for s in working),
+        tuple(tuple(working[key]) for key in layout),
     )
     report = TransformReport(
         algorithm="iterated-worklist",
         iterations=iterations,
         replacements=tuple(
-            Replacement(p, si, ai, tuple(path), repl, kind)
-            for p, si, ai, path, repl, kind in replacement_records
+            Replacement(p, index[key], ai, path, repl, kind)
+            for p, key, ai, path, repl, kind in replacements
         ),
         families=tuple(
-            FamilyRecord(fam, orig, pos) for fam, orig, pos in family_records
+            FamilyRecord(family, o, index[(o, 1)]) for o, family in families.items()
         ),
         metrics_before=metrics_before,
         metrics_after=compute_metrics(result),

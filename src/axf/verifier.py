@@ -76,10 +76,11 @@ class VerifyError(LogicError):
 
 
 class BudgetError(VerifyError):
-    """An exhaustive sweep would exceed the state budget."""
+    """A sweep would exceed the state or cell budget."""
 
 
 _MAX_EXHAUSTIVE_BITS = 24
+_MAX_SAMPLED_CELLS = 1 << 16
 _ALL_CHECKS = ("polarity", "theorem1", "theorem2", "equivalence", "aux", "order")
 # The checks that apply to a transformed program built elsewhere; the others
 # need the transformer's own stage families.
@@ -423,8 +424,8 @@ def _sweep(
     if states is not None:
         specs = [("explicit", tuple(frozenset(s) for s in states))]
     else:
+        bits = sum(len(universe.objects) ** p.arity for p in program.basic_predicates)
         if plan.mode == "exhaustive":
-            bits = sum(len(universe.objects) ** p.arity for p in program.basic_predicates)
             if bits > _MAX_EXHAUSTIVE_BITS:
                 raise BudgetError(
                     f"2^{bits} basic states exceed the exhaustive budget of "
@@ -433,6 +434,11 @@ def _sweep(
             total = 1 << bits
             head: tuple = ("exhaustive", basic_cells(program, universe))
         else:
+            if bits > _MAX_SAMPLED_CELLS:
+                raise BudgetError(
+                    f"{bits} basic cells exceed the sampled budget of "
+                    f"{_MAX_SAMPLED_CELLS} cells; use a smaller universe"
+                )
             total = plan.samples
             head = ("sampled", basic_cells(program, universe), plan.seed)
         workers = worker_count()

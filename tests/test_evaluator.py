@@ -96,10 +96,37 @@ class TestEvalFormula:
         with pytest.raises(EvalError):
             self.holds(Atom("E", (Const("zz"), Const("a"))), objects=U3.objects + ("zz",))
 
-    def test_shadowing_rejected(self):
-        f = Exists(("x",), Exists(("x",), Atom("E", (Var("x"), Var("x")))))
-        with pytest.raises(EvalError):
-            self.holds(f)
+    def test_rebound_names_match_reference(self):
+        """A quantifier that rebinds ``x`` under an outer ``x`` binds its own
+        variable, and the outer ``x`` reads its own binding again once the
+        inner quantifier has run."""
+        x, y = Var("x"), Var("y")
+
+        def E(s, t):
+            return Atom("E", (s, t))
+
+        loop = Exists(("x",), E(x, x))
+        bodies = [
+            ((), Exists(("x",), loop)),
+            (("x",), And((loop, E(x, Const("b"))))),
+            (("x",), Exists(("x",), And((E(x, x), Forall(("x",), E(x, x)))))),
+            (("x",), Forall(("y",), Or((Not(E(x, y)), Exists(("x",), E(y, x)), E(x, x))))),
+            (
+                ("x", "y"),
+                Exists(("y",), And((E(x, y), Exists(("x", "y"), E(y, x)), E(y, x)))),
+            ),
+        ]
+        cells = [("E", pair) for pair in product(U3.objects, repeat=2)]
+        for head_vars, body in bodies:
+            program = AxiomProgram(
+                [Predicate("E", 2, "basic"), Predicate("Q", len(head_vars), "derived")],
+                U3.objects,
+                [[Axiom("Q", head_vars, body)]],
+            )
+            engine = Engine(program, U3)
+            for mask in range(0, 1 << len(cells), 7):
+                atoms = frozenset(c for k, c in enumerate(cells) if mask >> k & 1)
+                assert engine.run(atoms) == reference_extend(program, U3.objects, atoms)
 
 
 class TestStages:

@@ -1,6 +1,7 @@
 """Code hygiene: every name a module imports with ``from ... import`` is used,
 every function reads each of its parameters, every module-level private name
-is referenced in its module, and every name the benchmark traces exists.
+is referenced in its module, every public one is exported or read by another
+definition, and every name the benchmark traces exists.
 
 ``__init__.py`` is skipped by the import check because its imports are the
 package's re-exports.
@@ -99,23 +100,23 @@ def test_detects_an_unread_parameter():
     ]
 
 
+def defined_names(stmt: ast.stmt) -> list[str]:
+    """The function, class or constant names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def unreferenced_private_names(source: str) -> list[str]:
     """Every module-level ``_name`` function, class or constant that the
     module never reads."""
     tree = ast.parse(source)
     defined: dict[str, int] = {}
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            targets = [node.name]
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = [
-                t.id
-                for t in (node.targets if isinstance(node, ast.Assign) else [node.target])
-                if isinstance(t, ast.Name)
-            ]
-        else:
-            continue
-        for name in targets:
+        for name in defined_names(node):
             if name.startswith("_") and not name.startswith("__"):
                 defined.setdefault(name, node.lineno)
     read = {
@@ -145,6 +146,58 @@ def test_detects_an_unreferenced_private_name():
     assert unreferenced_private_names(source) == [
         "line 2: _SPARE", "line 5: _dead", "line 7: _Old"
     ]
+
+
+def unneeded_public_names(sources: dict[str, str]) -> list[str]:
+    """Every public module-level function, class or constant that neither
+    ``__init__`` exports nor any module reads outside its own definition.
+
+    ``sources`` maps module names to their text; a ``from ... import`` in
+    another module counts as a read, since the import check above requires
+    that it be used."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    read: dict[str, set[tuple[str, int]]] = {}
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.setdefault(node.id, set()).add((module, stmt.lineno))
+                elif isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        read.setdefault(alias.name, set()).add((module, stmt.lineno))
+    found = []
+    for module, tree in trees.items():
+        if module in ("__init__", "__main__"):
+            continue
+        for stmt in tree.body:
+            for name in defined_names(stmt):
+                elsewhere = read.get(name, set()) - {(module, stmt.lineno)}
+                if not name.startswith("_") and not elsewhere:
+                    found.append(f"{module} line {stmt.lineno}: {name}")
+    return found
+
+
+def test_every_public_name_is_needed():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in ALL_SOURCES}
+    assert unneeded_public_names(sources) == []
+
+
+def test_detects_an_unneeded_public_name():
+    sources = {
+        "__init__": "from .a import exported\n",
+        "a": (
+            "LIMIT = 3\n"
+            "SPARE: int = 4\n"
+            "def exported():\n"
+            "    return LIMIT\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1)\n"
+            "class Used:\n"
+            "    pass\n"
+        ),
+        "b": "from .a import Used\n\ndef _make():\n    return Used()\n",
+    }
+    assert unneeded_public_names(sources) == ["a line 2: SPARE", "a line 5: recursive"]
 
 
 def axf_bindings() -> dict:

@@ -26,7 +26,6 @@ from axf import (
     Top,
     Var,
     affected_predicates,
-    check_no_shadowing,
     check_stratified,
     collapse_double_negation,
     free_vars,
@@ -36,7 +35,7 @@ from axf import (
     prune_constants,
     substitute,
 )
-from axf.logic import NEGATIVE, POSITIVE, SourceSpan, formula_at, polarity_of
+from axf.logic import NEGATIVE, POSITIVE, SourceSpan, formula_at
 
 
 def atom(pred, *names):
@@ -128,8 +127,6 @@ class TestNodeProtocol:
                 substitute(f, {"x": Var("y")})
             with pytest.raises(LogicError, match="unknown formula node Foreign"):
                 collapse_double_negation(f)
-            with pytest.raises(LogicError, match="unknown formula node Foreign"):
-                check_no_shadowing(f)
 
 
 class TestPolarity:
@@ -149,16 +146,8 @@ class TestPolarity:
     def test_paths_resolve(self):
         body = Or((atom("P", "x"), Exists(("z",), atom("Q", "z"))))
         entries = list(iter_atoms(body))
-        for path, found, pol in entries:
+        for path, found, _ in entries:
             assert formula_at(body, path) == found
-            assert polarity_of(body, path) == pol
-
-    def test_polarity_of_rejects_non_atoms(self):
-        body = Not(atom("P", "x"))
-        with pytest.raises(LogicError):
-            polarity_of(body, ())
-        with pytest.raises(LogicError):
-            polarity_of(body, (0, 0))
 
 
 class TestSubstitution:

@@ -313,6 +313,38 @@ class TestElimination:
             }
             assert got == want, mask
 
+    def test_family_placed_before_an_earlier_family(self):
+        # Q's family comes first; P's family later lands in front of it, so
+        # every stratum index recorded after Q's family shifts by one
+        prog = parse_program(
+            """
+            (program
+              (objects a b)
+              (basic (E 2))
+              (derived (P 1) (Q 1) (S 1))
+              (stratum (axiom (P ?x) (E ?x ?x)))
+              (stratum (axiom (Q ?x) (and (E ?x ?x) (P ?x))))
+              (stratum (axiom (S ?x) (not (Q ?x)))))
+            """
+        )
+        out, report = eliminate_negative_occurrences(prog)
+        assert report.iterations == 2
+        assert [
+            (f.origin_stratum, f.stratum_index, f.family.round_index) for f in report.families
+        ] == [(1, 3, 1), (0, 1, 2)]
+        assert [
+            (r.pred, r.stratum_index, r.axiom_index, r.replacement_pred)
+            for r in report.replacements
+        ] == [("Q", 4, 0, "nleq__Q__Q__r1")] + [
+            ("P", 3, ai, "nleq__P__P__r2") for ai in (2, 3, 4, 4)
+        ]
+        assert [s[0].head_pred for s in out.strata] == [
+            "P", "lt__P__P__r2", "Q", "lt__Q__Q__r1", "S"
+        ]
+        for r in report.replacements:
+            spot = formula_at(out.strata[r.stratum_index][r.axiom_index].body, r.path)
+            assert isinstance(spot, Not) and spot.sub.pred == r.replacement_pred
+
     def test_positive_program_unchanged(self):
         prog = parse_program(
             """

@@ -268,6 +268,20 @@ class TestBudgets:
             "use sampled mode"
         )
 
+    def test_sampled_budget_refused_before_building_cells(self, monkeypatch):
+        from axf import parse_program
+
+        # 2^17 cells: a sample draws one random number per cell
+        monkeypatch.setattr(axf.verifier, "basic_cells", lambda *args: pytest.fail("cells built"))
+        prog = parse_program("(program (objects a b) (basic (E 17)) (derived))")
+        plan = VerificationPlan(mode="sampled", samples=1)
+        with pytest.raises(BudgetError) as info:
+            verify_order_independence(prog, U2, plan)
+        assert str(info.value) == (
+            "131072 basic cells exceed the sampled budget of 65536 cells; "
+            "use a smaller universe"
+        )
+
     def test_sampled_mode_allowed_over_budget(self):
         from axf import parse_program
 
