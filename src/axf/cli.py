@@ -34,7 +34,10 @@ from .verifier import TRANSFORMED_CHECKS, VerificationPlan, VerificationResult, 
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from None
 
 
 def _load_program(path: str) -> AxiomProgram:
@@ -142,8 +145,7 @@ def cmd_verify(args) -> int:
         checks = TRANSFORMED_CHECKS if args.transformed else VerificationPlan().checks
     plan = VerificationPlan(
         universe_sizes=sizes,
-        mode="sampled" if args.samples is not None else "exhaustive",
-        samples=args.samples if args.samples is not None else 100,
+        samples=args.samples,
         seed=args.seed,
         checks=checks,
     )

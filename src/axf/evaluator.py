@@ -50,7 +50,6 @@ from .logic import (
     Predicate,
     Top,
     Var,
-    iter_atoms,
 )
 
 GroundAtom = tuple[str, tuple[str, ...]]
@@ -149,10 +148,14 @@ def compile_formula(
     names in scope to their slots, and ``env`` maps slots to object names.
     A quantifier gives its variables the slots after every slot in scope and
     writes them as it loops, so a rebound name never overwrites the slot an
-    enclosing binding still reads.
+    enclosing binding still reads.  A constant outside ``objects`` raises
+    EvalError.
     """
     if isinstance(formula, Atom):
         pred = formula.pred
+        for t in formula.args:
+            if isinstance(t, Const) and t.name not in objects:
+                raise EvalError(f"program mentions object {t.name} outside the universe")
         if not formula.args:
             key = (pred, ())
             return lambda env, atoms: key in atoms
@@ -226,21 +229,15 @@ _CompiledAxiom = tuple[str, int, _Compiled]
 
 
 class Engine:
-    """A program compiled against one universe, for repeated extension runs."""
+    """A program compiled against one universe, for repeated extension runs.
+
+    Compiling refuses a constant outside the universe with EvalError; atoms
+    compile in preorder, so the first such constant is the one named."""
 
     def __init__(self, program: AxiomProgram, universe: Universe):
         self.program = program
         self.universe = universe
         objects = universe.objects
-        obj_set = set(objects)
-        for stratum in program.strata:
-            for axiom in stratum:
-                for _, atom, _ in iter_atoms(axiom.body):
-                    for term in atom.args:
-                        if isinstance(term, Const) and term.name not in obj_set:
-                            raise EvalError(
-                                f"program mentions object {term.name} outside the universe"
-                            )
         self.compiled: list[list[_CompiledAxiom]] = [
             [
                 (

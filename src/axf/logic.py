@@ -494,52 +494,19 @@ class AxiomProgram:
         )
 
 
-def check_signature_use(program: AxiomProgram) -> None:
-    """Raise SignatureError unless every predicate, arity, head kind, and
-    constant in the program matches the declarations."""
-    objects = set(program.universe_hint)
-    for si, stratum in enumerate(program.strata):
-        for ai, axiom in enumerate(stratum):
-            where = f"stratum {si + 1}, axiom {ai + 1}"
-            head = program.signature.get(axiom.head_pred)
-            if head is None:
-                raise SignatureError(f"undeclared predicate {axiom.head_pred} ({where})")
-            if head.kind != "derived":
-                raise SignatureError(
-                    f"head predicate {axiom.head_pred} is basic, not derived ({where})"
-                )
-            if head.arity != len(axiom.head_vars):
-                raise SignatureError(
-                    f"head of {axiom.head_pred} has {len(axiom.head_vars)} arguments, "
-                    f"declared arity is {head.arity} ({where})"
-                )
-            for _, atom, _ in iter_atoms(axiom.body):
-                pred = program.signature.get(atom.pred)
-                if pred is None:
-                    raise SignatureError(f"undeclared predicate {atom.pred} ({where})")
-                if pred.arity != len(atom.args):
-                    raise SignatureError(
-                        f"atom {atom.pred} has {len(atom.args)} arguments, "
-                        f"declared arity is {pred.arity} ({where})"
-                    )
-                for term in atom.args:
-                    if isinstance(term, Const) and term.name not in objects:
-                        raise SignatureError(
-                            f"unknown object {term.name} in atom {atom.pred} ({where})"
-                        )
-
-
 def check_stratified(program: AxiomProgram) -> list[Violation]:
     """Check the signature use (raising SignatureError) and the four
-    stratification conditions; an empty list means the program is
-    stratified.  Head-level (a) violations come first, then the body
-    violations in source order: stratum, axiom, preorder occurrence.
+    stratification conditions in one walk over the axioms; an empty list
+    means the program is stratified.  Each axiom's head is checked before
+    its body, and each body occurrence's predicate, arity and constants
+    before conditions (b)-(d), so the first SignatureError is the first
+    misuse in source order.  Head-level (a) violations come first, then the
+    body violations in source order: stratum, axiom, preorder occurrence.
 
     A derived predicate that no axiom affects satisfies (c) and (d)
     vacuously: it is constantly false and imposes no ordering.
     """
-    check_signature_use(program)
-
+    objects = set(program.universe_hint)
     affecting: dict[str, list[int]] = {}
     for si, stratum in enumerate(program.strata):
         for name in affected_predicates(stratum):
@@ -568,7 +535,33 @@ def check_stratified(program: AxiomProgram) -> list[Violation]:
 
     for si, stratum in enumerate(program.strata):
         for ai, axiom in enumerate(stratum):
+            where = f"stratum {si + 1}, axiom {ai + 1}"
+            head = program.signature.get(axiom.head_pred)
+            if head is None:
+                raise SignatureError(f"undeclared predicate {axiom.head_pred} ({where})")
+            if head.kind != "derived":
+                raise SignatureError(
+                    f"head predicate {axiom.head_pred} is basic, not derived ({where})"
+                )
+            if head.arity != len(axiom.head_vars):
+                raise SignatureError(
+                    f"head of {axiom.head_pred} has {len(axiom.head_vars)} arguments, "
+                    f"declared arity is {head.arity} ({where})"
+                )
             for path, atom, pol in iter_atoms(axiom.body):
+                pred = program.signature.get(atom.pred)
+                if pred is None:
+                    raise SignatureError(f"undeclared predicate {atom.pred} ({where})")
+                if pred.arity != len(atom.args):
+                    raise SignatureError(
+                        f"atom {atom.pred} has {len(atom.args)} arguments, "
+                        f"declared arity is {pred.arity} ({where})"
+                    )
+                for term in atom.args:
+                    if isinstance(term, Const) and term.name not in objects:
+                        raise SignatureError(
+                            f"unknown object {term.name} in atom {atom.pred} ({where})"
+                        )
                 for di in affecting.get(atom.pred, ()):
                     ref = OccurrenceRef(si, ai, path, pol)
                     # A predicate occurring in its own axiom is reported under (a).

@@ -17,9 +17,11 @@ that runs to the end of the line.  Variables carry a ``?`` sigil in the
 concrete syntax only; internally names are stored bare.
 
 Parsing is total: any byte string either yields an AST or raises ParseError
-carrying a list of diagnostics, each with a span into the input.  Lists nest
-at most ``MAX_NESTING`` deep, counting the enclosing ``(program``,
-``(stratum`` and ``(axiom`` forms, because every later pass walks formulas
+carrying a list of diagnostics, each with a span into the input.  The reader
+goes from text to nested lists in one pass, with no token list between them;
+the builder then turns the lists into a program.  Lists nest at most
+``MAX_NESTING`` deep, counting the enclosing ``(program``, ``(stratum`` and
+``(axiom`` forms, because every later pass walks formulas
 recursively.  ``imply`` is desugared to ``(or (not a) b)`` while reading.  A quantifier that rebinds
 a variable already bound further out (including head variables) is renamed
 on the spot (``x`` becomes ``x__1``), so downstream code never needs
@@ -33,6 +35,7 @@ return text nested deeper than ``MAX_NESTING``, which the reader would refuse.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, Optional, Union
@@ -86,13 +89,7 @@ class ParseError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Lexing and reading
-
-
-@dataclass(frozen=True)
-class _Token:
-    text: str  # "(", ")", or a symbol
-    span: SourceSpan
+# Reading
 
 
 @dataclass(frozen=True)
@@ -109,71 +106,49 @@ class _SList:
 
 _SNode = Union[_SAtom, _SList]
 
-
-def _lex(text: str, filename: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def span(start: int, end: int, sline: int, scol: int) -> SourceSpan:
-        return SourceSpan(filename, start, end, sline, scol)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-        elif ch.isspace():
-            i += 1
-            col += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, span(i, i + 1, line, col)))
-            i += 1
-            col += 1
-        else:
-            start, sline, scol = i, line, col
-            while i < n and not text[i].isspace() and text[i] not in "();":
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i], span(start, i, sline, scol)))
-    return tokens
+# A newline, a comment, a parenthesis or a symbol; whatever none of them
+# matches is whitespace, since ``\s`` matches exactly the ``str.isspace``
+# characters.
+_LEXEME = re.compile(r"\n|;[^\n]*|[()]|[^\s();]+")
 
 
 def _read(text: str, filename: str) -> list[_SNode]:
-    """Lex ``text`` and group the tokens into nested lists; raises ParseError
-    for unbalanced parentheses and the first list nested deeper than
-    ``MAX_NESTING``."""
+    """Read ``text`` into nested lists in one pass; raises ParseError for
+    unbalanced parentheses and the first list nested deeper than
+    ``MAX_NESTING``.  Only a newline starts a new line, so a column counts
+    every character since the last one."""
     diags: list[Diagnostic] = []
     top: list[_SNode] = []
     stack: list[tuple[list[_SNode], SourceSpan]] = []
     current = top
     too_deep = False
-    for tok in _lex(text, filename):
-        if tok.text == "(":
-            stack.append((current, tok.span))
+    line, line_start = 1, 0
+    for match in _LEXEME.finditer(text):
+        lexeme = match.group()
+        start, end = match.span()
+        if lexeme == "\n":
+            line, line_start = line + 1, end
+            continue
+        if lexeme[0] == ";":
+            continue
+        span = SourceSpan(filename, start, end, line, start - line_start + 1)
+        if lexeme == "(":
+            stack.append((current, span))
             current = []
             if len(stack) > MAX_NESTING and not too_deep:
                 too_deep = True
                 message = f"lists nest deeper than {MAX_NESTING} levels"
-                diags.append(Diagnostic("too-deep", message, tok.span))
-        elif tok.text == ")":
+                diags.append(Diagnostic("too-deep", message, span))
+        elif lexeme == ")":
             if not stack:
-                diags.append(Diagnostic("unbalanced-paren", "unmatched ')'", tok.span))
+                diags.append(Diagnostic("unbalanced-paren", "unmatched ')'", span))
                 continue
             parent, open_span = stack.pop()
-            full = SourceSpan(
-                filename, open_span.start, tok.span.end, open_span.line, open_span.column
-            )
+            full = SourceSpan(filename, open_span.start, end, open_span.line, open_span.column)
             parent.append(_SList(tuple(current), full))
             current = parent
         else:
-            current.append(_SAtom(tok.text, tok.span))
+            current.append(_SAtom(lexeme, span))
     while stack:
         parent, open_span = stack.pop()
         diags.append(Diagnostic("unbalanced-paren", "unclosed '('", open_span))

@@ -33,7 +33,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, islice, product
 from math import log
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -89,18 +89,18 @@ TRANSFORMED_CHECKS = ("polarity", "equivalence")
 
 @dataclass(frozen=True)
 class VerificationPlan:
-    """What to sweep: universe sizes, state source, and which checks."""
+    """What to sweep: universe sizes, state source, and which checks.
+
+    ``samples`` is the number of sampled states per size; None sweeps every
+    basic state."""
 
     universe_sizes: tuple[int, ...] = (2, 3)
-    mode: str = "exhaustive"  # or "sampled"
-    samples: int = 100
+    samples: Optional[int] = None
     seed: int | str = 0
     checks: tuple[str, ...] = _ALL_CHECKS
 
     def __post_init__(self) -> None:
-        if self.mode not in ("exhaustive", "sampled"):
-            raise VerifyError(f"unknown mode {self.mode!r}")
-        if self.samples < 1:
+        if self.samples is not None and self.samples < 1:
             raise VerifyError("samples must be positive")
         if not self.checks:
             raise VerifyError("at least one check is required")
@@ -214,20 +214,12 @@ def _spec_states(spec: tuple) -> Iterator[frozenset[GroundAtom]]:
         raise VerifyError(f"unknown state spec {kind!r}")
 
 
-def universe_for(program: AxiomProgram, size: int) -> Universe:
-    """The declared objects, truncated or padded to the requested size.
-
-    Padding uses fresh names; truncation refuses to drop an object the
-    program mentions as a constant."""
+def _refuse_dropped_constants(program: AxiomProgram, size: int) -> None:
+    """Raise VerifyError if a universe of ``size`` objects would drop an
+    object the program mentions as a constant.  Padding adds only fresh
+    names, so the declared objects kept are the ones to check."""
     if size < 1:
         raise VerifyError("universe size must be positive")
-    objects = list(program.universe_hint[:size])
-    counter = 0
-    while len(objects) < size:
-        counter += 1
-        candidate = f"u{counter}"
-        if candidate not in objects:
-            objects.append(candidate)
     constants = {
         term.name
         for stratum in program.strata
@@ -236,12 +228,46 @@ def universe_for(program: AxiomProgram, size: int) -> Universe:
         for term in atom.args
         if isinstance(term, Const)
     }
-    missing = constants - set(objects)
+    missing = constants - set(program.universe_hint[:size])
     if missing:
         raise VerifyError(
             f"universe of size {size} would drop constants: " + ", ".join(sorted(missing))
         )
-    return Universe(tuple(objects))
+
+
+def universe_for(program: AxiomProgram, size: int) -> Universe:
+    """The declared objects, truncated or padded to the requested size.
+
+    Padding uses fresh names ``u1, u2, ...``; truncation refuses to drop an
+    object the program mentions as a constant."""
+    _refuse_dropped_constants(program, size)
+    objects = program.universe_hint[:size]
+    taken = set(objects)
+    names = (f"u{k}" for k in count(1))
+    fresh = islice((name for name in names if name not in taken), size - len(objects))
+    return Universe(objects + tuple(fresh))
+
+
+def _planned_states(program: AxiomProgram, size: int, plan: VerificationPlan) -> int:
+    """The number of states a planned sweep over ``size`` objects visits.
+
+    Raises BudgetError when the basic cells exceed the exhaustive or the
+    sampled budget; only the object count is needed, so nothing is built
+    before the refusal."""
+    bits = sum(size ** p.arity for p in program.basic_predicates)
+    if plan.samples is None:
+        if bits > _MAX_EXHAUSTIVE_BITS:
+            raise BudgetError(
+                f"2^{bits} basic states exceed the exhaustive budget of "
+                f"2^{_MAX_EXHAUSTIVE_BITS}; use sampled mode"
+            )
+        return 1 << bits
+    if bits > _MAX_SAMPLED_CELLS:
+        raise BudgetError(
+            f"{bits} basic cells exceed the sampled budget of "
+            f"{_MAX_SAMPLED_CELLS} cells; use a smaller universe"
+        )
+    return plan.samples
 
 
 # ---------------------------------------------------------------------------
@@ -424,23 +450,9 @@ def _sweep(
     if states is not None:
         specs = [("explicit", tuple(frozenset(s) for s in states))]
     else:
-        bits = sum(len(universe.objects) ** p.arity for p in program.basic_predicates)
-        if plan.mode == "exhaustive":
-            if bits > _MAX_EXHAUSTIVE_BITS:
-                raise BudgetError(
-                    f"2^{bits} basic states exceed the exhaustive budget of "
-                    f"2^{_MAX_EXHAUSTIVE_BITS}; use sampled mode"
-                )
-            total = 1 << bits
-            head: tuple = ("exhaustive", basic_cells(program, universe))
-        else:
-            if bits > _MAX_SAMPLED_CELLS:
-                raise BudgetError(
-                    f"{bits} basic cells exceed the sampled budget of "
-                    f"{_MAX_SAMPLED_CELLS} cells; use a smaller universe"
-                )
-            total = plan.samples
-            head = ("sampled", basic_cells(program, universe), plan.seed)
+        total = _planned_states(program, len(universe.objects), plan)
+        cells = basic_cells(program, universe)
+        head: tuple = ("exhaustive", cells) if plan.samples is None else ("sampled", cells, plan.seed)
         workers = worker_count()
         workers = 1 if total < 64 else min(workers, total)
         bounds = [total * k // workers for k in range(workers + 1)]
@@ -662,7 +674,8 @@ def run_checks(
 
     The transforms, the merge and the stage families are built once, before
     the first size.  Each size is then one sweep of every planned check, and
-    the sweeps share one process pool."""
+    the sweeps share one process pool.  A size is checked for dropped
+    constants and against the state budget before its objects are built."""
     plan = plan or VerificationPlan()
     if transformed is not None:
         unsupported = set(plan.checks) - set(TRANSFORMED_CHECKS)
@@ -676,9 +689,11 @@ def run_checks(
     results = [polarity] if "polarity" in plan.checks else []
     with closing(_Pool()) as pool:
         for size in plan.universe_sizes:
-            universe = universe_for(program, size)
+            _refuse_dropped_constants(program, size)
             checks = _checks(program, plan.checks, programs, families, size=size)
             if checks:
+                _planned_states(program, size, plan)
+                universe = universe_for(program, size)
                 results.extend(_sweep(checks, programs, program, universe, plan, None, pool))
     return VerificationResult(tuple(results))
 

@@ -191,7 +191,7 @@ def test_criterion_6_blowup_accounting(path_program):
 
 def test_criterion_7_order_independence(path_program):
     budget = Budget("criterion 7", 60.0)
-    plan = VerificationPlan(universe_sizes=(2,), mode="sampled", samples=5, seed=11)
+    plan = VerificationPlan(universe_sizes=(2,), samples=5, seed=11)
     total = 0
     programs = [path_program] + [generate_random_program(900 + k) for k in range(9)]
     for prog in programs:

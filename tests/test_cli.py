@@ -1,8 +1,12 @@
 """Command line behavior, exercised in process through cli.main."""
 
+import builtins
 import json
+import re
 
 import pytest
+
+import axf
 
 from axf import TransformError, print_program
 from axf.parser import MAX_NESTING
@@ -446,6 +450,72 @@ class TestExitCodes:
         assert code == 0 and err == ""
         assert out == out_file.read_text(encoding="utf-8")
 
+    def test_two_deep_nestings_one_diagnostic(self, capsys, tmp_path):
+        prog = tmp_path / "deep.axp"
+        nested = "(" * 300 + ")" * 300
+        prog.write_text(f"{nested}\n{nested}\n")
+        code, out, err = run(capsys, "parse", str(prog))
+        assert (code, out) == (2, "")
+        assert err == f"{prog}:1:257: too-deep: lists nest deeper than 256 levels\n"
+
+    def test_dropped_constant_refused_without_checks(self, capsys, tmp_path):
+        prog = tmp_path / "p.axp"
+        prog.write_text(
+            "(program (objects a b) (basic (E 1)) (derived (P 0))"
+            " (stratum (axiom (P) (E b))))"
+        )
+        code, out, err = run(
+            capsys, "verify", str(prog), "--universe", "1", "--checks", "polarity"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: universe of size 1 would drop constants: b\n"
+
     def test_no_command_shows_help(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+
+EXCEPTION_NAMES = sorted(
+    name
+    for module in (builtins, axf)
+    for name, value in vars(module).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+)
+
+
+def bad_input(kind, tmp_path):
+    """A path that cannot be read as a program or state: missing, a
+    directory, or bytes that are not UTF-8."""
+    path = tmp_path / f"bad-{kind}"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes(b"\xff\xfe")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "non-utf8"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("parse", "BAD"),
+        ("eval", "BAD", "samples/path_state.st"),
+        ("eval", "samples/path.axp", "BAD"),
+        ("transform", "BAD"),
+        ("verify", "BAD"),
+        ("verify", "samples/path.axp", "--transformed", "BAD", "--universe", "2"),
+        ("stats", "BAD"),
+    ],
+    ids=["parse", "eval-program", "eval-state", "transform", "verify", "verify-transformed", "stats"],
+)
+def test_unreadable_input_exit_2(capsys, tmp_path, argv, kind):
+    """Every file the CLI reads is refused with exit 2 and one error line
+    naming it, never with a Python exception."""
+    path = bad_input(kind, tmp_path)
+    code, out, err = run(capsys, *(path if a == "BAD" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+    assert "Traceback" not in err and "internal error" not in err
+    assert not [name for name in EXCEPTION_NAMES if re.search(rf"\b{name}\b", err)]
+    if kind == "non-utf8":
+        assert err == f"error: {path}: not valid UTF-8 at byte offset 0\n"

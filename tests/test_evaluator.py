@@ -96,6 +96,21 @@ class TestEvalFormula:
         with pytest.raises(EvalError):
             self.holds(Atom("E", (Const("zz"), Const("a"))), objects=U3.objects + ("zz",))
 
+    def test_first_outside_constant_named(self):
+        """Compilation refuses constants in preorder: ``zz`` in the first
+        axiom's second conjunct comes before ``yy`` in the second axiom."""
+        def edge(x, y):
+            return Atom("E", (Const(x), Const(y)))
+
+        program = AxiomProgram(
+            [Predicate("E", 2, "basic"), Predicate("Q", 0, "derived")],
+            U3.objects + ("yy", "zz"),
+            [[Axiom("Q", (), And((edge("a", "b"), edge("a", "zz")))), Axiom("Q", (), edge("yy", "a"))]],
+        )
+        with pytest.raises(EvalError) as info:
+            Engine(program, U3)
+        assert str(info.value) == "program mentions object zz outside the universe"
+
     def test_rebound_names_match_reference(self):
         """A quantifier that rebinds ``x`` under an outer ``x`` binds its own
         variable, and the outer ``x`` reads its own binding again once the

@@ -329,6 +329,33 @@ class TestStratification:
                 ((Axiom("P", ("x",), Atom("B", (Const("zz"),))),),),
             )
 
+    def test_one_body_walk_per_axiom(self, path_program, monkeypatch):
+        import axf.logic
+
+        walked = []
+        real = axf.logic.iter_atoms
+
+        def counting(formula):
+            walked.append(formula)
+            return real(formula)
+
+        monkeypatch.setattr(axf.logic, "iter_atoms", counting)
+        assert check_stratified(path_program) == []
+        assert walked == [ax.body for stratum in path_program.strata for ax in stratum]
+
+    def test_first_signature_error_in_source_order(self):
+        """The first axiom's undeclared body predicate is reported before
+        the second axiom's basic head."""
+        prog = AxiomProgram(
+            [self.B, self.P],
+            ("a",),
+            ((Axiom("P", ("x",), atom("Z", "x")), Axiom("B", ("x",), atom("B", "x"))),),
+            validate=False,
+        )
+        with pytest.raises(SignatureError) as info:
+            check_stratified(prog)
+        assert str(info.value) == "undeclared predicate Z (stratum 1, axiom 1)"
+
     def test_negative_occurrences_listing(self):
         prog = AxiomProgram(
             [self.B, self.P, self.Q],

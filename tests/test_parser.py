@@ -269,3 +269,35 @@ def test_random_programs_round_trip(seed):
     assert again.signature == prog.signature
     assert again.universe_hint == prog.universe_hint
     assert again.strata == prog.strata
+
+
+# Symbols, line breaks, every kind of whitespace the reader must skip (and
+# U+FEFF, which is not whitespace), comments and parentheses.
+READER_PIECES = [
+    "(", ")", ";", "\n", "\r\n", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x85",
+    "\u2028", "\u00a0", "\ufeff", "\u3000", " ", "?", "?x", "a", "Ed", "program",
+]
+
+
+@given(st.lists(st.sampled_from(READER_PIECES), max_size=60).map("".join))
+@settings(max_examples=300, deadline=None)
+def test_reader_spans_match_the_text(text):
+    """Every symbol's span covers its text, and its line and column count
+    newlines and characters before it; every list runs from its '(' through
+    its ')'."""
+    from axf.parser import _SList, _read
+
+    try:
+        nodes = _read(text, "f")
+    except ParseError:
+        return
+    while nodes:
+        node = nodes.pop()
+        span = node.span
+        assert span.line == text.count("\n", 0, span.start) + 1
+        assert span.column == span.start - text.rfind("\n", 0, span.start)
+        if isinstance(node, _SList):
+            assert text[span.start] == "(" and text[span.end - 1] == ")"
+            nodes.extend(node.items)
+        else:
+            assert text[span.start:span.end] == node.text

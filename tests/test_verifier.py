@@ -54,13 +54,15 @@ class TestPlans:
         with pytest.raises(VerifyError):
             VerificationPlan(universe_sizes=(0,))
         with pytest.raises(VerifyError):
-            VerificationPlan(mode="guess")
-        with pytest.raises(VerifyError):
             VerificationPlan(samples=0)
         with pytest.raises(VerifyError):
             VerificationPlan(checks=("theorem9",))
         with pytest.raises(VerifyError):
             VerificationPlan(checks=())
+
+    def test_samples_choose_sampling(self, path_program):
+        assert verify_theorem1(path_program, 0, U2, VerificationPlan(samples=5)).states_checked == 5
+        assert verify_theorem1(path_program, 0, U2, VerificationPlan()).states_checked == 16
 
     def test_universe_for_pads_and_prefixes(self, path_program):
         assert universe_for(path_program, 2).objects == ("a", "b")
@@ -274,7 +276,7 @@ class TestBudgets:
         # 2^17 cells: a sample draws one random number per cell
         monkeypatch.setattr(axf.verifier, "basic_cells", lambda *args: pytest.fail("cells built"))
         prog = parse_program("(program (objects a b) (basic (E 17)) (derived))")
-        plan = VerificationPlan(mode="sampled", samples=1)
+        plan = VerificationPlan(samples=1)
         with pytest.raises(BudgetError) as info:
             verify_order_independence(prog, U2, plan)
         assert str(info.value) == (
@@ -295,15 +297,52 @@ class TestBudgets:
             """
         )
         u3 = Universe(("a", "b", "c"))
-        plan = VerificationPlan(universe_sizes=(3,), mode="sampled", samples=10, seed=5)
+        plan = VerificationPlan(universe_sizes=(3,), samples=10, seed=5)
         res = verify_theorem1(prog, 0, u3, plan)
         assert res.passed and res.states_checked == 10
 
     def test_sampled_deterministic(self, path_program):
-        plan = VerificationPlan(universe_sizes=(2,), mode="sampled", samples=25, seed="s")
+        plan = VerificationPlan(universe_sizes=(2,), samples=25, seed="s")
         a = verify_theorem1(path_program, 0, U2, plan)
         b = verify_theorem1(path_program, 0, U2, plan)
         assert (a.states_checked, a.failures) == (b.states_checked, b.failures)
+
+    @pytest.fixture()
+    def small_universes(self, monkeypatch):
+        """Fail the test if the verifier builds a universe of more than
+        1,000 objects."""
+        real = axf.verifier.Universe
+
+        def guarded(objects):
+            if len(objects) > 1000:
+                pytest.fail(f"built a universe of {len(objects)} objects")
+            return real(objects)
+
+        monkeypatch.setattr(axf.verifier, "Universe", guarded)
+
+    def test_large_sizes_refused_before_padding(self, path_program, small_universes):
+        only_polarity = VerificationPlan(universe_sizes=(100000,), checks=("polarity",))
+        result = run_checks(path_program, only_polarity)
+        assert [(c.name, c.passed) for c in result.checks] == [("polarity", True)]
+        with pytest.raises(BudgetError) as info:
+            run_checks(path_program, VerificationPlan(universe_sizes=(1000000,), checks=("order",)))
+        assert str(info.value) == (
+            "2^1000000000000 basic states exceed the exhaustive budget of 2^24; "
+            "use sampled mode"
+        )
+        sampled = VerificationPlan(universe_sizes=(100000,), samples=1, checks=("order",))
+        with pytest.raises(BudgetError) as info:
+            run_checks(path_program, sampled)
+        assert str(info.value) == (
+            "10000000000 basic cells exceed the sampled budget of 65536 cells; "
+            "use a smaller universe"
+        )
+
+    def test_padding_skips_declared_names(self):
+        from axf import parse_program
+
+        prog = parse_program("(program (objects u2 a) (basic (E 1)) (derived))")
+        assert universe_for(prog, 5).objects == ("u2", "a", "u1", "u3", "u4")
 
 
 class TestParallel:
@@ -344,7 +383,7 @@ def count_calls(monkeypatch, name: str) -> list:
     return calls
 
 
-SAMPLED_2_3 = VerificationPlan(universe_sizes=(2, 3), mode="sampled", samples=64)
+SAMPLED_2_3 = VerificationPlan(universe_sizes=(2, 3), samples=64)
 
 
 class TestOnePass:
@@ -379,7 +418,7 @@ class TestOnePass:
         program, bad = pool_programs
         if corrupt:
             plan = VerificationPlan(
-                universe_sizes=(2, 3), mode="sampled", samples=64,
+                universe_sizes=(2, 3), samples=64,
                 checks=("polarity", "equivalence"),
             )
             transformed = bad
