@@ -163,8 +163,7 @@ def _read(text: str, filename: str) -> list[_SNode]:
 
 
 class _Builder:
-    def __init__(self, filename: str):
-        self.filename = filename
+    def __init__(self) -> None:
         self.diags: list[Diagnostic] = []
 
     def err(self, code: str, message: str, span: SourceSpan) -> None:
@@ -201,7 +200,7 @@ class _Builder:
 def parse_program(text: str, filename: str = "<string>") -> AxiomProgram:
     """Parse a program; raises ParseError with all collected diagnostics."""
     forms = _read(text, filename)
-    b = _Builder(filename)
+    b = _Builder()
     whole = SourceSpan(filename, 0, len(text), 1, 1)
     if len(forms) != 1:
         b.err("program-shape", "input must be exactly one (program ...) form", whole)
@@ -367,8 +366,11 @@ def _parse_axiom(
     )
     if body is None or not ok:
         return None
-    loose = free_vars(body) - set(head_vars)
-    if loose:
+    try:
+        return Axiom(pred.name, tuple(head_vars), body, span=lst.span)
+    except LogicError:
+        # head variables are distinct by now, so a body variable is unbound
+        loose = free_vars(body) - set(head_vars)
         names = ", ".join("?" + v for v in sorted(loose))
         b.err(
             "free-variable-mismatch",
@@ -376,7 +378,6 @@ def _parse_axiom(
             lst.items[2].span,
         )
         return None
-    return Axiom(pred.name, tuple(head_vars), body, span=lst.span)
 
 
 def _parse_formula(
@@ -529,7 +530,7 @@ def parse_state(text: str, program: AxiomProgram, filename: str = "<string>"):
     from .evaluator import TruthAssignment, Universe
 
     forms = _read(text, filename)
-    b = _Builder(filename)
+    b = _Builder()
     whole = SourceSpan(filename, 0, len(text), 1, 1)
     if len(forms) != 1 or not isinstance(forms[0], _SList) or not b.head_is(forms[0], "state"):
         b.err("state-shape", "input must be exactly one (state ...) form", whole)

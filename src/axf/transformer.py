@@ -11,6 +11,31 @@ capturing the order in which the staged fixpoint derives ground atoms
   nleq  stage(a, i) >  stage(b, j), or a is never derived
   tri   stage(a, i) + 1 = stage(b, j)
 
+Write phi_i(x) for member i's normalized body with head variables x, and
+phi_i(x)[M j y] for that body with each member atom P_k(z) replaced per
+StageMode M, target j and extra arguments y.  Each relation has one
+defining equation, and ``mutation`` names the single edit made to it:
+
+  eq1  lt_ij(x, y)   <- OR_k exists z: leq_ik(x, z) and tri_kj(z, y)
+                        eq1: chain through lt_ik instead of leq_ik
+  eq2  leq_ij(x, y)  <- phi_i(x)[LT j y]
+                        eq2: phi_i(x) with member atoms kept
+  eq3  nlt_ij(x, y)  <- phi_j(y)[BOTTOM]
+                        or OR_k exists z: nleq_ik(x, z) and tri_kj(z, y)
+                        or NEVER
+                        eq3: drop NEVER
+  eq4  nleq_ij(x, y) <- not phi_i(x)[NOT_NLT j y]
+                        eq4: NOT_NLEQ in place of NOT_NLT
+  eq5  tri_ij(x, y)  <- phi_i(x)[LT i x] and not phi_j(y)[NOT_NLT i x]
+                        and (phi_j(y)[LEQ i x] or LAST_i(x))
+                        eq5: drop the middle conjunct
+
+where NEVER = AND_k forall z: not phi_k(z)[BOTTOM] says the stratum
+derives nothing, and LAST_i(x) = AND_k forall z: not phi_k(z)[NOT_NLEQ i x]
+or phi_k(z)[LT i x] says no atom enters at the stage after P_i(x)'s.  With
+``optimize_aux`` the two are the predicates aux_empty and aux_fix_i(x),
+each defined by the formula it stands for.
+
 Every derived predicate occurs positively in the generated bodies, so a
 negative occurrence of a member P_i(t) elsewhere can be replaced by the
 positive-only test "not nleq_ii(t, t)", which holds exactly when P_i(t) is
@@ -26,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .evaluator import RELATION_NAMES
 from .logic import (
@@ -231,25 +256,24 @@ class StagePredicateFamily:
 def _candidate_names(
     members: tuple[str, ...], round_index: int, optimize_aux: bool
 ) -> tuple[dict[tuple[str, int, int], str], Optional[str], dict[int, str]]:
-    m = len(members)
-    names = {
-        (rel, i, j): f"{rel}__{members[i - 1]}__{members[j - 1]}__r{round_index}"
-        for rel in RELATION_NAMES
-        for i in range(1, m + 1)
-        for j in range(1, m + 1)
-    }
+    positions = range(1, len(members) + 1)
+
+    def scheme(label: Callable[[int], str]) -> dict[tuple[str, int, int], str]:
+        return {
+            (rel, i, j): f"{rel}__{label(i)}__{label(j)}__r{round_index}"
+            for rel in RELATION_NAMES
+            for i in positions
+            for j in positions
+        }
+
+    names = scheme(lambda k: members[k - 1])
     if len(set(names.values())) < len(names):
         # member names that themselves contain the separator can make the
         # plain scheme ambiguous; fall back to position-tagged names
-        names = {
-            (rel, i, j): f"{rel}__m{i}_{members[i - 1]}__m{j}_{members[j - 1]}__r{round_index}"
-            for rel in RELATION_NAMES
-            for i in range(1, m + 1)
-            for j in range(1, m + 1)
-        }
+        names = scheme(lambda k: f"m{k}_{members[k - 1]}")
     aux_empty = f"aux_empty__r{round_index}" if optimize_aux else None
     aux_fix = (
-        {i: f"aux_fix__{members[i - 1]}__r{round_index}" for i in range(1, m + 1)}
+        {i: f"aux_fix__{members[i - 1]}__r{round_index}" for i in positions}
         if optimize_aux
         else {}
     )
@@ -282,8 +306,8 @@ def generate_stage_axioms(
         raise TransformError("stratum has no affected predicates")
     members = tuple(ax.head_pred for ax in normalized)
     arities = tuple(len(ax.head_vars) for ax in normalized)
-    m = len(members)
-    member_index = {name: k + 1 for k, name in enumerate(members)}
+    positions = range(1, len(members) + 1)
+    member_index = {name: k for k, name in zip(positions, members)}
 
     taken = set(program.signature) | set(avoid_names)
     rnd = round_index
@@ -297,124 +321,93 @@ def generate_stage_axioms(
             break
         rnd += 1
 
-    def xs(i: int) -> tuple[str, ...]:
-        return tuple(f"x{n + 1}" for n in range(arities[i - 1]))
+    # Member k's head variables in the role of the defined atom (x), of the
+    # stage bound (y) or of a quantified member (z).
+    def vs(prefix: str, k: int) -> tuple[str, ...]:
+        return tuple(f"{prefix}{n + 1}" for n in range(arities[k - 1]))
 
-    def ys(j: int) -> tuple[str, ...]:
-        return tuple(f"y{n + 1}" for n in range(arities[j - 1]))
+    def args(prefix: str, k: int) -> tuple[Term, ...]:
+        return tuple(Var(v) for v in vs(prefix, k))
 
-    def zs(k: int) -> tuple[str, ...]:
-        return tuple(f"z{n + 1}" for n in range(arities[k - 1]))
+    # Built once per call: each member's body renamed for each role, and
+    # every part that depends on fewer indices than its axiom.
+    body = {
+        (prefix, k): substitute(ax.body, dict(zip(ax.head_vars, args(prefix, k))))
+        for prefix in "xyz"
+        for k, ax in zip(positions, normalized)
+    }
 
-    def vt(vs: Iterable[str]) -> tuple[Term, ...]:
-        return tuple(Var(v) for v in vs)
+    def phi(k: int, prefix: str, mode: StageMode, target: int = 0, bound: str = "") -> Formula:
+        extra = args(bound, target) if bound else ()
+        return substitute_stage(body[prefix, k], member_index, names, mode, target, extra)
 
-    def phi(
-        k: int,
-        roles: tuple[str, ...],
-        mode: Optional[StageMode],
-        target: int = 0,
-        extra: tuple[str, ...] = (),
-    ) -> Formula:
-        ax = normalized[k - 1]
-        body = substitute(ax.body, {v: Var(r) for v, r in zip(ax.head_vars, roles)})
-        if mode is None:
-            return body
-        return substitute_stage(body, member_index, names, mode, target, vt(extra))
-
-    def chain(rel_first: str, i: int, j: int) -> Formula:
-        parts = [
+    def chain(first: str, i: int, j: int) -> Formula:
+        return make_disj(
             make_exists(
-                zs(k),
-                And(
-                    (
-                        Atom(names[(rel_first, i, k)], vt(xs(i)) + vt(zs(k))),
-                        Atom(names[("tri", k, j)], vt(zs(k)) + vt(ys(j))),
-                    )
-                ),
+                vs("z", k),
+                And((Atom(names[first, i, k], args("x", i) + args("z", k)),
+                     Atom(names["tri", k, j], args("z", k) + args("y", j)))),
             )
-            for k in range(1, m + 1)
-        ]
-        return make_disj(parts)
-
-    def never_derivable() -> Formula:
-        return make_conj(
-            [
-                make_forall(zs(k), Not(phi(k, zs(k), StageMode.BOTTOM)))
-                for k in range(1, m + 1)
-            ]
+            for k in positions
         )
 
-    def stage_is_last(i: int) -> Formula:
-        return make_conj(
-            [
-                make_forall(
-                    zs(k),
-                    make_disj(
-                        [
-                            Not(phi(k, zs(k), StageMode.NOT_NLEQ, i, xs(i))),
-                            phi(k, zs(k), StageMode.LT, i, xs(i)),
-                        ]
-                    ),
-                )
-                for k in range(1, m + 1)
-            ]
-        )
-
-    axioms: list[Axiom] = []
-
-    def emit(rel: str, i: int, j: int, body: Formula) -> None:
-        axioms.append(
-            Axiom(names[(rel, i, j)], xs(i) + ys(j), prune_constants(body))
-        )
-
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            emit("lt", i, j, chain("lt" if mutation == "eq1" else "leq", i, j))
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if mutation == "eq2":
-                emit("leq", i, j, phi(i, xs(i), None))
-            else:
-                emit("leq", i, j, phi(i, xs(i), StageMode.LT, j, ys(j)))
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            parts = [phi(j, ys(j), StageMode.BOTTOM), chain("nleq", i, j)]
-            if mutation != "eq3":
-                parts.append(
-                    Atom(aux_empty) if optimize_aux else never_derivable()
-                )
-            emit("nlt", i, j, make_disj(parts))
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            mode = StageMode.NOT_NLEQ if mutation == "eq4" else StageMode.NOT_NLT
-            emit("nleq", i, j, Not(phi(i, xs(i), mode, j, ys(j))))
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            settled = (
-                Atom(aux_fix[i], vt(xs(i))) if optimize_aux else stage_is_last(i)
+    never_derivable = make_conj(
+        make_forall(vs("z", k), Not(phi(k, "z", StageMode.BOTTOM))) for k in positions
+    )
+    stage_is_last = {
+        i: make_conj(
+            make_forall(
+                vs("z", k),
+                make_disj([Not(phi(k, "z", StageMode.NOT_NLEQ, i, "x")),
+                           phi(k, "z", StageMode.LT, i, "x")]),
             )
-            conjuncts = [phi(i, xs(i), StageMode.LT, i, xs(i))]
-            if mutation != "eq5":
-                conjuncts.append(Not(phi(j, ys(j), StageMode.NOT_NLT, i, xs(i))))
-            conjuncts.append(
-                make_disj([phi(j, ys(j), StageMode.LEQ, i, xs(i)), settled])
-            )
-            emit("tri", i, j, make_conj(conjuncts))
-
-    predicates = [
-        Predicate(names[(rel, i, j)], arities[i - 1] + arities[j - 1], "derived")
-        for rel in RELATION_NAMES
-        for i in range(1, m + 1)
-        for j in range(1, m + 1)
-    ]
+            for k in positions
+        )
+        for i in positions
+    }
+    first_stage_y = {j: phi(j, "y", StageMode.BOTTOM) for j in positions}
+    derived_x = {i: phi(i, "x", StageMode.LT, i, "x") for i in positions}
     if optimize_aux:
-        axioms.append(Axiom(aux_empty, (), prune_constants(never_derivable())))
+        never: Formula = Atom(aux_empty)
+        settled = {i: Atom(aux_fix[i], args("x", i)) for i in positions}
+    else:
+        never, settled = never_derivable, stage_is_last
+
+    # One builder per defining equation; ``edited`` applies its mutation.
+    def lt(i: int, j: int, edited: bool) -> Formula:  # eq1
+        return chain("lt" if edited else "leq", i, j)
+
+    def leq(i: int, j: int, edited: bool) -> Formula:  # eq2
+        return body["x", i] if edited else phi(i, "x", StageMode.LT, j, "y")
+
+    def nlt(i: int, j: int, edited: bool) -> Formula:  # eq3
+        parts = [first_stage_y[j], chain("nleq", i, j)]
+        return make_disj(parts if edited else parts + [never])
+
+    def nleq(i: int, j: int, edited: bool) -> Formula:  # eq4
+        mode = StageMode.NOT_NLEQ if edited else StageMode.NOT_NLT
+        return Not(phi(i, "x", mode, j, "y"))
+
+    def tri(i: int, j: int, edited: bool) -> Formula:  # eq5
+        conjuncts = [derived_x[i]]
+        if not edited:
+            conjuncts.append(Not(phi(j, "y", StageMode.NOT_NLT, i, "x")))
+        conjuncts.append(make_disj([phi(j, "y", StageMode.LEQ, i, "x"), settled[i]]))
+        return make_conj(conjuncts)
+
+    builders = dict(zip(RELATION_NAMES, (lt, leq, nlt, nleq, tri)))
+    edited_rel = dict(zip(MUTATIONS, RELATION_NAMES)).get(mutation)
+    axioms: list[Axiom] = []
+    predicates: list[Predicate] = []
+    for (rel, i, j), name in names.items():
+        built = builders[rel](i, j, rel == edited_rel)
+        axioms.append(Axiom(name, vs("x", i) + vs("y", j), prune_constants(built)))
+        predicates.append(Predicate(name, arities[i - 1] + arities[j - 1], "derived"))
+    if optimize_aux:
+        axioms.append(Axiom(aux_empty, (), prune_constants(never_derivable)))
         predicates.append(Predicate(aux_empty, 0, "derived"))
-        for i in range(1, m + 1):
-            axioms.append(
-                Axiom(aux_fix[i], xs(i), prune_constants(stage_is_last(i)))
-            )
+        for i in positions:
+            axioms.append(Axiom(aux_fix[i], vs("x", i), prune_constants(stage_is_last[i])))
             predicates.append(Predicate(aux_fix[i], arities[i - 1], "derived"))
 
     return StagePredicateFamily(

@@ -208,10 +208,8 @@ def _spec_states(spec: tuple) -> Iterator[frozenset[GroundAtom]]:
         _, cells, seed, start, stop = spec
         for index in range(start, stop):
             yield sample_basic_state(cells, seed, index)
-    elif kind == "explicit":
+    else:  # "explicit"
         yield from spec[1]
-    else:
-        raise VerifyError(f"unknown state spec {kind!r}")
 
 
 def _refuse_dropped_constants(program: AxiomProgram, size: int) -> None:

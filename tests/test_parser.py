@@ -159,6 +159,42 @@ class TestDiagnostics:
                 " (stratum (axiom (P ?x) (B ?x ?y))))"
             )
         assert any("not bound by the head" in m for m in diag_messages(info.value))
+        text = (
+            "(program (objects a) (basic (B 2)) (derived (P 1))\n"
+            " (stratum (axiom (P ?x) (and (B ?x ?z) (B ?y ?x)))))"
+        )
+        with pytest.raises(ParseError) as info:
+            parse_program(text, "bad.axp")
+        (d,) = info.value.diagnostics
+        assert (d.code, d.message) == (
+            "free-variable-mismatch",
+            "body uses variables not bound by the head: ?y, ?z",
+        )
+        body = "(and (B ?x ?z) (B ?y ?x))"
+        assert text[d.span.start : d.span.end] == body
+        assert (d.span.line, d.span.column) == (2, text.index(body) - text.index("\n"))
+
+    def test_one_free_variable_walk_per_axiom(self, path_source, monkeypatch):
+        import axf.logic
+        import axf.parser
+
+        real = axf.logic.free_vars
+        depth = [0]
+        walked = []
+
+        def counting(formula):
+            if not depth[0]:
+                walked.append(formula)
+            depth[0] += 1
+            try:
+                return real(formula)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(axf.logic, "free_vars", counting)
+        monkeypatch.setattr(axf.parser, "free_vars", counting)
+        program = parse_program(path_source)
+        assert walked == [ax.body for stratum in program.strata for ax in stratum]
 
     def test_reserved_word_rejected(self):
         with pytest.raises(ParseError) as info:

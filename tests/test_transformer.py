@@ -29,10 +29,15 @@ from axf import (
     negative_occurrences,
     normalize_stratum,
     parse_program,
+    print_program,
     substitute_stage,
 )
 from axf.logic import formula_at, free_vars
 from axf.transformer import MUTATIONS
+
+from conftest import ROOT
+
+GOLDEN_FAMILIES = ROOT / "tests" / "golden" / "two_member_families.axp"
 
 
 def atom(pred, *names):
@@ -242,10 +247,69 @@ class TestFamilyStructure:
         with pytest.raises(TransformError):
             generate_stage_axioms(path_program, 0, mutation="eq9")
 
+    def test_two_member_families_match_golden(self):
+        # members of different arities with a quantifier between them, so a
+        # swapped i and j changes the printed text
+        prog = parse_program(TWO_MEMBERS)
+        sections = []
+        for label, options in [
+            ("plain", {}),
+            ("optimize_aux", {"optimize_aux": True}),
+        ] + [(m, {"mutation": m}) for m in MUTATIONS]:
+            fam = generate_stage_axioms(prog, 0, **options)
+            extended = AxiomProgram(
+                list(prog.signature.values()) + list(fam.predicates),
+                prog.universe_hint,
+                (prog.strata[0], fam.axioms),
+                validate=False,
+            )
+            sections.append(
+                f"; {label}\n; predicates: {' '.join(p.name for p in fam.predicates)}\n"
+                + print_program(extended)
+            )
+        assert "\n".join(sections) == GOLDEN_FAMILIES.read_text(encoding="utf-8")
+
+    def test_each_shared_part_built_once(self, monkeypatch):
+        import axf.transformer as T
+
+        prog = parse_program(
+            """
+            (program
+              (objects a b)
+              (basic (E 2))
+              (derived (P 1) (Q 2) (R 1))
+              (stratum
+                (axiom (P ?x) (or (E ?x ?x) (exists (?y) (Q ?y ?x))))
+                (axiom (Q ?x ?y) (and (E ?x ?y) (P ?x)))
+                (axiom (R ?x) (forall (?y) (or (P ?y) (E ?x ?y))))))
+            """
+        )
+        real = T.substitute_stage
+        for optimize_aux in (False, True):
+            calls = []
+
+            def counting(formula, member_index, names, mode, target=0, extra=()):
+                calls.append((formula, mode, target, extra))
+                return real(formula, member_index, names, mode, target, extra)
+
+            monkeypatch.setattr(T, "substitute_stage", counting)
+            generate_stage_axioms(prog, 0, optimize_aux=optimize_aux)
+            assert calls and len(calls) == len(set(calls))
+
     def test_stratum_without_derived_refused(self, path_program):
         with pytest.raises(TransformError):
             generate_stage_axioms(path_program, 9)
 
+
+TWO_MEMBERS = """
+(program
+  (objects a b)
+  (basic (E 2))
+  (derived (P 1) (Q 2))
+  (stratum
+    (axiom (P ?x) (or (E ?x ?x) (exists (?y) (and (E ?x ?y) (Q ?y ?x)))))
+    (axiom (Q ?x ?y) (and (E ?x ?y) (P ?x)))))
+"""
 
 CHAIN = """
 (program
