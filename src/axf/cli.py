@@ -281,11 +281,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LogicError as exc:
-        if str(exc).startswith("internal error"):
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if str(exc).startswith("internal error") else 2
     except Exception as exc:  # noqa: BLE001 - last resort, map to exit code 3
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

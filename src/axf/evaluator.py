@@ -103,7 +103,6 @@ class StageTable:
     predicates; anything absent has implicit stage ``fixpoint_stage + 1``.
     """
 
-    stratum_index: int
     universe: Universe
     stage: Mapping[GroundAtom, int]
     fixpoint_stage: int
@@ -292,7 +291,7 @@ class Engine:
         tables: list[StageTable] = []
         for si, compiled in enumerate(self.compiled):
             stage, f = self._fixpoint(compiled, atoms, None)
-            tables.append(StageTable(si, self.universe, stage, f))
+            tables.append(StageTable(self.universe, stage, f))
         return frozenset(atoms), tables
 
     def _fixpoint(

@@ -20,7 +20,7 @@ modules and treat everything here as immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Literal, Mapping, Optional, Sequence, Union
 
 Kind = Literal["basic", "derived"]
@@ -68,20 +68,6 @@ class StratificationError(LogicError):
 
 
 @dataclass(frozen=True)
-class SourceSpan:
-    """Byte range in an input text; line and column are 1-based for the start."""
-
-    filename: str
-    start: int
-    end: int
-    line: int
-    column: int
-
-    def __str__(self) -> str:
-        return f"{self.filename}:{self.line}:{self.column}"
-
-
-@dataclass(frozen=True)
 class Predicate:
     name: str
     arity: int
@@ -109,15 +95,13 @@ Term = Union[Var, Const]
 
 @dataclass(frozen=True)
 class Formula:
-    """Base class; ``span`` records source provenance and never affects equality.
+    """Base class of the formula nodes.
 
     Each node kind owns its shape: ``children()`` lists the subformulas in
     occurrence-path order and ``rebuild(subs)`` returns the same node over
-    new children, keeping its span.  Walkers handle the node kinds they care
-    about and rebuild the rest.
+    new children.  Walkers handle the node kinds they care about and rebuild
+    the rest.
     """
-
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False, kw_only=True)
 
     def children(self) -> tuple[Formula, ...]:
         raise LogicError(f"unknown formula node {type(self).__name__}")
@@ -160,7 +144,7 @@ class Not(Formula):
         return (self.sub,)
 
     def rebuild(self, subs: Sequence[Formula]) -> Formula:
-        return Not(subs[0], span=self.span)
+        return Not(subs[0])
 
 
 @dataclass(frozen=True)
@@ -175,7 +159,7 @@ class And(Formula):
         return self.subs
 
     def rebuild(self, subs: Sequence[Formula]) -> Formula:
-        return type(self)(tuple(subs), span=self.span)
+        return type(self)(tuple(subs))
 
 
 @dataclass(frozen=True)
@@ -204,7 +188,7 @@ class Exists(Formula):
         return (self.sub,)
 
     def rebuild(self, subs: Sequence[Formula]) -> Formula:
-        return type(self)(self.vars, subs[0], span=self.span)
+        return type(self)(self.vars, subs[0])
 
 
 @dataclass(frozen=True)
@@ -314,7 +298,7 @@ def substitute(formula: Formula, binding: Mapping[str, Term]) -> Formula:
         args = tuple(
             binding.get(t.name, t) if isinstance(t, Var) else t for t in formula.args
         )
-        return Atom(formula.pred, args, span=formula.span)
+        return Atom(formula.pred, args)
     if isinstance(formula, (Exists, Forall)):
         binding = {v: t for v, t in binding.items() if v not in formula.vars}
         for t in binding.values():
@@ -339,7 +323,7 @@ def prune_constants(formula: Formula) -> Formula:
             return Bottom()
         if isinstance(sub, Bottom):
             return Top()
-        return Not(sub, span=formula.span)
+        return Not(sub)
     if isinstance(formula, (And, Or)):
         absorber, unit = (Bottom, Top) if isinstance(formula, And) else (Top, Bottom)
         kept: list[Formula] = []
@@ -354,11 +338,11 @@ def prune_constants(formula: Formula) -> Formula:
             return unit()
         if len(kept) == 1:
             return kept[0]
-        return type(formula)(tuple(kept), span=formula.span)
+        return type(formula)(tuple(kept))
     sub = prune_constants(formula.sub)  # Exists or Forall
     if isinstance(sub, (Top, Bottom)):
         return sub
-    return type(formula)(formula.vars, sub, span=formula.span)
+    return type(formula)(formula.vars, sub)
 
 
 def collapse_double_negation(formula: Formula) -> Formula:
@@ -404,7 +388,6 @@ class Axiom:
     head_pred: str
     head_vars: tuple[str, ...]
     body: Formula
-    span: Optional[SourceSpan] = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __post_init__(self) -> None:
         if len(set(self.head_vars)) != len(self.head_vars):

@@ -27,6 +27,14 @@ a variable already bound further out (including head variables) is renamed
 on the spot (``x`` becomes ``x__1``), so downstream code never needs
 capture-avoidance logic.
 
+Spans live in this module only; formula nodes and axioms carry just their
+logic.  The reader gives every symbol and list a ``SourceSpan``, and the
+builder keeps one table per parse with the span of each atom and each axiom
+it makes: those are the only nodes a ``not-stratified`` diagnostic points
+at, since an occurrence path ends at an atom and a head-level violation
+names its axiom.  The table is keyed by ``id()`` because nodes compare and
+hash by value, so equal atoms at two places would otherwise share one entry.
+
 ``print_program`` is the inverse: deterministic text whose reparse is
 structurally equal to the original program, including for transformed
 programs with generated predicate names.  It raises LogicError rather than
@@ -38,8 +46,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
+from .evaluator import TruthAssignment, Universe
 from .logic import (
     And,
     Atom,
@@ -54,7 +63,6 @@ from .logic import (
     Not,
     Or,
     Predicate,
-    SourceSpan,
     Term,
     Top,
     Var,
@@ -69,6 +77,19 @@ RESERVED = {
 }
 
 MAX_NESTING = 256
+
+
+class SourceSpan(NamedTuple):
+    """Byte range in an input text; line and column are 1-based for the start."""
+
+    filename: str
+    start: int
+    end: int
+    line: int
+    column: int
+
+    def __str__(self) -> str:
+        return f"{self.filename}:{self.line}:{self.column}"
 
 
 @dataclass(frozen=True)
@@ -92,14 +113,12 @@ class ParseError(Exception):
 # Reading
 
 
-@dataclass(frozen=True)
-class _SAtom:
+class _SAtom(NamedTuple):
     text: str
     span: SourceSpan
 
 
-@dataclass(frozen=True)
-class _SList:
+class _SList(NamedTuple):
     items: tuple
     span: SourceSpan
 
@@ -165,6 +184,7 @@ def _read(text: str, filename: str) -> list[_SNode]:
 class _Builder:
     def __init__(self) -> None:
         self.diags: list[Diagnostic] = []
+        self.spans: dict[int, SourceSpan] = {}  # id() of an atom or axiom -> its span
 
     def err(self, code: str, message: str, span: SourceSpan) -> None:
         self.diags.append(Diagnostic(code, message, span))
@@ -201,8 +221,8 @@ def parse_program(text: str, filename: str = "<string>") -> AxiomProgram:
     """Parse a program; raises ParseError with all collected diagnostics."""
     forms = _read(text, filename)
     b = _Builder()
-    whole = SourceSpan(filename, 0, len(text), 1, 1)
     if len(forms) != 1:
+        whole = SourceSpan(filename, 0, len(text), 1, 1)
         b.err("program-shape", "input must be exactly one (program ...) form", whole)
         raise ParseError(b.diags)
     root = forms[0]
@@ -243,26 +263,15 @@ def parse_program(text: str, filename: str = "<string>") -> AxiomProgram:
         raise ParseError(b.diags)
 
     program = AxiomProgram(predicates.values(), objects, strata, validate=False)
+    # No diagnostic so far, so every atom and axiom the builder made is held
+    # by the program and no id in the span table has been reused.
     for v in check_stratified(program):
-        span = _violation_span(program, v, whole)
-        b.err("not-stratified", v.message, span)
+        axiom = program.strata[v.stratum_index][v.axiom_index]
+        node = axiom if v.occurrence is None else formula_at(axiom.body, v.occurrence.path)
+        b.err("not-stratified", v.message, b.spans[id(node)])
     if b.diags:
         raise ParseError(b.diags)
     return program
-
-
-def _violation_span(program: AxiomProgram, violation, fallback: SourceSpan) -> SourceSpan:
-    if violation.occurrence is not None:
-        o = violation.occurrence
-        body = program.strata[o.stratum_index][o.axiom_index].body
-        try:
-            node = formula_at(body, o.path)
-        except LogicError:
-            node = None
-        if node is not None and node.span is not None:
-            return node.span
-    axiom = program.strata[violation.stratum_index][violation.axiom_index]
-    return axiom.span if axiom.span is not None else fallback
 
 
 def _parse_objects(b: _Builder, node: _SNode) -> list[str]:
@@ -367,7 +376,7 @@ def _parse_axiom(
     if body is None or not ok:
         return None
     try:
-        return Axiom(pred.name, tuple(head_vars), body, span=lst.span)
+        axiom = Axiom(pred.name, tuple(head_vars), body)
     except LogicError:
         # head variables are distinct by now, so a body variable is unbound
         loose = free_vars(body) - set(head_vars)
@@ -378,6 +387,8 @@ def _parse_axiom(
             lst.items[2].span,
         )
         return None
+    b.spans[id(axiom)] = lst.span
+    return axiom
 
 
 def _parse_formula(
@@ -395,9 +406,9 @@ def _parse_formula(
     them or nested rebindings of one source name could collide."""
     if isinstance(node, _SAtom):
         if node.text == "true":
-            return Top(span=node.span)
+            return Top()
         if node.text == "false":
-            return Bottom(span=node.span)
+            return Bottom()
         b.err("bad-formula", f"expected a formula, got {node.text!r}", node.span)
         return None
     if not node.items:
@@ -420,14 +431,14 @@ def _parse_formula(
         if any(s is None for s in subs):
             return None
         cls = And if word == "and" else Or
-        return cls(tuple(subs), span=node.span)  # type: ignore[arg-type]
+        return cls(tuple(subs))  # type: ignore[arg-type]
 
     if word == "not":
         if len(node.items) != 2:
             b.err("bad-formula", "(not ...) takes exactly one subformula", node.span)
             return None
         sub = _parse_formula(b, node.items[1], predicates, objects, scope, taken)
-        return None if sub is None else Not(sub, span=node.span)
+        return None if sub is None else Not(sub)
 
     if word == "imply":
         if len(node.items) != 3:
@@ -437,7 +448,7 @@ def _parse_formula(
         right = _parse_formula(b, node.items[2], predicates, objects, scope, taken)
         if left is None or right is None:
             return None
-        return Or((Not(left, span=node.items[1].span), right), span=node.span)
+        return Or((Not(left), right))
 
     if word in ("exists", "forall"):
         if len(node.items) != 3:
@@ -477,7 +488,7 @@ def _parse_formula(
         if sub is None:
             return None
         cls = Exists if word == "exists" else Forall
-        return cls(tuple(bound), sub, span=node.span)
+        return cls(tuple(bound), sub)
 
     # Atom.
     pred = predicates.get(word)
@@ -517,7 +528,11 @@ def _parse_formula(
             node.span,
         )
         ok = False
-    return Atom(pred.name, tuple(args), span=node.span) if ok else None
+    if not ok:
+        return None
+    atom = Atom(pred.name, tuple(args))
+    b.spans[id(atom)] = node.span
+    return atom
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +542,6 @@ def _parse_formula(
 def parse_state(text: str, program: AxiomProgram, filename: str = "<string>"):
     """Parse ``(state (P obj ...) ...)`` into a basic-state TruthAssignment
     over the program's declared objects."""
-    from .evaluator import TruthAssignment, Universe
-
     forms = _read(text, filename)
     b = _Builder()
     whole = SourceSpan(filename, 0, len(text), 1, 1)

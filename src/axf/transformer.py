@@ -238,7 +238,6 @@ class StagePredicateFamily:
     emission order, ``predicates`` the matching declarations.
     """
 
-    stratum_index: int
     round_index: int
     members: tuple[str, ...]
     arities: tuple[int, ...]
@@ -411,7 +410,6 @@ def generate_stage_axioms(
             predicates.append(Predicate(aux_fix[i], arities[i - 1], "derived"))
 
     return StagePredicateFamily(
-        stratum_index=stratum_index,
         round_index=rnd,
         members=members,
         arities=arities,
@@ -620,7 +618,7 @@ def eliminate_negative_occurrences(
             for ai, ax in enumerate(stratum):
                 new_body, hits = _replace_negative(ax.body, targets)
                 if hits:
-                    stratum[ai] = Axiom(ax.head_pred, ax.head_vars, new_body, span=ax.span)
+                    stratum[ai] = Axiom(ax.head_pred, ax.head_vars, new_body)
                     for path, pred in hits:
                         replacements.append((pred, key, ai, path, targets[pred], kind))
 

@@ -35,7 +35,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from itertools import count, islice, product
 from math import log
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .evaluator import (
     Engine,
@@ -301,6 +301,12 @@ def _atoms_by_pred(atoms: frozenset[GroundAtom]) -> dict[str, set[tuple[str, ...
     return out
 
 
+def _least_difference(left: AbstractSet, right: AbstractSet) -> tuple:
+    """The least element of ``left ^ right`` and whether ``left`` holds it."""
+    least = min(left.symmetric_difference(right))
+    return least, least in left
+
+
 def _theorem1(stratum_index, members, names, state: _State) -> Optional[str]:
     oracle = stage_relations(state.runs["original"][1][stratum_index], members)
     by_pred = _atoms_by_pred(state.runs[("family", stratum_index)][0])
@@ -314,8 +320,8 @@ def _theorem1(stratum_index, members, names, state: _State) -> Optional[str]:
                 )
                 want = oracle.get(rel, i, j)
                 if got != want:
-                    a, b = min(got.symmetric_difference(want))
-                    side = "axioms" if (a, b) in got else "oracle"
+                    (a, b), in_got = _least_difference(got, want)
+                    side = "axioms" if in_got else "oracle"
                     return (
                         f"{rel}[{i},{j}] disagrees on ({','.join(a)} ; {','.join(b)}):"
                         f" only the {side} relate them"
@@ -346,8 +352,7 @@ def _equivalence(roles, derived_names, state: _State) -> Optional[str]:
     views = [{k for k in state.runs[role][0] if k[0] in derived_names} for role in roles]
     for other in range(1, len(views)):
         if views[other] != views[0]:
-            name, args = min(views[0].symmetric_difference(views[other]))
-            holds = (name, args) in views[0]
+            (name, args), holds = _least_difference(views[0], views[other])
             return (
                 f"{format_ground_atom(name, args)} is {str(holds).lower()} in the original "
                 f"but {str(not holds).lower()} in the {roles[other]} program"
@@ -360,8 +365,7 @@ def _aux(shared_names, state: _State) -> Optional[str]:
     b = {k for k in state.runs["optimized"][0] if k[0] in shared_names}
     if a == b:
         return None
-    name, args = min(a.symmetric_difference(b))
-    holds = (name, args) in a
+    (name, args), holds = _least_difference(a, b)
     return (
         f"{format_ground_atom(name, args)} is {str(holds).lower()} without the shared "
         f"conjuncts but {str(not holds).lower()} with them"
@@ -373,10 +377,10 @@ def _order(order_seeds, state: _State) -> Optional[str]:
     for seed in order_seeds:
         got = state.engines["original"].run(state.atoms, rng=random.Random(f"order:{seed}"))
         if got != baseline:
-            name, args = min(got.symmetric_difference(baseline))
+            (name, args), added = _least_difference(got, baseline)
             return (
                 f"evaluation order {seed} "
-                f"{'adds' if (name, args) in got else 'misses'} {format_ground_atom(name, args)}"
+                f"{'adds' if added else 'misses'} {format_ground_atom(name, args)}"
             )
     return None
 

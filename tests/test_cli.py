@@ -42,6 +42,27 @@ class TestParse:
             f"{bad}:1:78: not-stratified: P occurs positively in stratum 1 but is affected only in stratum 2",
         ]
 
+    def test_not_stratified_spans(self, capsys, tmp_path):
+        """A head-level (a) violation points at its axiom; a negative
+        occurrence under ``imply``, also inside a quantifier, at its atom."""
+        bad = tmp_path / "F"
+        bad.write_text(
+            "(program (objects a) (basic (B 1)) (derived (P 1) (Q 1))\n"
+            "  (stratum\n"
+            "    (axiom (P ?x) (B ?x)))\n"
+            "  (stratum\n"
+            "    (axiom (Q ?x) (imply (Q ?x) (exists (?y) (B ?y))))\n"
+            "    (axiom (P ?x) (forall (?y) (imply (Q ?y) (B ?x))))))\n"
+        )
+        code, out, err = run(capsys, "parse", str(bad))
+        assert code == 2 and out == ""
+        negative = "Q occurs negatively in stratum 2 but is affected in stratum 2, not strictly earlier"
+        assert err.splitlines() == [
+            f"{bad}:6:5: not-stratified: predicate P is affected by axioms in strata 1, 2",
+            f"{bad}:5:26: not-stratified: {negative}",
+            f"{bad}:6:39: not-stratified: {negative}",
+        ]
+
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "parse", "samples/path.axp", "--json")
         blob = json.loads(out)

@@ -1,6 +1,7 @@
 """Core AST behavior: construction guards, polarity, substitution,
 simplification, and the stratification checks."""
 
+import dataclasses
 from dataclasses import dataclass
 
 import pytest
@@ -35,7 +36,7 @@ from axf import (
     prune_constants,
     substitute,
 )
-from axf.logic import NEGATIVE, POSITIVE, SourceSpan, formula_at
+from axf.logic import NEGATIVE, POSITIVE, formula_at
 
 
 def atom(pred, *names):
@@ -75,41 +76,46 @@ class TestConstruction:
         with pytest.raises(SignatureError):
             AxiomProgram([Predicate("P", 1, "basic")], ("a", "a"))
 
-    def test_span_never_affects_equality(self):
-        from axf.logic import SourceSpan
-
-        plain = atom("P", "x")
-        tagged = Atom("P", (Var("x"),), span=SourceSpan("f", 0, 1, 1, 1))
-        assert plain == tagged
-        assert hash(plain) == hash(tagged)
-
 
 class TestNodeProtocol:
-    SPAN = SourceSpan("f", 0, 1, 1, 1)
-
     def nodes(self):
         a, b = atom("P", "x"), atom("Q", "x")
-        s = self.SPAN
         return [
-            Atom("P", (Var("x"),), span=s),
-            Top(span=s),
-            Bottom(span=s),
-            Not(a, span=s),
-            And((a, b), span=s),
-            Or((a, b), span=s),
-            Exists(("y",), a, span=s),
-            Forall(("y",), a, span=s),
+            Atom("P", (Var("x"),)),
+            Top(),
+            Bottom(),
+            Not(a),
+            And((a, b)),
+            Or((a, b)),
+            Exists(("y",), a),
+            Forall(("y",), a),
         ]
 
     def test_every_node_kind_is_covered(self):
         kinds = {c for c in Formula.__subclasses__() if c.__module__ == "axf.logic"}
         assert {type(f) for f in self.nodes()} == kinds
 
-    def test_rebuild_of_children_is_identity_and_keeps_span(self):
+    def test_rebuild_of_children_is_identity(self):
         for f in self.nodes():
             out = f.rebuild(f.children())
             assert out == f and type(out) is type(f)
-            assert out.span is self.SPAN
+
+    def test_nodes_and_axioms_hold_only_their_logic(self):
+        """Source spans stay in the parser: no node kind and no axiom has a
+        field beyond its logical parts."""
+        logical = {
+            Atom: ("pred", "args"),
+            Top: (),
+            Bottom: (),
+            Not: ("sub",),
+            And: ("subs",),
+            Or: ("subs",),
+            Exists: ("vars", "sub"),
+            Forall: ("vars", "sub"),
+            Axiom: ("head_pred", "head_vars", "body"),
+        }
+        for cls, names in logical.items():
+            assert tuple(f.name for f in dataclasses.fields(cls)) == names
 
     def test_rebuild_replaces_children_in_order(self):
         c = atom("R", "x")
