@@ -111,25 +111,20 @@ class StageTable:
         return self.stage.get((pred, args), self.fixpoint_stage + 1)
 
 
-RelationKey = tuple[str, int, int]
 TuplePair = tuple[tuple[str, ...], tuple[str, ...]]
 
-RELATION_NAMES = ("lt", "leq", "nlt", "nleq", "tri")
-
-
-@dataclass(frozen=True)
-class StageRelations:
-    """The five stage-order relations for every member pair (i, j), 1-based."""
-
-    member_count: int
-    pairs: Mapping[RelationKey, frozenset[TuplePair]]
-
-    def get(self, rel: str, i: int, j: int) -> frozenset[TuplePair]:
-        if rel not in RELATION_NAMES:
-            raise EvalError(f"unknown stage relation {rel!r}")
-        if not (1 <= i <= self.member_count and 1 <= j <= self.member_count):
-            raise EvalError(f"member index out of range 1..{self.member_count}")
-        return self.pairs[(rel, i, j)]
+# The five stage-order relations, each as its condition on the stages sa of a
+# and sb of b in a stratum with fixpoint stage f; stage f+1 means "never
+# derived".  The key order is the order in which the transformer emits each
+# family's axioms, so the golden transform files depend on it.
+STAGE_ORDER: dict[str, Callable[[int, int, int], bool]] = {
+    "lt": lambda sa, sb, f: sa < sb,
+    "leq": lambda sa, sb, f: sa <= sb and sa <= f,
+    "nlt": lambda sa, sb, f: sa >= sb,
+    "nleq": lambda sa, sb, f: sa > sb or sa == f + 1,
+    "tri": lambda sa, sb, f: sa + 1 == sb,
+}
+RELATION_NAMES = tuple(STAGE_ORDER)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +260,7 @@ class Engine:
         if basic_state.covered != basic:
             raise EvalError("basic state must cover exactly the basic predicates")
         for name, args in basic_state.true_atoms:
-            pred = self.program.signature.get(name)
-            if pred is None or pred.kind != "basic":
-                raise EvalError(f"state assigns non-basic predicate {name}")
-            if len(args) != pred.arity:
+            if len(args) != self.program.signature[name].arity:
                 raise EvalError(f"state atom {name} has wrong arity")
             for c in args:
                 if c not in objects:
@@ -289,7 +281,7 @@ class Engine:
     ) -> tuple[frozenset[GroundAtom], list[StageTable]]:
         atoms = set(basic_atoms)
         tables: list[StageTable] = []
-        for si, compiled in enumerate(self.compiled):
+        for compiled in self.compiled:
             stage, f = self._fixpoint(compiled, atoms, None)
             tables.append(StageTable(self.universe, stage, f))
         return frozenset(atoms), tables
@@ -362,48 +354,22 @@ def extend_in_stages(
     return TruthAssignment(universe, atoms, engine.full_cover()), tables
 
 
-def stage_relations(table: StageTable, preds: Sequence[Predicate]) -> StageRelations:
-    """The five stage-order relations over all tuple pairs, from a stage table.
-
-    For members i, j (1-based) and tuples a, b:
-
-      lt    stage(a,i) <  stage(b,j)
-      leq   stage(a,i) <= stage(b,j) and stage(a,i) <= f
-      nlt   stage(a,i) >= stage(b,j)                      (complement of lt)
-      nleq  stage(a,i) >  stage(b,j) or stage(a,i) = f+1  (complement of leq)
-      tri   stage(a,i) + 1 = stage(b,j)
-    """
-    if not preds:
-        return StageRelations(0, {})
+def stage_relations(
+    table: StageTable, preds: Sequence[Predicate]
+) -> dict[tuple[str, int, int], frozenset[TuplePair]]:
+    """The stage-order relations of ``STAGE_ORDER`` over all tuple pairs,
+    keyed ``(rel, i, j)`` for members i, j (1-based), relation-major."""
     objs = table.universe.objects
     f = table.fixpoint_stage
-    m = len(preds)
-    tuples: dict[int, tuple[tuple[str, ...], ...]] = {
-        i: tuple(product(objs, repeat=preds[i - 1].arity)) for i in range(1, m + 1)
+    stages = [
+        [(a, table.stage_of(p.name, a)) for a in product(objs, repeat=p.arity)] for p in preds
+    ]
+    members = range(1, len(preds) + 1)
+    return {
+        (rel, i, j): frozenset(
+            (a, b) for a, sa in stages[i - 1] for b, sb in stages[j - 1] if holds(sa, sb, f)
+        )
+        for rel, holds in STAGE_ORDER.items()
+        for i in members
+        for j in members
     }
-    stages: dict[int, dict[tuple[str, ...], int]] = {
-        i: {a: table.stage_of(preds[i - 1].name, a) for a in tuples[i]}
-        for i in range(1, m + 1)
-    }
-    pairs: dict[RelationKey, frozenset[TuplePair]] = {}
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            lt, leq, nlt, nleq, tri = set(), set(), set(), set(), set()
-            for a, sa in stages[i].items():
-                for b, sb in stages[j].items():
-                    if sa < sb:
-                        lt.add((a, b))
-                    if sa <= sb and sa <= f:
-                        leq.add((a, b))
-                    if sa >= sb:
-                        nlt.add((a, b))
-                    if sa > sb or sa == f + 1:
-                        nleq.add((a, b))
-                    if sa + 1 == sb:
-                        tri.add((a, b))
-            pairs[("lt", i, j)] = frozenset(lt)
-            pairs[("leq", i, j)] = frozenset(leq)
-            pairs[("nlt", i, j)] = frozenset(nlt)
-            pairs[("nleq", i, j)] = frozenset(nleq)
-            pairs[("tri", i, j)] = frozenset(tri)
-    return StageRelations(m, pairs)

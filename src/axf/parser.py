@@ -244,6 +244,7 @@ def parse_program(text: str, filename: str = "<string>") -> AxiomProgram:
     _parse_decls(b, sections[1], "basic", predicates)
     _parse_decls(b, sections[2], "derived", predicates)
 
+    declared = set(objects)
     strata: list[list[Axiom]] = []
     for section in sections[3:]:
         node = b.expect_list(section, "a (stratum ...) section")
@@ -254,7 +255,7 @@ def parse_program(text: str, filename: str = "<string>") -> AxiomProgram:
             continue
         axioms: list[Axiom] = []
         for form in node.items[1:]:
-            ax = _parse_axiom(b, form, predicates, set(objects))
+            ax = _parse_axiom(b, form, predicates, declared)
             if ax is not None:
                 axioms.append(ax)
         strata.append(axioms)

@@ -1,15 +1,9 @@
 """Stage-ordering axiom generation and negative-occurrence elimination.
 
 For one stratum with members P_1..P_m, ``generate_stage_axioms`` emits a
-self-contained stratum defining five relation predicates per member pair,
-capturing the order in which the staged fixpoint derives ground atoms
-(stage f+1 standing for "never"):
-
-  lt    stage(a, i) <  stage(b, j)
-  leq   stage(a, i) <= stage(b, j), and a is actually derived
-  nlt   stage(a, i) >= stage(b, j)           complement of lt
-  nleq  stage(a, i) >  stage(b, j), or a is never derived
-  tri   stage(a, i) + 1 = stage(b, j)
+self-contained stratum defining, for every member pair, the five relation
+predicates of ``evaluator.STAGE_ORDER``: the order in which the staged
+fixpoint derives ground atoms.
 
 Write phi_i(x) for member i's normalized body with head variables x, and
 phi_i(x)[M j y] for that body with each member atom P_k(z) replaced per

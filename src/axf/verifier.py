@@ -40,7 +40,6 @@ from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Sequen
 from .evaluator import (
     Engine,
     GroundAtom,
-    RELATION_NAMES,
     Universe,
     stage_relations,
 )
@@ -310,22 +309,16 @@ def _least_difference(left: AbstractSet, right: AbstractSet) -> tuple:
 def _theorem1(stratum_index, members, names, state: _State) -> Optional[str]:
     oracle = stage_relations(state.runs["original"][1][stratum_index], members)
     by_pred = _atoms_by_pred(state.runs[("family", stratum_index)][0])
-    m = len(members)
-    for rel in RELATION_NAMES:
-        for i in range(1, m + 1):
-            for j in range(1, m + 1):
-                ai = members[i - 1].arity
-                got = frozenset(
-                    (args[:ai], args[ai:]) for args in by_pred.get(names[(rel, i, j)], ())
-                )
-                want = oracle.get(rel, i, j)
-                if got != want:
-                    (a, b), in_got = _least_difference(got, want)
-                    side = "axioms" if in_got else "oracle"
-                    return (
-                        f"{rel}[{i},{j}] disagrees on ({','.join(a)} ; {','.join(b)}):"
-                        f" only the {side} relate them"
-                    )
+    for (rel, i, j), want in oracle.items():
+        ai = members[i - 1].arity
+        got = frozenset((args[:ai], args[ai:]) for args in by_pred.get(names[(rel, i, j)], ()))
+        if got != want:
+            (a, b), in_got = _least_difference(got, want)
+            side = "axioms" if in_got else "oracle"
+            return (
+                f"{rel}[{i},{j}] disagrees on ({','.join(a)} ; {','.join(b)}):"
+                f" only the {side} relate them"
+            )
     return None
 
 

@@ -383,6 +383,14 @@ class TestStats:
         assert lines[3] == "signature size: 7"
         assert lines[4] == "program size: 30"
 
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "stats", "samples/path.axp", "--json")
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["signature_size"] == 7
+        assert blob["total_size"] == 30
+        assert [s["size"] for s in blob["strata"]] == [16, 7]
+
 
 class TestExitCodes:
     def test_internal_error_exit_3(self, capsys, monkeypatch):

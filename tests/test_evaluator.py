@@ -184,6 +184,19 @@ class TestStages:
         with pytest.raises(EvalError):
             engine.check_basic_state(not_basic)
 
+    @pytest.mark.parametrize(
+        "atoms, covered, message",
+        [
+            ({("E", ("a",))}, ("E",), "state atom E has wrong arity"),
+            ({("E", ("a", "z"))}, ("E",), "state mentions object z outside the universe"),
+            (set(), ("E", "path"), "basic state must cover exactly the basic predicates"),
+        ],
+    )
+    def test_extend_refusals(self, path_program, atoms, covered, message):
+        with pytest.raises(EvalError) as err:
+            extend(path_program, U3, basic_state(U3, atoms, covered))
+        assert str(err.value) == message
+
     def test_full_cover(self, path_program):
         assert Engine(path_program, U3).full_cover() == {"E", "path", "acyclic"}
 
@@ -196,16 +209,16 @@ class TestStageRelations:
 
     def test_path_relations(self, path_program, path_state):
         table, rel = self.fixture(path_program, path_state)
-        assert rel.member_count == 1
+        assert set(rel) == {(r, 1, 1) for r in RELATION_NAMES}
         ab, bc, ac = ("a", "b"), ("b", "c"), ("a", "c")
-        lt = rel.get("lt", 1, 1)
+        lt = rel["lt", 1, 1]
         assert (ab, ac) in lt and (ac, ab) not in lt
         assert (ab, bc) not in lt  # equal stages
-        leq = rel.get("leq", 1, 1)
+        leq = rel["leq", 1, 1]
         assert (ab, bc) in leq and (ab, ac) in leq
         # stage f+1 tuples never sit on the left of leq
         assert all(table.stage_of("path", a) <= 2 for a, _ in leq)
-        tri = rel.get("tri", 1, 1)
+        tri = rel["tri", 1, 1]
         assert (ab, ac) in tri and (ab, bc) not in tri
         # fixpoint-stage tuples step to the underivable ones
         assert (ac, ("c", "a")) in tri
@@ -220,17 +233,26 @@ class TestStageRelations:
             for y1 in objs
             for y2 in objs
         }
-        assert rel.get("nlt", 1, 1) == all_pairs - rel.get("lt", 1, 1)
-        assert rel.get("nleq", 1, 1) == all_pairs - rel.get("leq", 1, 1)
+        assert rel["nlt", 1, 1] == all_pairs - rel["lt", 1, 1]
+        assert rel["nleq", 1, 1] == all_pairs - rel["leq", 1, 1]
 
-    def test_get_validates(self, path_program, path_state):
-        _, rel = self.fixture(path_program, path_state)
-        with pytest.raises(EvalError):
-            rel.get("lt", 0, 1)
-        with pytest.raises(EvalError):
-            rel.get("lt", 1, 2)
-        with pytest.raises(EvalError):
-            rel.get("between", 1, 1)
+    def test_keys_are_relation_major(self):
+        # _theorem1 reports the first disagreeing key in this order
+        program = parse_program(
+            "(program (objects a b) (basic (E 2)) (derived (P 1) (Q 2))"
+            " (stratum (axiom (P ?x) (exists (?y) (E ?x ?y)))"
+            " (axiom (Q ?x ?y) (and (P ?x) (E ?x ?y)))))"
+        )
+        u = Universe(("a", "b"))
+        table = extend_in_stages(program, u, basic_state(u, {("E", ("a", "b"))}))[1][0]
+        preds = [program.signature["P"], program.signature["Q"]]
+        assert list(stage_relations(table, preds)) == [
+            (rel, i, j) for rel in RELATION_NAMES for i in (1, 2) for j in (1, 2)
+        ]
+
+    def test_no_members(self, path_program, path_state):
+        table, _ = self.fixture(path_program, path_state)
+        assert stage_relations(table, []) == {}
 
     def test_relation_names_constant(self):
         assert RELATION_NAMES == ("lt", "leq", "nlt", "nleq", "tri")
@@ -262,9 +284,9 @@ def test_stage_invariants_exhaustive(path_program):
             sa = table.stage_of("path", a)
             for b in tuples:
                 sb = table.stage_of("path", b)
-                assert ((a, b) in rel.get("lt", 1, 1)) == (sa < sb)
-                assert ((a, b) in rel.get("leq", 1, 1)) == (sa <= sb and sa <= f)
-                assert ((a, b) in rel.get("tri", 1, 1)) == (sa + 1 == sb)
+                assert ((a, b) in rel["lt", 1, 1]) == (sa < sb)
+                assert ((a, b) in rel["leq", 1, 1]) == (sa <= sb and sa <= f)
+                assert ((a, b) in rel["tri", 1, 1]) == (sa + 1 == sb)
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=0, max_value=255))

@@ -76,6 +76,31 @@ class TestConstruction:
         with pytest.raises(SignatureError):
             AxiomProgram([Predicate("P", 1, "basic")], ("a", "a"))
 
+    @pytest.mark.parametrize(
+        "head, head_vars, body, message",
+        [
+            ("Z", ("x",), Top(), "undeclared predicate Z (stratum 1, axiom 1)"),
+            ("B", ("x",), Top(), "head predicate B is basic, not derived (stratum 1, axiom 1)"),
+            (
+                "P",
+                ("x", "y"),
+                Top(),
+                "head of P has 2 arguments, declared arity is 1 (stratum 1, axiom 1)",
+            ),
+            (
+                "P",
+                ("x",),
+                Exists(("y",), atom("B", "x", "y")),
+                "atom B has 2 arguments, declared arity is 1 (stratum 1, axiom 1)",
+            ),
+        ],
+    )
+    def test_axiom_signature_errors(self, head, head_vars, body, message):
+        preds = [Predicate("P", 1, "derived"), Predicate("B", 1, "basic")]
+        with pytest.raises(SignatureError) as err:
+            AxiomProgram(preds, (), [[Axiom(head, head_vars, body)]])
+        assert str(err.value) == message
+
 
 class TestNodeProtocol:
     def nodes(self):

@@ -1,5 +1,6 @@
 """Semantic verification: oracles, sweeps, mutation sensitivity, sampling."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,7 +9,9 @@ import axf.verifier
 from axf import (
     AxiomProgram,
     Axiom,
+    Bottom,
     BudgetError,
+    Engine,
     Predicate,
     RandomProfile,
     Top,
@@ -236,6 +239,68 @@ class TestCounterexamples:
         assert blob["check"].startswith("equivalence")
         assert blob["universe"] == ["a", "b"]
         json.dumps(blob)
+
+
+def replace_axiom(axioms, head, body):
+    """``axioms`` with the axiom for ``head`` given ``body``."""
+    return tuple(
+        Axiom(ax.head_pred, ax.head_vars, body) if ax.head_pred == head else ax for ax in axioms
+    )
+
+
+class TestFailureTexts:
+    """The counterexample text of each sweep check's failure branch, on
+    deliberately broken inputs for ``samples/path.axp`` over two objects."""
+
+    def test_theorem2(self, path_program, monkeypatch):
+        real = axf.verifier.generate_stage_axioms
+
+        def broken(program, index, **kw):
+            family = real(program, index, **kw)
+            axioms = replace_axiom(family.axioms, "nleq__path__path__r1", Bottom())
+            return dataclasses.replace(family, axioms=axioms)
+
+        monkeypatch.setattr(axf.verifier, "generate_stage_axioms", broken)
+        res = verify_theorem2(path_program, 0, U2)
+        assert (res.states_checked, res.failures) == (16, 12)
+        assert res.counterexample.state_text() == "(state)"
+        assert res.counterexample.detail == (
+            "(path a a) is false but (nleq__path__path__r1 a a a a) is false"
+        )
+
+    def test_aux(self, path_program, monkeypatch):
+        real = axf.verifier.eliminate_negative_occurrences
+
+        def broken(program, **kw):
+            out, report = real(program, **kw)
+            if kw.get("optimize_aux"):
+                strata = [replace_axiom(stratum, "acyclic", Top()) for stratum in out.strata]
+                out = AxiomProgram(out.signature.values(), out.universe_hint, strata)
+            return out, report
+
+        monkeypatch.setattr(axf.verifier, "eliminate_negative_occurrences", broken)
+        res = verify_aux(path_program, U2)
+        assert (res.states_checked, res.failures) == (16, 13)
+        assert res.counterexample.state_text() == "(state (E a a))"
+        assert res.counterexample.detail == (
+            "(acyclic) is false without the shared conjuncts but true with them"
+        )
+
+    def test_order(self, path_program, monkeypatch):
+        real = Engine.run
+
+        def broken(self, basic_atoms, *, rng=None):
+            atoms = real(self, basic_atoms, rng=rng)
+            derived = atoms - basic_atoms
+            if rng is not None and derived:
+                atoms -= {max(derived)}
+            return atoms
+
+        monkeypatch.setattr(Engine, "run", broken)
+        res = verify_order_independence(path_program, U2)
+        assert (res.states_checked, res.failures) == (16, 16)
+        assert res.counterexample.state_text() == "(state)"
+        assert res.counterexample.detail == "evaluation order 0 misses (acyclic)"
 
 
 class TestBudgets:
