@@ -254,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--checks",
         default="all",
-        help="comma-separated subset of polarity,theorem1,theorem2,equivalence,aux,order",
+        help="comma-separated subset of " + ",".join(VerificationPlan().checks),
     )
     p.add_argument("--json", action="store_true")
     p.add_argument("--quiet", action="store_true", help="no output, exit code only")

@@ -445,12 +445,6 @@ class AxiomProgram:
         if violations:
             raise StratificationError(violations)
 
-    def predicate(self, name: str) -> Predicate:
-        try:
-            return self.signature[name]
-        except KeyError:
-            raise SignatureError(f"undeclared predicate {name}") from None
-
     @property
     def basic_predicates(self) -> tuple[Predicate, ...]:
         return tuple(p for p in self.signature.values() if p.kind == "basic")
@@ -597,3 +591,8 @@ def negative_occurrences(
                 if pol == NEGATIVE and atom.pred in wanted:
                     out.append(OccurrenceRef(si, ai, path, pol))
     return out
+
+
+def lint_polarity(program: AxiomProgram) -> list[OccurrenceRef]:
+    """Occurrence references for every negative derived occurrence."""
+    return negative_occurrences(program, [p.name for p in program.derived_predicates])

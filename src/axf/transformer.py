@@ -67,11 +67,11 @@ from .logic import (
     affected_predicates,
     collapse_double_negation,
     iter_atoms,
+    lint_polarity,
     make_conj,
     make_disj,
     make_exists,
     make_forall,
-    negative_occurrences,
     node_count,
     prune_constants,
     substitute,
@@ -241,9 +241,6 @@ class StagePredicateFamily:
     aux_empty: Optional[str] = None
     aux_fix: Mapping[int, str] = field(default_factory=dict)
     mutation: Optional[str] = None
-
-    def name(self, rel: str, i: int, j: int) -> str:
-        return self.names[(rel, i, j)]
 
 
 def _candidate_names(
@@ -688,8 +685,7 @@ def eliminate_negative_occurrences(
 def merge_to_single_stratum(program: AxiomProgram) -> AxiomProgram:
     """Collapse a program with no negative derived occurrences into one
     stratum; the joint fixpoint then coincides with the stratified one."""
-    derived = [p.name for p in program.derived_predicates]
-    negs = negative_occurrences(program, derived)
+    negs = lint_polarity(program)
     if negs:
         first = negs[0]
         raise TransformError(

@@ -60,7 +60,7 @@ from .logic import (
     Top,
     Var,
     iter_atoms,
-    negative_occurrences,
+    lint_polarity,
 )
 from .parser import format_ground_atom, format_state
 from .transformer import (
@@ -269,9 +269,10 @@ def _planned_states(program: AxiomProgram, size: int, plan: VerificationPlan) ->
 
 # ---------------------------------------------------------------------------
 # The sweep.  One pass runs every planned check over one universe's states.
-# ``_programs`` builds the programs the checks read, keyed by role
-# ("original", ("family", i), "transformed", "merged", "optimized"), and
-# ``_checks`` turns check names into ``(name, label, compare, args)`` tuples;
+# ``_plan`` builds, once per run, the programs the checks read, keyed by role
+# ("original", ("family", i), "transformed", "merged", "optimized"), and the
+# ``(name, tags, compare, args)`` check tuples, which hold nothing of the
+# universe; ``_sweep`` labels each result ``name[n=<size>,<tags>]``.
 # ``compare(*args, state)`` returns a detail for a failing state, else None.
 # Each chunk compiles one engine per role and runs it once per state; every
 # comparator reads those shared runs.  Comparators and ``_run_chunk`` are top
@@ -453,32 +454,38 @@ def _sweep(
         bounds = [total * k // workers for k in range(workers + 1)]
         specs = [head + (bounds[k], bounds[k + 1]) for k in range(workers)]
     parts = pool.map_chunks([(checks, programs, universe, spec) for spec in specs])
+    size = (f"n={len(universe.objects)}",)
     results = []
-    for k, (_, label, _, _) in enumerate(checks):
+    for k, (name, tags, _, _) in enumerate(checks):
         best: Optional[Counterexample] = None
         for part in parts:
             best = _merge_best(best, part[k][2])
+        label = f"{name}[{','.join(size + tags)}]"
         results.append(
             CheckResult(label, sum(p[k][0] for p in parts), sum(p[k][1] for p in parts), best)
         )
     return results
 
 
-def _programs(
+def _plan(
     program: AxiomProgram,
-    planned: set[str],
+    planned: Sequence[str],
     transformed: Optional[AxiomProgram] = None,
     strata: Iterable[int] = (),
     mutation: Optional[str] = None,
-) -> tuple[dict, dict, Optional[CheckResult]]:
-    """The programs the ``planned`` checks read, keyed by role; the stage
-    family of each of ``strata``, keyed by index; and the polarity result of
-    the transform, or None when no transform is given or read.
+    orders: int = 8,
+) -> tuple[dict, list[tuple], Optional[CheckResult]]:
+    """The programs the ``planned`` checks read, keyed by role; the check
+    tuples for the ``planned`` names, in order, one per stage family of
+    ``strata`` for theorem1 and theorem2 and none for polarity; and the
+    polarity result of the transform, or None when no transform is given or
+    read.
 
     ``transformed`` stands in for the transform of ``program``.  The merged
     form is built only when the polarity lint passes, since merging needs a
     lint-clean program."""
-    if transformed is None and planned & {"polarity", "equivalence", "aux"}:
+    wanted = set(planned)
+    if transformed is None and wanted & {"polarity", "equivalence", "aux"}:
         transformed, _ = eliminate_negative_occurrences(program)
     polarity = None
     if transformed is not None:
@@ -487,68 +494,46 @@ def _programs(
         )
         polarity = CheckResult("polarity", 0, len(notes), None, notes)
     programs: dict = {}
-    if planned & {"theorem1", "theorem2", "equivalence", "order"}:
+    if wanted & {"theorem1", "theorem2", "equivalence", "order"}:
         programs["original"] = program
-    families = {}
-    if planned & {"theorem1", "theorem2"}:
+    families = []  # (tags, args) of each stage family's check
+    if wanted & {"theorem1", "theorem2"}:
         for index in strata:
-            family = families[index] = generate_stage_axioms(program, index, mutation=mutation)
+            family = generate_stage_axioms(program, index, mutation=mutation)
             programs[("family", index)] = AxiomProgram(
                 list(program.signature.values()) + list(family.predicates),
                 program.universe_hint,
                 program.strata[:index] + (family.axioms,),
             )
-    if planned & {"equivalence", "aux"}:
+            members = tuple(program.signature[m] for m in family.members)
+            families.append(((f"stratum={index}",), (index, members, dict(family.names))))
+    if wanted & {"equivalence", "aux"}:
         programs["transformed"] = transformed
-    if "equivalence" in planned and polarity.passed:
+    if "equivalence" in wanted and polarity.passed:
         programs["merged"] = merge_to_single_stratum(transformed)
-    if "aux" in planned:
+    if "aux" in wanted:
         programs["optimized"], _ = eliminate_negative_occurrences(program, optimize_aux=True)
-    return programs, families, polarity
-
-
-def _checks(
-    program: AxiomProgram,
-    planned: Sequence[str],
-    programs: dict,
-    families: dict,
-    *,
-    size: Optional[int] = None,
-    label: Optional[str] = None,
-    orders: int = 8,
-) -> list[tuple]:
-    """The sweep's check tuples for the ``planned`` names, in order: one per
-    stage family for theorem1 and theorem2, none for polarity.  Labels name
-    the universe ``size`` when one is given; ``label`` replaces them."""
-    tags = () if size is None else (f"n={size}",)
-
-    def name(check: str, *more: str) -> str:
-        parts = tags + more
-        return label or (f"{check}[{','.join(parts)}]" if parts else check)
-
     checks = []
     for check in planned:
         if check in ("theorem1", "theorem2"):
             compare = _theorem1 if check == "theorem1" else _theorem2
-            for index, family in families.items():
-                members = tuple(program.predicate(m) for m in family.members)
-                args = (index, members, dict(family.names))
-                checks.append((check, name(check, f"stratum={index}"), compare, args))
+            checks += [(check, tags, compare, args) for tags, args in families]
         elif check == "equivalence":
             roles = tuple(r for r in ("original", "transformed", "merged") if r in programs)
             derived = frozenset(p.name for p in program.derived_predicates)
-            checks.append((check, name(check), _equivalence, (roles, derived)))
+            checks.append((check, (), _equivalence, (roles, derived)))
         elif check == "aux":
-            shared = set(programs["transformed"].signature) & set(programs["optimized"].signature)
-            checks.append((check, name(check), _aux, (frozenset(shared),)))
+            shared = set(transformed.signature) & set(programs["optimized"].signature)
+            checks.append((check, (), _aux, (frozenset(shared),)))
         elif check == "order":
-            checks.append((check, name(check), _order, (tuple(range(orders)),)))
-    return checks
+            checks.append((check, (), _order, (tuple(range(orders)),)))
+    return programs, checks, polarity
 
 
 # ---------------------------------------------------------------------------
 # Public checks.  Each ``verify_*`` function is a one-check form of the
-# ``run_checks`` pass: the same builders, swept alone over one universe.
+# ``run_checks`` pass: the same builder, swept alone over one universe, with
+# results named as ``run_checks`` names them.
 
 def _verify_one(
     check: str,
@@ -556,15 +541,13 @@ def _verify_one(
     universe: Universe,
     plan: Optional[VerificationPlan],
     states: Optional[Iterable[frozenset[GroundAtom]]],
-    label: Optional[str],
     *,
     transformed: Optional[AxiomProgram] = None,
     strata: Iterable[int] = (),
     mutation: Optional[str] = None,
     orders: int = 8,
 ) -> CheckResult:
-    programs, families, _ = _programs(program, {check}, transformed, strata, mutation)
-    checks = _checks(program, (check,), programs, families, label=label, orders=orders)
+    programs, checks, _ = _plan(program, (check,), transformed, strata, mutation, orders)
     with closing(_Pool()) as pool:
         return _sweep(checks, programs, program, universe, plan, states, pool)[0]
 
@@ -577,12 +560,10 @@ def verify_theorem1(
     *,
     states: Optional[Iterable[frozenset[GroundAtom]]] = None,
     mutation: Optional[str] = None,
-    label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: stage relations by axioms == stage relations by oracle."""
     return _verify_one(
-        "theorem1", program, universe, plan, states, label,
-        strata=(stratum_index,), mutation=mutation,
+        "theorem1", program, universe, plan, states, strata=(stratum_index,), mutation=mutation
     )
 
 
@@ -593,12 +574,9 @@ def verify_theorem2(
     plan: Optional[VerificationPlan] = None,
     *,
     states: Optional[Iterable[frozenset[GroundAtom]]] = None,
-    label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: P_i(a) holds in the stratum's fixpoint iff nleq_ii(a,a) fails."""
-    return _verify_one(
-        "theorem2", program, universe, plan, states, label, strata=(stratum_index,)
-    )
+    return _verify_one("theorem2", program, universe, plan, states, strata=(stratum_index,))
 
 
 def verify_equivalence(
@@ -608,13 +586,10 @@ def verify_equivalence(
     *,
     transformed: Optional[AxiomProgram] = None,
     states: Optional[Iterable[frozenset[GroundAtom]]] = None,
-    label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: the transformation preserves every original derived atom; the
     merged form joins in when the transform passes the polarity lint."""
-    return _verify_one(
-        "equivalence", original, universe, plan, states, label, transformed=transformed
-    )
+    return _verify_one("equivalence", original, universe, plan, states, transformed=transformed)
 
 
 def verify_aux(
@@ -623,10 +598,9 @@ def verify_aux(
     plan: Optional[VerificationPlan] = None,
     *,
     states: Optional[Iterable[frozenset[GroundAtom]]] = None,
-    label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: the aux rewrite leaves every shared predicate's extension alone."""
-    return _verify_one("aux", program, universe, plan, states, label)
+    return _verify_one("aux", program, universe, plan, states)
 
 
 def verify_order_independence(
@@ -636,22 +610,15 @@ def verify_order_independence(
     *,
     orders: int = 8,
     states: Optional[Iterable[frozenset[GroundAtom]]] = None,
-    label: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: chaotic evaluation agrees with the staged fixpoint."""
-    return _verify_one("order", program, universe, plan, states, label, orders=orders)
-
-
-def lint_polarity(program: AxiomProgram) -> list:
-    """Occurrence references for every negative derived occurrence."""
-    derived = [p.name for p in program.derived_predicates]
-    return negative_occurrences(program, derived)
+    return _verify_one("order", program, universe, plan, states, orders=orders)
 
 
 def check_polarity(program: AxiomProgram) -> CheckResult:
     """Static check: transform, then lint the result for negative derived
     occurrences, one failure and one note for each."""
-    return _programs(program, {"polarity"})[2]
+    return _plan(program, ("polarity",))[2]
 
 
 def run_checks(
@@ -667,8 +634,8 @@ def run_checks(
     to it.  The equivalence sweep includes the merged form only when the
     polarity lint passes, since merging needs a lint-clean program.
 
-    The transforms, the merge and the stage families are built once, before
-    the first size.  Each size is then one sweep of every planned check, and
+    The transforms, the merge, the stage families and the check tuples are
+    built once, before the first size.  Each size is then one sweep of every planned check, and
     the sweeps share one process pool.  A size is checked for dropped
     constants and against the state budget before its objects are built."""
     plan = plan or VerificationPlan()
@@ -680,12 +647,11 @@ def run_checks(
                 + ",".join(sorted(unsupported))
             )
     nonempty = [index for index, stratum in enumerate(program.strata) if stratum]
-    programs, families, polarity = _programs(program, set(plan.checks), transformed, nonempty)
+    programs, checks, polarity = _plan(program, plan.checks, transformed, nonempty)
     results = [polarity] if "polarity" in plan.checks else []
     with closing(_Pool()) as pool:
         for size in plan.universe_sizes:
             _refuse_dropped_constants(program, size)
-            checks = _checks(program, plan.checks, programs, families, size=size)
             if checks:
                 _planned_states(program, size, plan)
                 universe = universe_for(program, size)

@@ -1,7 +1,8 @@
 """Code hygiene: every name a module imports with ``from ... import`` is used,
 every function reads each of its parameters, every module-level private name
 is referenced in its module, every public one is exported or read by another
-definition, and every name the benchmark traces exists.
+definition, every name the benchmark traces exists, and every call shape the
+benchmark uses binds.
 
 ``__init__.py`` is skipped by the import check because its imports are the
 package's re-exports.
@@ -9,6 +10,7 @@ package's re-exports.
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -230,3 +232,22 @@ def test_benchmark_traced_names_resolve(monkeypatch):
     after = axf_bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+# The positional arguments and keywords ``bench/workloads.py`` passes to
+# each ``verify_*`` entry point.
+BENCHMARK_CALL_SHAPES = {
+    "verify_theorem1": (("program", "index", "universe"), ("states", "mutation")),
+    "verify_theorem2": (("program", "index", "universe"), ("states",)),
+    "verify_equivalence": (("program", "universe"), ("states",)),
+    "verify_aux": (("program", "universe"), ("states",)),
+    "verify_order_independence": (("program", "universe"), ("states",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_CALL_SHAPES))
+def test_benchmark_call_shapes_bind(name):
+    """A parameter the benchmark passes must not be removed or renamed
+    without failing here, before a benchmark run."""
+    args, keywords = BENCHMARK_CALL_SHAPES[name]
+    inspect.signature(getattr(axf, name)).bind(*args, **dict.fromkeys(keywords))

@@ -135,7 +135,7 @@ class TestFamilyStructure:
         assert fam.members == ("path",)
         assert fam.arities == (2,)
         assert fam.round_index == 1
-        assert fam.name("nleq", 1, 1) == "nleq__path__path__r1"
+        assert fam.names[("nleq", 1, 1)] == "nleq__path__path__r1"
         assert len(fam.axioms) == 5
         order = [ax.head_pred.split("__")[0] for ax in fam.axioms]
         assert order == ["lt", "leq", "nlt", "nleq", "tri"]
@@ -203,7 +203,7 @@ class TestFamilyStructure:
             path_program, 0, avoid_names=frozenset({"lt__path__path__r1"})
         )
         assert fam.round_index == 2
-        assert fam.name("nleq", 1, 1) == "nleq__path__path__r2"
+        assert fam.names[("nleq", 1, 1)] == "nleq__path__path__r2"
 
     def test_plain_scheme_survives_harmless_underscores(self):
         prog = parse_program(
@@ -218,7 +218,7 @@ class TestFamilyStructure:
             """
         )
         fam = generate_stage_axioms(prog, 0)
-        assert fam.name("lt", 1, 2) == "lt__aa__bb__aa__r1"
+        assert fam.names[("lt", 1, 2)] == "lt__aa__bb__aa__r1"
 
     def test_tagged_scheme_for_ambiguous_members(self):
         # lt__x__x__x would name both (1, 2) and (2, 1), so every member
@@ -235,8 +235,8 @@ class TestFamilyStructure:
             """
         )
         fam = generate_stage_axioms(prog, 0)
-        assert fam.name("lt", 1, 2) == "lt__m1_x__m2_x__x__r1"
-        assert fam.name("lt", 2, 1) == "lt__m2_x__x__m1_x__r1"
+        assert fam.names[("lt", 1, 2)] == "lt__m1_x__m2_x__x__r1"
+        assert fam.names[("lt", 2, 1)] == "lt__m2_x__x__m1_x__r1"
         assert len({p.name for p in fam.predicates}) == 20
 
     def test_mutation_names(self, path_program):

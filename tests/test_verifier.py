@@ -460,6 +460,18 @@ class TestOnePass:
         assert len(transforms) == 2
         assert len(families) == 2
 
+    def test_builds_the_pass_once_per_run(self, path_program, monkeypatch):
+        plans = count_calls(monkeypatch, "_plan")
+        result = run_checks(path_program, VerificationPlan(universe_sizes=(1, 2, 3), samples=4))
+        assert len(plans) == 1
+        assert [c.name for c in result.checks if c.name.startswith("aux")] == [
+            "aux[n=1]", "aux[n=2]", "aux[n=3]"
+        ]
+
+    def test_single_checks_name_the_universe(self, path_program):
+        assert verify_aux(path_program, U2).name == "aux[n=2]"
+        assert verify_theorem1(path_program, 0, U2).name == "theorem1[n=2,stratum=0]"
+
     def test_one_pool_per_run(self, pool_programs, pool_starts, monkeypatch):
         monkeypatch.setenv("AXF_THREADS", "2")
         result = run_checks(pool_programs[0], SAMPLED_2_3)
@@ -471,15 +483,13 @@ class TestOnePass:
         forms then compare the original with it alone."""
         plan = VerificationPlan(universe_sizes=(2,), checks=("equivalence",))
         (passed,) = run_checks(path_program, plan, transformed=path_program).checks
-        single = verify_equivalence(
-            path_program, U2, transformed=path_program, label="equivalence[n=2]"
-        )
+        single = verify_equivalence(path_program, U2, transformed=path_program)
         assert single.to_json() == passed.to_json()
 
     @pytest.mark.parametrize("corrupt", [False, True], ids=["all-checks", "corrupt-transform"])
     def test_pass_equals_single_checks(self, pool_programs, monkeypatch, corrupt):
         """The same results at one and two workers, and the same as the
-        ``verify_*`` entry points, in order, under the same labels."""
+        ``verify_*`` entry points, in order, under the same names."""
         program, bad = pool_programs
         if corrupt:
             plan = VerificationPlan(
@@ -498,25 +508,16 @@ class TestOnePass:
         for size in plan.universe_sizes:
             u = universe_for(program, size)
             for check in plan.checks:
-                label = f"{check}[n={size}]"
                 if check == "theorem1":
-                    singles += [
-                        verify_theorem1(program, i, u, plan, label=f"theorem1[n={size},stratum={i}]")
-                        for i in (0, 1)
-                    ]
+                    singles += [verify_theorem1(program, i, u, plan) for i in (0, 1)]
                 elif check == "theorem2":
-                    singles += [
-                        verify_theorem2(program, i, u, plan, label=f"theorem2[n={size},stratum={i}]")
-                        for i in (0, 1)
-                    ]
+                    singles += [verify_theorem2(program, i, u, plan) for i in (0, 1)]
                 elif check == "equivalence":
-                    singles.append(
-                        verify_equivalence(program, u, plan, transformed=transformed, label=label)
-                    )
+                    singles.append(verify_equivalence(program, u, plan, transformed=transformed))
                 elif check == "aux":
-                    singles.append(verify_aux(program, u, plan, label=label))
+                    singles.append(verify_aux(program, u, plan))
                 elif check == "order":
-                    singles.append(verify_order_independence(program, u, plan, label=label))
+                    singles.append(verify_order_independence(program, u, plan))
         assert blobs[0]["checks"][0]["name"] == "polarity"
         assert blobs[0]["checks"][1:] == [c.to_json() for c in singles]
         assert any(c.failures for c in singles) == corrupt
