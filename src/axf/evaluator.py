@@ -2,16 +2,25 @@
 
 A TruthAssignment is a closed-world set of true ground atoms over a fixed
 object universe.  ``extend`` computes the unique extension of a basic state
-stratum by stratum.  One per-stratum fixpoint loop runs in two orders:
+stratum by stratum.  The engine extends a block of basic states at once:
+each ground atom has one Python ``int`` mask whose bit s is its truth in
+state s, so ``and``, ``or`` and ``not`` are ``&``, ``|`` and complement, and
+a quantifier ORs or ANDs its body over the objects.  A single state is a
+block of one.  One per-stratum fixpoint loop runs in two orders:
 
  - staged: each round applies all axioms in parallel against a frozen
-   snapshot of the state and records, for every derived atom, the first
+   snapshot of the masks and records, for every derived atom, the first
    snapshot in which it holds;
 
  - chaotic: each round visits the axioms and their head instances in an
-   order drawn from a caller-supplied RNG and reads the live state; any
+   order drawn from a caller-supplied RNG and reads the live masks; any
    order reaches the same fixed point because same-stratum predicates only
-   occur positively.
+   occur positively.  Round r draws the same shuffles for every state.
+
+The live mask holds the states that gained an atom in the previous round; a
+round evaluates a head instance only in the live states that lack it, and
+the loop ends when no state is live.  Each state thus runs the rounds it
+would run alone.
 
 Stage convention: snapshot 0 is the state before anything is derived, and
 round l (l = 1, 2, ...) adds every head instance whose body holds in
@@ -20,12 +29,13 @@ The fixpoint stage f is the number of productive rounds, so explicit stages
 lie in 1..f and an underivable atom has implicit stage f+1.  With nothing
 derivable at all, f = 0 and every atom of the stratum sits at stage 1 = f+1.
 
-Formulas are compiled once into nested closures (short-circuiting And/Or,
-early-exit quantifier loops).  Every variable is resolved to a slot of the
-evaluation environment at compile time: head variables take the first
-slots, and each quantifier gives its variables fresh slots for its scope, so
-a rebound name is sound.  Engine keeps the compiled program around so sweeps
-over many basic states pay compilation once.
+Formulas are compiled once into nested closures that evaluate a subformula
+only in the states still undecided (short-circuiting And/Or, early-exit
+quantifier loops).  Every variable is resolved to a slot of the evaluation
+environment at compile time: head variables take the first slots, and each
+quantifier gives its variables fresh slots for its scope, so a rebound name
+is sound.  Engine keeps the compiled program around so sweeps over many
+blocks pay compilation once.
 """
 
 from __future__ import annotations
@@ -33,7 +43,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .logic import (
     And,
@@ -130,69 +141,85 @@ RELATION_NAMES = tuple(STAGE_ORDER)
 # ---------------------------------------------------------------------------
 # Formula compilation
 
-_Compiled = Callable[[dict, frozenset], bool]
+_Compiled = Callable[[dict, Mapping, int], int]
 
 
 def compile_formula(
     formula: Formula, objects: Sequence[str], slots: Mapping[str, int]
 ) -> _Compiled:
-    """Compile a formula to ``fn(env, atoms) -> bool``.
+    """Compile a formula to ``fn(env, masks, care) -> mask``.
 
-    Each variable is resolved to a slot at compile time: ``slots`` maps the
-    names in scope to their slots, and ``env`` maps slots to object names.
-    A quantifier gives its variables the slots after every slot in scope and
-    writes them as it loops, so a rebound name never overwrites the slot an
-    enclosing binding still reads.  A constant outside ``objects`` raises
-    EvalError.
+    ``masks`` maps ground atoms to masks; an absent atom is false in every
+    state.  The result is the formula's truth in each state of ``care``, with
+    no bit outside it.  Each variable is resolved to a slot at compile time:
+    ``slots`` maps the names in scope to their slots, and ``env`` maps slots
+    to object names and each object name to itself, so an atom reads
+    variables and constants alike.  A quantifier gives its variables the
+    slots after every slot in scope and writes them as it loops, so a
+    rebound name never overwrites the slot an enclosing binding still reads.
+    A constant outside ``objects`` raises EvalError.
     """
     if isinstance(formula, Atom):
         pred = formula.pred
         for t in formula.args:
             if isinstance(t, Const) and t.name not in objects:
                 raise EvalError(f"program mentions object {t.name} outside the universe")
-        if not formula.args:
-            key = (pred, ())
-            return lambda env, atoms: key in atoms
-        parts = tuple(
-            (True, slots[t.name]) if isinstance(t, Var) else (False, t.name)
-            for t in formula.args
-        )
-        if all(not isv for isv, _ in parts):
-            key = (pred, tuple(n for _, n in parts))
-            return lambda env, atoms: key in atoms
-
-        def ev_atom(env: dict, atoms: frozenset) -> bool:
-            return (pred, tuple(env[n] if isv else n for isv, n in parts)) in atoms
-
-        return ev_atom
+        refs = tuple(slots[t.name] if isinstance(t, Var) else t.name for t in formula.args)
+        if all(isinstance(t, Const) for t in formula.args):
+            key = (pred, refs)
+            return lambda env, masks, care: masks.get(key, 0) & care
+        if len(refs) == 1:
+            (ref,) = refs
+            return lambda env, masks, care: masks.get((pred, (env[ref],)), 0) & care
+        args = itemgetter(*refs)
+        return lambda env, masks, care: masks.get((pred, args(env)), 0) & care
     if isinstance(formula, Top):
-        return lambda env, atoms: True
+        return lambda env, masks, care: care
     if isinstance(formula, Bottom):
-        return lambda env, atoms: False
+        return lambda env, masks, care: 0
     if isinstance(formula, Not):
         sub = compile_formula(formula.sub, objects, slots)
-        return lambda env, atoms: not sub(env, atoms)
+        return lambda env, masks, care: care ^ sub(env, masks, care)
     if isinstance(formula, (And, Or)):
+        # A conjunct is evaluated only in ``c``, where the earlier ones hold;
+        # a disjunct only in ``r``, where the earlier ones fail.
         subs = tuple(compile_formula(s, objects, slots) for s in formula.subs)
         if isinstance(formula, And):
             if len(subs) == 2:
                 s0, s1 = subs
-                return lambda env, atoms: s0(env, atoms) and s1(env, atoms)
+                return lambda env, masks, care: (c := s0(env, masks, care)) and s1(env, masks, c)
             if len(subs) == 3:
                 s0, s1, s2 = subs
-                return lambda env, atoms: (
-                    s0(env, atoms) and s1(env, atoms) and s2(env, atoms)
+                return lambda env, masks, care: (
+                    (c := s0(env, masks, care)) and (c := s1(env, masks, c)) and s2(env, masks, c)
                 )
-            return lambda env, atoms: all(s(env, atoms) for s in subs)
+
+            def ev_and(env: dict, masks: Mapping, care: int) -> int:
+                for sub in subs:
+                    care = care and sub(env, masks, care)
+                return care
+
+            return ev_and
         if len(subs) == 2:
             s0, s1 = subs
-            return lambda env, atoms: s0(env, atoms) or s1(env, atoms)
+            return lambda env, masks, care: care ^ (
+                (r := care ^ s0(env, masks, care)) and r ^ s1(env, masks, r)
+            )
         if len(subs) == 3:
             s0, s1, s2 = subs
-            return lambda env, atoms: (
-                s0(env, atoms) or s1(env, atoms) or s2(env, atoms)
+            return lambda env, masks, care: care ^ (
+                (r := care ^ s0(env, masks, care))
+                and (r := r ^ s1(env, masks, r))
+                and r ^ s2(env, masks, r)
             )
-        return lambda env, atoms: any(s(env, atoms) for s in subs)
+
+        def ev_or(env: dict, masks: Mapping, care: int) -> int:
+            r = care
+            for sub in subs:
+                r = r and r ^ sub(env, masks, r)
+            return care ^ r
+
+        return ev_or
     if isinstance(formula, (Exists, Forall)):
         first = max(slots.values(), default=-1) + 1
         scope = {**slots, **{var: first + n for n, var in enumerate(formula.vars)}}
@@ -206,20 +233,37 @@ def compile_formula(
 
 
 def _quantifier_loop(slot: int, fn: _Compiled, objs: tuple[str, ...], want: bool) -> _Compiled:
-    def ev(env: dict, atoms: frozenset) -> bool:
+    """``exists`` (``want``) as a disjunction and ``forall`` as a
+    conjunction of ``fn`` over the objects, each bound to ``slot``."""
+    def ev_exists(env: dict, masks: Mapping, care: int) -> int:
+        rest = care
         for o in objs:
             env[slot] = o
-            if fn(env, atoms) == want:
-                return want
-        return not want
+            rest ^= fn(env, masks, rest)
+            if not rest:
+                break
+        return care ^ rest
 
-    return ev
+    def ev_forall(env: dict, masks: Mapping, care: int) -> int:
+        for o in objs:
+            env[slot] = o
+            care = fn(env, masks, care)
+            if not care:
+                break
+        return care
+
+    return ev_exists if want else ev_forall
 
 
 # ---------------------------------------------------------------------------
 # Extension engine
 
 _CompiledAxiom = tuple[str, int, _Compiled]
+# A stratum's additions in the order made: (round, atom, mask of the states
+# that gained the atom in that round).
+_Added = list[tuple[int, GroundAtom, int]]
+_Decoded = tuple[frozenset[GroundAtom], list[StageTable]]
+_DECODE_SLICE = 16  # states decoded at a time, so few are held at once
 
 
 class Engine:
@@ -271,42 +315,47 @@ class Engine:
     ) -> frozenset[GroundAtom]:
         """Extend a basic state through every stratum; ``rng`` switches to
         chaotic order for order-independence experiments."""
-        atoms = set(basic_atoms)
-        for compiled in self.compiled:
-            self._fixpoint(compiled, atoms, rng)
-        return frozenset(atoms)
+        return next(self.run_block((basic_atoms,), rng=rng))[0]
 
-    def run_with_stages(
-        self, basic_atoms: frozenset[GroundAtom]
-    ) -> tuple[frozenset[GroundAtom], list[StageTable]]:
-        atoms = set(basic_atoms)
-        tables: list[StageTable] = []
-        for compiled in self.compiled:
-            stage, f = self._fixpoint(compiled, atoms, None)
-            tables.append(StageTable(self.universe, stage, f))
-        return frozenset(atoms), tables
+    def run_with_stages(self, basic_atoms: frozenset[GroundAtom]) -> _Decoded:
+        return next(self.run_block((basic_atoms,)))
+
+    def run_block(
+        self, states: Sequence[frozenset[GroundAtom]], *, rng: Optional[random.Random] = None
+    ) -> Iterator[_Decoded]:
+        """Extend every basic state of ``states`` at once, bit s of each mask
+        being state s; then yield each state's atoms and, unless ``rng``
+        switches to chaotic order, its stage tables."""
+        states = tuple(states)
+        masks: dict[GroundAtom, int] = {}
+        for s, atoms in enumerate(states):
+            for key in atoms:
+                masks[key] = masks.get(key, 0) | 1 << s
+        every = (1 << len(states)) - 1
+        strata = [self._fixpoint(compiled, masks, every, rng) for compiled in self.compiled]
+        return self._decode(states, strata, rng is None)
 
     def _fixpoint(
-        self,
-        compiled: list[_CompiledAxiom],
-        atoms: set[GroundAtom],
-        rng: Optional[random.Random],
-    ) -> tuple[dict[GroundAtom, int], int]:
-        """Add the stratum's derivable atoms to ``atoms``; return each added
-        atom's round and the number of productive rounds.  Without ``rng``
-        every body reads the snapshot taken at the start of its round, so
-        rounds are stages; with it, each round shuffles the axioms, then each
-        axiom's head instances, and every body reads the live set."""
-        stage: dict[GroundAtom, int] = {}
+        self, compiled: list[_CompiledAxiom], masks: dict, live: int, rng: Optional[random.Random]
+    ) -> _Added:
+        """Add the stratum's derivable atoms to ``masks``; return the
+        additions.  A round evaluates a head instance only in the ``live``
+        states that lack it; a state stays live while it gains atoms.
+        Without ``rng`` every body reads the snapshot taken at the start of
+        its round, so rounds are stages; with it, each round shuffles the
+        axioms, then each axiom's head instances, and every body reads the
+        live masks."""
+        added: _Added = []
         rounds = 0
-        env: dict[int, str] = {}
-        while True:
+        env: dict = {o: o for o in self.universe.objects}
+        while live:
+            rounds += 1
             if rng is None:
-                order, reads = compiled, frozenset(atoms)
+                order, reads = compiled, dict(masks)
             else:
-                order, reads = list(compiled), atoms
+                order, reads = list(compiled), masks
                 rng.shuffle(order)
-            added: list[GroundAtom] = []
+            gained = 0
             for head, arity, body in order:
                 combos = self.combos(arity)
                 if rng is not None:
@@ -314,17 +363,42 @@ class Engine:
                     rng.shuffle(combos)
                 for combo in combos:
                     key = (head, combo)
-                    if key in atoms:
-                        continue
-                    env.update(enumerate(combo))
-                    if body(env, reads):
-                        added.append(key)
-                        atoms.add(key)
-            if not added:
-                return stage, rounds
-            rounds += 1
-            for key in added:
-                stage[key] = rounds
+                    old = masks.get(key, 0)
+                    need = live & ~old
+                    if need:
+                        env.update(enumerate(combo))
+                        got = body(env, reads, need)
+                        if got:
+                            masks[key] = old | got
+                            added.append((rounds, key, got))
+                            gained |= got
+            live = gained
+        return added
+
+    def _decode(self, states: tuple, strata: list[_Added], staged: bool) -> Iterator[_Decoded]:
+        """Each state's atoms and stage tables (none unless ``staged``), a
+        slice of states at a time, by walking the set bits of each addition
+        within the slice."""
+        for lo in range(0, len(states), _DECODE_SLICE):
+            width = min(_DECODE_SLICE, len(states) - lo)
+            window = (1 << width) - 1
+            atoms = [set(state) for state in states[lo:lo + width]]
+            tables: list[list[StageTable]] = [[] for _ in range(width)]
+            for added in strata:
+                stage: list[dict[GroundAtom, int]] = [{} for _ in range(width)]
+                for rnd, key, got in added:
+                    bits = got >> lo & window
+                    while bits:
+                        low = bits & -bits
+                        s = low.bit_length() - 1
+                        atoms[s].add(key)
+                        stage[s][key] = rnd
+                        bits ^= low
+                if staged:
+                    for s, got in enumerate(stage):
+                        tables[s].append(StageTable(self.universe, got, max(got.values(), default=0)))
+            for s in range(width):
+                yield frozenset(atoms[s]), tables[s]
 
     def full_cover(self) -> frozenset[str]:
         return frozenset(self.program.signature)

@@ -80,6 +80,9 @@ class BudgetError(VerifyError):
 
 _MAX_EXHAUSTIVE_BITS = 24
 _MAX_SAMPLED_CELLS = 1 << 16
+# States per block: past a few thousand, decoding's shifts of the wide masks
+# cost more than the block saves.
+_MAX_BLOCK = 1 << 12
 _ALL_CHECKS = ("polarity", "theorem1", "theorem2", "equivalence", "aux", "order")
 # The checks that apply to a transformed program built elsewhere; the others
 # need the transformer's own stage families.
@@ -208,7 +211,8 @@ def _spec_states(spec: tuple) -> Iterator[frozenset[GroundAtom]]:
         for index in range(start, stop):
             yield sample_basic_state(cells, seed, index)
     else:  # "explicit"
-        yield from spec[1]
+        _, given, start, stop = spec
+        yield from given[start:stop]
 
 
 def _refuse_dropped_constants(program: AxiomProgram, size: int) -> None:
@@ -269,19 +273,22 @@ def _planned_states(program: AxiomProgram, size: int, plan: VerificationPlan) ->
 
 # ---------------------------------------------------------------------------
 # The sweep.  One pass runs every planned check over one universe's states.
-# ``_plan`` builds, once per run, the programs the checks read, keyed by role
-# ("original", ("family", i), "transformed", "merged", "optimized"), and the
+# ``_plan`` builds, once per run, the runs the checks read, keyed by role
+# ("original", ("family", i), "transformed", "merged", "optimized", and
+# ("order", seed) for a chaotic run of the original), and the
 # ``(name, tags, compare, args)`` check tuples, which hold nothing of the
 # universe; ``_sweep`` labels each result ``name[n=<size>,<tags>]``.
 # ``compare(*args, state)`` returns a detail for a failing state, else None.
-# Each chunk compiles one engine per role and runs it once per state; every
-# comparator reads those shared runs.  Comparators and ``_run_chunk`` are top
-# level so a process pool can pickle them.
+# The states are split into blocks of at most ``_MAX_BLOCK``.  Each block
+# compiles one engine per program and runs each role once over the whole
+# block; every comparator reads each state's runs, decoded from the block.
+# Comparators and ``_run_chunk`` are top level so a process pool can pickle
+# them.
 
 class _State(NamedTuple):
     atoms: frozenset[GroundAtom]
     runs: dict  # role -> (derived atoms, stage tables) of the state
-    engines: dict  # role -> Engine, for checks that run a program again
+    engines: dict  # role -> Engine
 
 
 def _merge_best(
@@ -369,7 +376,7 @@ def _aux(shared_names, state: _State) -> Optional[str]:
 def _order(order_seeds, state: _State) -> Optional[str]:
     baseline = state.runs["original"][0]
     for seed in order_seeds:
-        got = state.engines["original"].run(state.atoms, rng=random.Random(f"order:{seed}"))
+        got = state.runs[("order", seed)][0]
         if got != baseline:
             (name, args), added = _least_difference(got, baseline)
             return (
@@ -380,12 +387,22 @@ def _order(order_seeds, state: _State) -> Optional[str]:
 
 
 def _run_chunk(job) -> list[tuple[int, int, Optional[Counterexample]]]:
-    """A (checked, failures, least counterexample) triple for each check."""
+    """A (checked, failures, least counterexample) triple for each check
+    over one block of states."""
     checks, programs, universe, spec = job
-    engines = {role: Engine(program, universe) for role, program in programs.items()}
+    states = tuple(_spec_states(spec))
+    distinct = {id(program): program for program, _ in programs.values()}
+    compiled = {key: Engine(program, universe) for key, program in distinct.items()}
+    engines = {role: compiled[id(program)] for role, (program, _) in programs.items()}
+    blocks = {
+        role: engines[role].run_block(
+            states, rng=None if order is None else random.Random(f"order:{order}")
+        )
+        for role, (_, order) in programs.items()
+    }
     tallies = [[0, 0, None] for _ in checks]
-    for atoms in _spec_states(spec):
-        runs = {role: engine.run_with_stages(atoms) for role, engine in engines.items()}
+    for atoms in states:
+        runs = {role: next(block) for role, block in blocks.items()}
         state = _State(atoms, runs, engines)
         for tally, (name, _, compare, args) in zip(tallies, checks):
             tally[0] += 1
@@ -418,11 +435,11 @@ class _Pool:
 
     _executor: Optional[ProcessPoolExecutor] = None
 
-    def map_chunks(self, jobs: list) -> list:
-        if len(jobs) == 1:
-            return [_run_chunk(jobs[0])]
+    def map_chunks(self, jobs: list, workers: int) -> list:
+        if workers == 1:
+            return [_run_chunk(job) for job in jobs]
         if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=len(jobs))
+            self._executor = ProcessPoolExecutor(max_workers=workers)
         return list(self._executor.map(_run_chunk, jobs))
 
     def close(self) -> None:
@@ -440,20 +457,22 @@ def _sweep(
     pool: _Pool,
 ) -> list[CheckResult]:
     """Run ``checks`` over the given states, or else the planned ones over
-    ``program``'s basic cells, chunked across ``pool`` once there are 64
-    states or more."""
+    ``program``'s basic cells, in blocks shared across ``pool`` once there
+    are 64 states or more."""
     plan = plan or VerificationPlan()
     if states is not None:
-        specs = [("explicit", tuple(frozenset(s) for s in states))]
+        head: tuple = ("explicit", tuple(frozenset(s) for s in states))
+        total, workers = len(head[1]), 1
     else:
         total = _planned_states(program, len(universe.objects), plan)
         cells = basic_cells(program, universe)
-        head: tuple = ("exhaustive", cells) if plan.samples is None else ("sampled", cells, plan.seed)
+        head = ("exhaustive", cells) if plan.samples is None else ("sampled", cells, plan.seed)
         workers = worker_count()
         workers = 1 if total < 64 else min(workers, total)
-        bounds = [total * k // workers for k in range(workers + 1)]
-        specs = [head + (bounds[k], bounds[k + 1]) for k in range(workers)]
-    parts = pool.map_chunks([(checks, programs, universe, spec) for spec in specs])
+    blocks = max(workers, -(-total // _MAX_BLOCK))
+    bounds = [total * k // blocks for k in range(blocks + 1)]
+    specs = [head + (bounds[k], bounds[k + 1]) for k in range(blocks)]
+    parts = pool.map_chunks([(checks, programs, universe, spec) for spec in specs], workers)
     size = (f"n={len(universe.objects)}",)
     results = []
     for k, (name, tags, _, _) in enumerate(checks):
@@ -493,26 +512,28 @@ def _plan(
             f"negative derived occurrence at {ref.to_json()}" for ref in lint_polarity(transformed)
         )
         polarity = CheckResult("polarity", 0, len(notes), None, notes)
-    programs: dict = {}
+    programs: dict = {}  # role -> (program, order seed of a chaotic run, or None)
     if wanted & {"theorem1", "theorem2", "equivalence", "order"}:
-        programs["original"] = program
+        programs["original"] = (program, None)
     families = []  # (tags, args) of each stage family's check
     if wanted & {"theorem1", "theorem2"}:
         for index in strata:
             family = generate_stage_axioms(program, index, mutation=mutation)
-            programs[("family", index)] = AxiomProgram(
+            programs[("family", index)] = (AxiomProgram(
                 list(program.signature.values()) + list(family.predicates),
                 program.universe_hint,
                 program.strata[:index] + (family.axioms,),
-            )
+            ), None)
             members = tuple(program.signature[m] for m in family.members)
             families.append(((f"stratum={index}",), (index, members, dict(family.names))))
     if wanted & {"equivalence", "aux"}:
-        programs["transformed"] = transformed
+        programs["transformed"] = (transformed, None)
     if "equivalence" in wanted and polarity.passed:
-        programs["merged"] = merge_to_single_stratum(transformed)
+        programs["merged"] = (merge_to_single_stratum(transformed), None)
     if "aux" in wanted:
-        programs["optimized"], _ = eliminate_negative_occurrences(program, optimize_aux=True)
+        programs["optimized"] = (eliminate_negative_occurrences(program, optimize_aux=True)[0], None)
+    if "order" in wanted:
+        programs.update({("order", seed): (program, seed) for seed in range(orders)})
     checks = []
     for check in planned:
         if check in ("theorem1", "theorem2"):
@@ -523,7 +544,7 @@ def _plan(
             derived = frozenset(p.name for p in program.derived_predicates)
             checks.append((check, (), _equivalence, (roles, derived)))
         elif check == "aux":
-            shared = set(transformed.signature) & set(programs["optimized"].signature)
+            shared = set(transformed.signature) & set(programs["optimized"][0].signature)
             checks.append((check, (), _aux, (frozenset(shared),)))
         elif check == "order":
             checks.append((check, (), _order, (tuple(range(orders)),)))

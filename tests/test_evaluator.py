@@ -329,7 +329,8 @@ def test_extend_is_deterministic(path_program, path_state):
 
 # A reference interpreter that shares no code with the engine: it walks the
 # formula tree, and each round evaluates every axiom on the atoms known when
-# the round starts, until a round adds nothing.
+# the round starts, until a round adds nothing.  It records each derived
+# atom's round, so its rounds are the stages of the engine's convention.
 
 def _holds(formula, env, atoms, objects):
     if isinstance(formula, Atom):
@@ -351,20 +352,31 @@ def _holds(formula, env, atoms, objects):
     raise TypeError(f"unknown formula node {type(formula).__name__}")
 
 
-def reference_extend(program, objects, basic_atoms):
+def reference_stages(program, objects, basic_atoms):
+    """The extension, and per stratum each derived atom's stage and the
+    number of productive rounds."""
     atoms = frozenset(basic_atoms)
+    tables = []
     for stratum in program.strata:
+        stage, rounds = {}, 0
         while True:
             new = {
                 (ax.head_pred, combo)
                 for ax in stratum
                 for combo in product(objects, repeat=len(ax.head_vars))
                 if _holds(ax.body, dict(zip(ax.head_vars, combo)), atoms, objects)
-            }
-            if new <= atoms:
+            } - atoms
+            if not new:
                 break
+            rounds += 1
+            stage.update(dict.fromkeys(new, rounds))
             atoms |= new
-    return atoms
+        tables.append((stage, rounds))
+    return atoms, tables
+
+
+def reference_extend(program, objects, basic_atoms):
+    return reference_stages(program, objects, basic_atoms)[0]
 
 
 @given(st.integers(min_value=0, max_value=10 ** 6))
@@ -389,3 +401,49 @@ def test_extend_matches_reference_interpreter(seed):
     for program in (original, transformed, merge_to_single_stratum(transformed)):
         got = extend(program, universe, state).true_atoms
         assert got == reference_extend(program, universe.objects, atoms)
+
+
+def block_states(cells, width, seed):
+    """``width`` seeded states of varied density, settling at different
+    rounds, with the empty state first, the full state last and, from
+    width 4 on, a duplicate in the middle."""
+    rng = random.Random(seed)
+    states = []
+    for _ in range(width):
+        density = rng.random()
+        states.append(frozenset(c for c in cells if rng.random() < density))
+    if width:
+        states[0] = frozenset()
+    if width > 1:
+        states[-1] = frozenset(cells)
+    if width > 3:
+        states[width // 2] = states[1]
+    return states
+
+
+@pytest.mark.parametrize("width", [0, 1, 2, 63, 64, 65, 200])
+@pytest.mark.parametrize("role, size", [("original", 3), ("transformed", 2), ("merged", 2)])
+def test_block_matches_reference(path_program, role, size, width):
+    """A block run decodes, state by state, to the reference interpreter's
+    atoms and stage tables; a chaotic block run to its atoms."""
+    transformed, _ = eliminate_negative_occurrences(path_program)
+    program = {
+        "original": path_program,
+        "transformed": transformed,
+        "merged": merge_to_single_stratum(transformed),
+    }[role]
+    universe = Universe(("a", "b", "c")[:size])
+    cells = [("E", pair) for pair in product(universe.objects, repeat=2)]
+    states = block_states(cells, width, f"{role}:{width}")
+    engine = Engine(program, universe)
+    want = {s: reference_stages(program, universe.objects, s) for s in set(states)}
+    got = list(engine.run_block(states))
+    assert len(got) == width
+    for state, (atoms, tables) in zip(states, got):
+        assert atoms == want[state][0]
+        assert [(t.stage, t.fixpoint_stage) for t in tables] == want[state][1]
+    if width > 60:
+        assert len({want[s][1][0][1] for s in states}) > 1  # settled at different rounds
+    for seed in (0, 1):
+        chaotic = engine.run_block(states, rng=random.Random(f"order:{seed}"))
+        assert [atoms for atoms, _ in chaotic] == [want[s][0] for s in states]

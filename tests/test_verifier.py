@@ -287,16 +287,16 @@ class TestFailureTexts:
         )
 
     def test_order(self, path_program, monkeypatch):
-        real = Engine.run
+        real = Engine.run_block
 
-        def broken(self, basic_atoms, *, rng=None):
-            atoms = real(self, basic_atoms, rng=rng)
-            derived = atoms - basic_atoms
-            if rng is not None and derived:
-                atoms -= {max(derived)}
-            return atoms
+        def broken(self, states, *, rng=None):
+            for basic_atoms, (atoms, tables) in zip(states, real(self, states, rng=rng)):
+                derived = atoms - basic_atoms
+                if rng is not None and derived:
+                    atoms -= {max(derived)}
+                yield atoms, tables
 
-        monkeypatch.setattr(Engine, "run", broken)
+        monkeypatch.setattr(Engine, "run_block", broken)
         res = verify_order_independence(path_program, U2)
         assert (res.states_checked, res.failures) == (16, 16)
         assert res.counterexample.state_text() == "(state)"
@@ -471,6 +471,68 @@ class TestOnePass:
     def test_single_checks_name_the_universe(self, path_program):
         assert verify_aux(path_program, U2).name == "aux[n=2]"
         assert verify_theorem1(path_program, 0, U2).name == "theorem1[n=2,stratum=0]"
+
+    def test_each_run_once_per_block(self, path_program, monkeypatch):
+        """A serial n=3 pass compiles each program once and runs each role
+        once on its block of all 512 states, and the original once in
+        chaotic order per order seed; no state runs on its own."""
+        monkeypatch.setenv("AXF_THREADS", "1")
+        built, blocks = [], []
+        real_init, real = Engine.__init__, Engine.run_block
+
+        def building(self, program, universe):
+            built.append(program)
+            real_init(self, program, universe)
+
+        def counting(self, states, *, rng=None):
+            blocks.append((len(states), rng is None))
+            return real(self, states, rng=rng)
+
+        def refuse(*args, **kwargs):
+            pytest.fail("a state ran on its own")
+
+        monkeypatch.setattr(Engine, "__init__", building)
+        monkeypatch.setattr(Engine, "run_block", counting)
+        monkeypatch.setattr(Engine, "run", refuse)
+        monkeypatch.setattr(Engine, "run_with_stages", refuse)
+        assert run_checks(path_program, VerificationPlan(universe_sizes=(3,))).passed
+        # original, two stage families, transformed, merged, optimized
+        assert len(built) == len(set(map(id, built))) == 6
+        assert sorted(blocks) == [(512, False)] * 8 + [(512, True)] * 6
+
+    def test_blocks_split_the_states(self, pool_programs, monkeypatch):
+        """Blocks smaller than the sweep give the same results, serial and
+        parallel, for planned and for given states."""
+        program, bad = pool_programs
+        u2 = universe_for(program, 2)
+        given = list(enumerate_basic_states(basic_cells(program, u2)))[::3]
+        whole = [
+            run_checks(program, SAMPLED_2_3).to_json(),
+            verify_equivalence(program, u2, transformed=bad, states=given).to_json(),
+        ]
+        monkeypatch.setattr(axf.verifier, "_MAX_BLOCK", 5)
+        widths = []  # of the blocks run in this process
+        real = Engine.run_block
+
+        def counting(self, states, *, rng=None):
+            widths.append(len(states))
+            return real(self, states, rng=rng)
+
+        monkeypatch.setattr(Engine, "run_block", counting)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("AXF_THREADS", threads)
+            assert [
+                run_checks(program, SAMPLED_2_3).to_json(),
+                verify_equivalence(program, u2, transformed=bad, states=given).to_json(),
+            ] == whole
+        assert max(widths) == 5
+        assert whole[1]["states_checked"] == 43 and whole[1]["failures"] > 0
+
+    def test_no_states_no_checks(self, pool_programs):
+        program, bad = pool_programs
+        u2 = universe_for(program, 2)
+        result = verify_equivalence(program, u2, transformed=bad, states=[])
+        assert (result.states_checked, result.failures, result.counterexample) == (0, 0, None)
 
     def test_one_pool_per_run(self, pool_programs, pool_starts, monkeypatch):
         monkeypatch.setenv("AXF_THREADS", "2")
