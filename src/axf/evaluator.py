@@ -20,7 +20,9 @@ block of one.  One per-stratum fixpoint loop runs in two orders:
 The live mask holds the states that gained an atom in the previous round; a
 round evaluates a head instance only in the live states that lack it, and
 the loop ends when no state is live.  Each state thus runs the rounds it
-would run alone.
+would run alone.  A run returns its ``Block``: the final masks and each
+stratum's additions by round, off which ``stage_relation_masks`` reads the
+stage-order relations of every state of the block at once.
 
 Stage convention: snapshot 0 is the state before anything is derived, and
 round l (l = 1, 2, ...) adds every head instance whose body holds in
@@ -42,9 +44,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .logic import (
     And,
@@ -258,12 +261,22 @@ def _quantifier_loop(slot: int, fn: _Compiled, objs: tuple[str, ...], want: bool
 # ---------------------------------------------------------------------------
 # Extension engine
 
-_CompiledAxiom = tuple[str, int, _Compiled]
+_CompiledAxiom = tuple[str, tuple[tuple[str, ...], ...], _Compiled]
 # A stratum's additions in the order made: (round, atom, mask of the states
 # that gained the atom in that round).
 _Added = list[tuple[int, GroundAtom, int]]
-_Decoded = tuple[frozenset[GroundAtom], list[StageTable]]
-_DECODE_SLICE = 16  # states decoded at a time, so few are held at once
+
+
+class Block(NamedTuple):
+    """One program's run over a block of basic states, bit s of each mask
+    being state s: ``masks`` holds every ground atom true in some state,
+    ``added`` each stratum's additions and ``every`` the mask of all the
+    block's states."""
+
+    universe: Universe
+    masks: dict[GroundAtom, int]
+    added: list[_Added]
+    every: int
 
 
 class Engine:
@@ -276,25 +289,18 @@ class Engine:
         self.program = program
         self.universe = universe
         objects = universe.objects
+        combos = cache(lambda arity: tuple(product(objects, repeat=arity)))  # shared per arity
         self.compiled: list[list[_CompiledAxiom]] = [
             [
                 (
                     ax.head_pred,
-                    len(ax.head_vars),
+                    combos(len(ax.head_vars)),
                     compile_formula(ax.body, objects, {v: n for n, v in enumerate(ax.head_vars)}),
                 )
                 for ax in stratum
             ]
             for stratum in program.strata
         ]
-        self._combos: dict[int, tuple[tuple[str, ...], ...]] = {}
-
-    def combos(self, arity: int) -> tuple[tuple[str, ...], ...]:
-        got = self._combos.get(arity)
-        if got is None:
-            got = tuple(product(self.universe.objects, repeat=arity))
-            self._combos[arity] = got
-        return got
 
     def check_basic_state(self, basic_state: TruthAssignment) -> None:
         if basic_state.universe != self.universe:
@@ -315,25 +321,28 @@ class Engine:
     ) -> frozenset[GroundAtom]:
         """Extend a basic state through every stratum; ``rng`` switches to
         chaotic order for order-independence experiments."""
-        return next(self.run_block((basic_atoms,), rng=rng))[0]
+        return frozenset(self.run_block((basic_atoms,), rng=rng).masks)
 
-    def run_with_stages(self, basic_atoms: frozenset[GroundAtom]) -> _Decoded:
-        return next(self.run_block((basic_atoms,)))
+    def run_with_stages(
+        self, basic_atoms: frozenset[GroundAtom]
+    ) -> tuple[frozenset[GroundAtom], list[StageTable]]:
+        block = self.run_block((basic_atoms,))
+        stages = [{key: rnd for rnd, key, _ in added} for added in block.added]
+        tables = [StageTable(self.universe, got, max(got.values(), default=0)) for got in stages]
+        return frozenset(block.masks), tables
 
     def run_block(
         self, states: Sequence[frozenset[GroundAtom]], *, rng: Optional[random.Random] = None
-    ) -> Iterator[_Decoded]:
-        """Extend every basic state of ``states`` at once, bit s of each mask
-        being state s; then yield each state's atoms and, unless ``rng``
-        switches to chaotic order, its stage tables."""
-        states = tuple(states)
+    ) -> Block:
+        """Extend every basic state of ``states`` at once, in staged order
+        unless ``rng`` switches to chaotic order."""
         masks: dict[GroundAtom, int] = {}
         for s, atoms in enumerate(states):
             for key in atoms:
                 masks[key] = masks.get(key, 0) | 1 << s
         every = (1 << len(states)) - 1
-        strata = [self._fixpoint(compiled, masks, every, rng) for compiled in self.compiled]
-        return self._decode(states, strata, rng is None)
+        added = [self._fixpoint(compiled, masks, every, rng) for compiled in self.compiled]
+        return Block(self.universe, masks, added, every)
 
     def _fixpoint(
         self, compiled: list[_CompiledAxiom], masks: dict, live: int, rng: Optional[random.Random]
@@ -356,8 +365,7 @@ class Engine:
                 order, reads = list(compiled), masks
                 rng.shuffle(order)
             gained = 0
-            for head, arity, body in order:
-                combos = self.combos(arity)
+            for head, combos, body in order:
                 if rng is not None:
                     combos = list(combos)
                     rng.shuffle(combos)
@@ -374,31 +382,6 @@ class Engine:
                             gained |= got
             live = gained
         return added
-
-    def _decode(self, states: tuple, strata: list[_Added], staged: bool) -> Iterator[_Decoded]:
-        """Each state's atoms and stage tables (none unless ``staged``), a
-        slice of states at a time, by walking the set bits of each addition
-        within the slice."""
-        for lo in range(0, len(states), _DECODE_SLICE):
-            width = min(_DECODE_SLICE, len(states) - lo)
-            window = (1 << width) - 1
-            atoms = [set(state) for state in states[lo:lo + width]]
-            tables: list[list[StageTable]] = [[] for _ in range(width)]
-            for added in strata:
-                stage: list[dict[GroundAtom, int]] = [{} for _ in range(width)]
-                for rnd, key, got in added:
-                    bits = got >> lo & window
-                    while bits:
-                        low = bits & -bits
-                        s = low.bit_length() - 1
-                        atoms[s].add(key)
-                        stage[s][key] = rnd
-                        bits ^= low
-                if staged:
-                    for s, got in enumerate(stage):
-                        tables[s].append(StageTable(self.universe, got, max(got.values(), default=0)))
-            for s in range(width):
-                yield frozenset(atoms[s]), tables[s]
 
     def full_cover(self) -> frozenset[str]:
         return frozenset(self.program.signature)
@@ -428,22 +411,65 @@ def extend_in_stages(
     return TruthAssignment(universe, atoms, engine.full_cover()), tables
 
 
+def stage_relation_masks(
+    universe: Universe, added: _Added, every: int, preds: Sequence[Predicate]
+) -> dict[tuple[str, int, int], dict[TuplePair, int]]:
+    """The stage-order relations of ``STAGE_ORDER`` over all tuple pairs of
+    ``preds``, in the states of ``every`` whose stratum made the additions
+    ``added``: keyed ``(rel, i, j)`` for members i, j (1-based),
+    relation-major, the mask of the states where ``rel`` relates each pair,
+    the pairs in sorted order.
+
+    A state's fixpoint stage f is its last productive round, so the states
+    at f are ``productive_f & ~productive_{f+1}``, productive_0 being every
+    state; there, an atom never derived has stage f+1.  Each condition is
+    tested once per (stage of a, stage of b, f) present."""
+    productive = {0: every}  # round -> the states that gained an atom in it
+    rounds: dict[GroundAtom, list[tuple[int, int]]] = {}
+    for rnd, key, got in added:
+        productive[rnd] = productive.get(rnd, 0) | got
+        rounds.setdefault(key, []).append((rnd, got))
+    fixpoints = [(f, productive[f] & ~productive.get(f + 1, 0)) for f in productive]
+
+    def stages(key: GroundAtom) -> dict[int, list[tuple[int, int]]]:
+        """f -> (stage, states) of ``key`` in the states at f."""
+        out = {}
+        for f, at_f in fixpoints:
+            cells = [(rnd, got & at_f) for rnd, got in rounds.get(key, ()) if got & at_f]
+            never = at_f & ~sum(got for _, got in cells)  # an atom is added once per state
+            out[f] = cells + [(f + 1, never)] if never else cells
+        return out
+
+    @cache
+    def holding(sa: int, sb: int, f: int) -> list[str]:
+        return [rel for rel, test in STAGE_ORDER.items() if test(sa, sb, f)]
+
+    objects = sorted(universe.objects)
+    tuples = [[(a, stages((p.name, a))) for a in product(objects, repeat=p.arity)] for p in preds]
+    members = range(1, len(preds) + 1)
+    out = {(rel, i, j): {} for rel in STAGE_ORDER for i in members for j in members}
+    for i, j in product(members, repeat=2):
+        for (a, at_a), (b, at_b) in product(tuples[i - 1], tuples[j - 1]):
+            related = dict.fromkeys(STAGE_ORDER, 0)
+            for f, cells in at_a.items():
+                for (sa, in_a), (sb, in_b) in product(cells, at_b[f]):
+                    both = in_a & in_b
+                    if both:
+                        for rel in holding(sa, sb, f):
+                            related[rel] |= both
+            for rel, held in related.items():
+                out[rel, i, j][a, b] = held
+    return out
+
+
 def stage_relations(
     table: StageTable, preds: Sequence[Predicate]
 ) -> dict[tuple[str, int, int], frozenset[TuplePair]]:
-    """The stage-order relations of ``STAGE_ORDER`` over all tuple pairs,
-    keyed ``(rel, i, j)`` for members i, j (1-based), relation-major."""
-    objs = table.universe.objects
-    f = table.fixpoint_stage
-    stages = [
-        [(a, table.stage_of(p.name, a)) for a in product(objs, repeat=p.arity)] for p in preds
-    ]
-    members = range(1, len(preds) + 1)
+    """The stage-order relations over all tuple pairs of one state, keyed as
+    ``stage_relation_masks`` keys them: its case of a block of one, for a
+    table whose fixpoint stage is its last round, as the engine makes it."""
+    added = [(rnd, key, 1) for key, rnd in table.stage.items()]
     return {
-        (rel, i, j): frozenset(
-            (a, b) for a, sa in stages[i - 1] for b, sb in stages[j - 1] if holds(sa, sb, f)
-        )
-        for rel, holds in STAGE_ORDER.items()
-        for i in members
-        for j in members
+        key: frozenset(pair for pair, held in related.items() if held)
+        for key, related in stage_relation_masks(table.universe, added, 1, preds).items()
     }

@@ -19,11 +19,12 @@ the staged evaluator.  Checks:
                a lint-clean transform is stratified
 
 ``run_checks`` makes one pass per universe size: one stream of states feeds
-every planned check, and each state runs each program once.  Sweeps of 64
-states or more are chunked over AXF_THREADS processes (default: machine CPU
-count) from one process pool per run, reused across sizes; every
-counterexample is aggregated and the lexicographically smallest state is
-reported, so results do not depend on worker count or chunk order.
+every planned check.  Each program runs once per block of states, on one
+bit mask per ground atom, and each check compares those masks for all the
+block's states at once.  Sweeps of 64 states or more are chunked over
+AXF_THREADS processes (default: machine CPU count) from one process pool
+per run, reused across sizes; the lexicographically smallest failing state
+is reported, so results do not depend on worker count or chunk order.
 """
 
 from __future__ import annotations
@@ -35,14 +36,9 @@ from contextlib import closing
 from dataclasses import dataclass
 from itertools import count, islice, product
 from math import log
-from typing import AbstractSet, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
-from .evaluator import (
-    Engine,
-    GroundAtom,
-    Universe,
-    stage_relations,
-)
+from .evaluator import Engine, GroundAtom, Universe, stage_relation_masks
 from .logic import (
     And,
     Atom,
@@ -80,8 +76,10 @@ class BudgetError(VerifyError):
 
 _MAX_EXHAUSTIVE_BITS = 24
 _MAX_SAMPLED_CELLS = 1 << 16
-# States per block: past a few thousand, decoding's shifts of the wide masks
-# cost more than the block saves.
+# States per block.  Each round's pass over every head instance costs the
+# same at any width, and the masks grow with it.  Exhaustive n=4 `path`, all
+# checks, 2 workers: 1,024 states took 44-48 s (worker peak RSS 25 MiB),
+# 4,096 15-17 s (40 MiB), 16,384 10.5 s (116 MiB): a third off for 3x memory.
 _MAX_BLOCK = 1 << 12
 _ALL_CHECKS = ("polarity", "theorem1", "theorem2", "equivalence", "aux", "order")
 # The checks that apply to a transformed program built elsewhere; the others
@@ -278,141 +276,114 @@ def _planned_states(program: AxiomProgram, size: int, plan: VerificationPlan) ->
 # ("order", seed) for a chaotic run of the original), and the
 # ``(name, tags, compare, args)`` check tuples, which hold nothing of the
 # universe; ``_sweep`` labels each result ``name[n=<size>,<tags>]``.
-# ``compare(*args, state)`` returns a detail for a failing state, else None.
-# The states are split into blocks of at most ``_MAX_BLOCK``.  Each block
-# compiles one engine per program and runs each role once over the whole
-# block; every comparator reads each state's runs, decoded from the block.
-# Comparators and ``_run_chunk`` are top level so a process pool can pickle
-# them.
+# The states are split into blocks of at most ``_MAX_BLOCK``; each block
+# compiles one engine per program and runs each role once, to one ``Block``.
+# ``compare(*args, runs)`` reads the blocks' masks and yields its entries in
+# order of precedence: ``(failing, first, text, other)``, where a state of
+# ``failing`` fails with ``text`` if it is in ``first``, else with ``other``,
+# unless an earlier entry names it.  Comparators and ``_run_chunk`` are top
+# level so a process pool can pickle them.
 
-class _State(NamedTuple):
-    atoms: frozenset[GroundAtom]
-    runs: dict  # role -> (derived atoms, stage tables) of the state
-    engines: dict  # role -> Engine
+_Entries = Iterator[tuple[int, int, str, str]]
 
 
-def _merge_best(
-    best: Optional[Counterexample], new: Optional[Counterexample]
-) -> Optional[Counterexample]:
-    if new is None:
-        return best
-    if best is None or (new.state_atoms, new.detail) < (best.state_atoms, best.detail):
-        return new
-    return best
+def _differences(left: dict, right: dict, texts, names: Optional[AbstractSet] = None) -> _Entries:
+    """An entry for each atom, of ``names`` unless None, whose masks in two
+    runs differ, in atom order; ``texts(atom)`` gives the texts for where
+    ``left`` holds it and for where ``right`` does."""
+    keys = [key for key in left.keys() | right.keys() if names is None or key[0] in names]
+    diffs = {key: left.get(key, 0) ^ right.get(key, 0) for key in keys}
+    for key in sorted(key for key, diff in diffs.items() if diff):
+        yield diffs[key], left.get(key, 0), *texts(format_ground_atom(*key))
 
 
-def _atoms_by_pred(atoms: frozenset[GroundAtom]) -> dict[str, set[tuple[str, ...]]]:
-    out: dict[str, set[tuple[str, ...]]] = {}
-    for name, args in atoms:
-        out.setdefault(name, set()).add(args)
-    return out
-
-
-def _least_difference(left: AbstractSet, right: AbstractSet) -> tuple:
-    """The least element of ``left ^ right`` and whether ``left`` holds it."""
-    least = min(left.symmetric_difference(right))
-    return least, least in left
-
-
-def _theorem1(stratum_index, members, names, state: _State) -> Optional[str]:
-    oracle = stage_relations(state.runs["original"][1][stratum_index], members)
-    by_pred = _atoms_by_pred(state.runs[("family", stratum_index)][0])
+def _theorem1(stratum_index, members, names, runs) -> _Entries:
+    original, family = runs["original"], runs[("family", stratum_index)].masks
+    oracle = stage_relation_masks(
+        original.universe, original.added[stratum_index], original.every, members
+    )
     for (rel, i, j), want in oracle.items():
-        ai = members[i - 1].arity
-        got = frozenset((args[:ai], args[ai:]) for args in by_pred.get(names[(rel, i, j)], ()))
-        if got != want:
-            (a, b), in_got = _least_difference(got, want)
-            side = "axioms" if in_got else "oracle"
-            return (
-                f"{rel}[{i},{j}] disagrees on ({','.join(a)} ; {','.join(b)}):"
-                f" only the {side} relate them"
-            )
-    return None
+        for (a, b), related in want.items():
+            got = family.get((names[(rel, i, j)], a + b), 0)
+            if got != related:
+                text = f"{rel}[{i},{j}] disagrees on ({','.join(a)} ; {','.join(b)}): only the"
+                yield got ^ related, got, f"{text} axioms relate them", f"{text} oracle relate them"
 
 
-def _theorem2(stratum_index, members, names, state: _State) -> Optional[str]:
+def _theorem2(stratum_index, members, names, runs) -> _Entries:
     """Reads the members off the full run of the original: a stratified
     program derives each predicate in one stratum, so later strata add no
     member atom."""
-    derived = state.runs["original"][0]
-    stage_ext = state.runs[("family", stratum_index)][0]
+    original, family = runs["original"], runs[("family", stratum_index)].masks
     for k, member in enumerate(members, 1):
         nleq = names[("nleq", k, k)]
-        for combo in state.engines["original"].combos(member.arity):
-            holds = (member.name, combo) in derived
-            never = (nleq, combo + combo) in stage_ext
-            if holds == never:
-                return (
-                    f"{format_ground_atom(member.name, combo)} is {str(holds).lower()} but "
-                    f"{format_ground_atom(nleq, combo + combo)} is {str(never).lower()}"
+        for combo in product(original.universe.objects, repeat=member.arity):
+            holds = original.masks.get((member.name, combo), 0)
+            fails = original.every & ~(holds ^ family.get((nleq, combo + combo), 0))
+            if fails:
+                atom = format_ground_atom(member.name, combo)
+                never = format_ground_atom(nleq, combo + combo)
+                yield fails, holds, *(
+                    f"{atom} is {truth} but {never} is {truth}" for truth in ("true", "false")
                 )
-    return None
 
 
-def _equivalence(roles, derived_names, state: _State) -> Optional[str]:
-    views = [{k for k in state.runs[role][0] if k[0] in derived_names} for role in roles]
-    for other in range(1, len(views)):
-        if views[other] != views[0]:
-            (name, args), holds = _least_difference(views[0], views[other])
-            return (
-                f"{format_ground_atom(name, args)} is {str(holds).lower()} in the original "
-                f"but {str(not holds).lower()} in the {roles[other]} program"
-            )
-    return None
+def _equivalence(roles, derived_names, runs) -> _Entries:
+    for role in roles[1:]:
+        yield from _differences(runs[roles[0]].masks, runs[role].masks, lambda atom: (
+            f"{atom} is true in the original but false in the {role} program",
+            f"{atom} is false in the original but true in the {role} program",
+        ), derived_names)
 
 
-def _aux(shared_names, state: _State) -> Optional[str]:
-    a = {k for k in state.runs["transformed"][0] if k[0] in shared_names}
-    b = {k for k in state.runs["optimized"][0] if k[0] in shared_names}
-    if a == b:
-        return None
-    (name, args), holds = _least_difference(a, b)
-    return (
-        f"{format_ground_atom(name, args)} is {str(holds).lower()} without the shared "
-        f"conjuncts but {str(not holds).lower()} with them"
-    )
+def _aux(shared_names, runs) -> _Entries:
+    yield from _differences(runs["transformed"].masks, runs["optimized"].masks, lambda atom: (
+        f"{atom} is true without the shared conjuncts but false with them",
+        f"{atom} is false without the shared conjuncts but true with them",
+    ), shared_names)
 
 
-def _order(order_seeds, state: _State) -> Optional[str]:
-    baseline = state.runs["original"][0]
+def _order(order_seeds, runs) -> _Entries:
     for seed in order_seeds:
-        got = state.runs[("order", seed)][0]
-        if got != baseline:
-            (name, args), added = _least_difference(got, baseline)
-            return (
-                f"evaluation order {seed} "
-                f"{'adds' if added else 'misses'} {format_ground_atom(name, args)}"
-            )
-    return None
+        yield from _differences(runs[("order", seed)].masks, runs["original"].masks, lambda atom: (
+            f"evaluation order {seed} adds {atom}", f"evaluation order {seed} misses {atom}"
+        ))
 
 
 def _run_chunk(job) -> list[tuple[int, int, Optional[Counterexample]]]:
     """A (checked, failures, least counterexample) triple for each check
-    over one block of states."""
+    over one block of states: a check fails in the states of any of its
+    entries, and its counterexample is the failing state with the least
+    sorted atoms."""
     checks, programs, universe, spec = job
     states = tuple(_spec_states(spec))
     distinct = {id(program): program for program, _ in programs.values()}
     compiled = {key: Engine(program, universe) for key, program in distinct.items()}
-    engines = {role: compiled[id(program)] for role, (program, _) in programs.items()}
-    blocks = {
-        role: engines[role].run_block(
+    runs = {
+        role: compiled[id(program)].run_block(
             states, rng=None if order is None else random.Random(f"order:{order}")
         )
-        for role, (_, order) in programs.items()
+        for role, (program, order) in programs.items()
     }
-    tallies = [[0, 0, None] for _ in checks]
-    for atoms in states:
-        runs = {role: next(block) for role, block in blocks.items()}
-        state = _State(atoms, runs, engines)
-        for tally, (name, _, compare, args) in zip(tallies, checks):
-            tally[0] += 1
-            detail = compare(*args, state)
-            if detail is not None:
-                tally[1] += 1
-                tally[2] = _merge_best(
-                    tally[2], Counterexample(name, universe.objects, tuple(sorted(atoms)), detail)
-                )
-    return [tuple(tally) for tally in tallies]
+    state_atoms = [tuple(sorted(atoms)) for atoms in states]
+    tallies = []
+    for name, _, compare, args in checks:
+        entries = list(compare(*args, runs))
+        failing = 0
+        for fails, *_ in entries:
+            failing |= fails
+        least = None
+        if failing:
+            failed = (s for s in range(len(states)) if failing >> s & 1)
+            s = min(failed, key=state_atoms.__getitem__)
+            detail = next(
+                text if first >> s & 1 else other
+                for fails, first, text, other in entries
+                if fails >> s & 1
+            )
+            least = Counterexample(name, universe.objects, state_atoms[s], detail)
+        tallies.append((len(states), failing.bit_count(), least))
+    return tallies
 
 
 def worker_count() -> int:
@@ -476,9 +447,11 @@ def _sweep(
     size = (f"n={len(universe.objects)}",)
     results = []
     for k, (name, tags, _, _) in enumerate(checks):
-        best: Optional[Counterexample] = None
-        for part in parts:
-            best = _merge_best(best, part[k][2])
+        best = min(
+            (part[k][2] for part in parts if part[k][2] is not None),
+            key=lambda c: (c.state_atoms, c.detail),
+            default=None,
+        )
         label = f"{name}[{','.join(size + tags)}]"
         results.append(
             CheckResult(label, sum(p[k][0] for p in parts), sum(p[k][1] for p in parts), best)

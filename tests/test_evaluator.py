@@ -36,6 +36,7 @@ from axf import (
     parse_program,
     stage_relations,
 )
+from axf.evaluator import stage_relation_masks
 
 U3 = Universe(("a", "b", "c"))
 
@@ -421,11 +422,22 @@ def block_states(cells, width, seed):
     return states
 
 
+def state_of(block, s):
+    """State ``s``'s atoms and, per stratum, its stage of each derived atom
+    and its fixpoint stage, read bit by bit off a block."""
+    atoms = frozenset(key for key, held in block.masks.items() if held >> s & 1)
+    tables = []
+    for added in block.added:
+        stage = {key: rnd for rnd, key, got in added if got >> s & 1}
+        tables.append((stage, max(stage.values(), default=0)))
+    return atoms, tables
+
+
 @pytest.mark.parametrize("width", [0, 1, 2, 63, 64, 65, 200])
 @pytest.mark.parametrize("role, size", [("original", 3), ("transformed", 2), ("merged", 2)])
 def test_block_matches_reference(path_program, role, size, width):
-    """A block run decodes, state by state, to the reference interpreter's
-    atoms and stage tables; a chaotic block run to its atoms."""
+    """A block run holds, state by state, the reference interpreter's atoms
+    and stage tables; a chaotic block run its atoms."""
     transformed, _ = eliminate_negative_occurrences(path_program)
     program = {
         "original": path_program,
@@ -437,13 +449,77 @@ def test_block_matches_reference(path_program, role, size, width):
     states = block_states(cells, width, f"{role}:{width}")
     engine = Engine(program, universe)
     want = {s: reference_stages(program, universe.objects, s) for s in set(states)}
-    got = list(engine.run_block(states))
-    assert len(got) == width
-    for state, (atoms, tables) in zip(states, got):
+    block = engine.run_block(states)
+    assert block.every == (1 << width) - 1
+    for s, state in enumerate(states):
+        atoms, tables = state_of(block, s)
         assert atoms == want[state][0]
-        assert [(t.stage, t.fixpoint_stage) for t in tables] == want[state][1]
+        assert tables == want[state][1]
     if width > 60:
         assert len({want[s][1][0][1] for s in states}) > 1  # settled at different rounds
     for seed in (0, 1):
         chaotic = engine.run_block(states, rng=random.Random(f"order:{seed}"))
-        assert [atoms for atoms, _ in chaotic] == [want[s][0] for s in states]
+        assert [state_of(chaotic, s)[0] for s in range(width)] == [want[s][0] for s in states]
+
+
+# The five stage-order conditions, written out apart from
+# ``evaluator.STAGE_ORDER``: sa and sb are the stages of a and b, f the
+# fixpoint stage, and f+1 the stage of an atom never derived.
+SCALAR_ORDER = {
+    "lt": lambda sa, sb, f: sa < sb,
+    "leq": lambda sa, sb, f: sa <= f and not sb < sa,
+    "nlt": lambda sa, sb, f: not sa < sb,
+    "nleq": lambda sa, sb, f: sa == f + 1 or sb < sa,
+    "tri": lambda sa, sb, f: sb - sa == 1,
+}
+
+# One stratum of two members that derive each other: R holds of S and of
+# everything reachable from it along E, and T of the E edges leaving R.
+TWO_MEMBERS = """
+(program
+  (objects a b c)
+  (basic (E 2) (S 1))
+  (derived (R 1) (T 2))
+  (stratum
+    (axiom (R ?x) (or (S ?x) (exists (?y) (and (T ?y ?x) (R ?y)))))
+    (axiom (T ?x ?y) (and (E ?x ?y) (R ?x)))))
+"""
+
+
+@pytest.mark.parametrize("width", [1, 64, 200])
+@pytest.mark.parametrize("source", ["path", "two-member"])
+def test_stage_relation_masks_match_scalar_conditions(path_source, source, width):
+    """Over a block of states, each relation's mask holds state by state
+    what the scalar conditions say of the reference interpreter's stages."""
+    program = parse_program(path_source if source == "path" else TWO_MEMBERS)
+    stratum = program.strata[0]
+    preds = [program.signature[head] for head in dict.fromkeys(ax.head_pred for ax in stratum)]
+    cells = sorted(
+        (p.name, args)
+        for p in program.basic_predicates
+        for args in product(U3.objects, repeat=p.arity)
+    )
+    states = block_states(cells, width, f"oracle:{source}:{width}")
+    block = Engine(program, U3).run_block(states)
+    got = stage_relation_masks(U3, block.added[0], block.every, preds)
+    members = range(1, len(preds) + 1)
+    assert list(got) == [(rel, i, j) for rel in SCALAR_ORDER for i in members for j in members]
+    tuples = [list(product(U3.objects, repeat=p.arity)) for p in preds]
+    fixpoints = []
+    for s, state in enumerate(states):
+        stage, f = reference_stages(program, U3.objects, state)[1][0]
+        fixpoints.append(f)
+        for (rel, i, j), related in got.items():
+            want = {
+                (a, b): SCALAR_ORDER[rel](
+                    stage.get((preds[i - 1].name, a), f + 1),
+                    stage.get((preds[j - 1].name, b), f + 1),
+                    f,
+                )
+                for a, b in product(tuples[i - 1], tuples[j - 1])
+            }
+            assert list(related) == sorted(want)
+            assert {pair: bool(held >> s & 1) for pair, held in related.items()} == want
+    assert fixpoints[0] == 0  # the empty state derives nothing
+    if width > 1:
+        assert len(set(fixpoints)) > 2  # states settled at different rounds

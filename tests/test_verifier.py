@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import axf.evaluator
 import axf.verifier
 from axf import (
     AxiomProgram,
@@ -14,6 +15,7 @@ from axf import (
     Engine,
     Predicate,
     RandomProfile,
+    StageTable,
     Top,
     Universe,
     VerificationPlan,
@@ -290,11 +292,13 @@ class TestFailureTexts:
         real = Engine.run_block
 
         def broken(self, states, *, rng=None):
-            for basic_atoms, (atoms, tables) in zip(states, real(self, states, rng=rng)):
-                derived = atoms - basic_atoms
-                if rng is not None and derived:
-                    atoms -= {max(derived)}
-                yield atoms, tables
+            """Clears each state's greatest derived atom in a chaotic block."""
+            block = real(self, states, rng=rng)
+            for s, basic_atoms in enumerate(states if rng is not None else ()):
+                derived = {key for key, held in block.masks.items() if held >> s & 1} - basic_atoms
+                if derived:
+                    block.masks[max(derived)] &= ~(1 << s)
+            return block
 
         monkeypatch.setattr(Engine, "run_block", broken)
         res = verify_order_independence(path_program, U2)
@@ -475,7 +479,8 @@ class TestOnePass:
     def test_each_run_once_per_block(self, path_program, monkeypatch):
         """A serial n=3 pass compiles each program once and runs each role
         once on its block of all 512 states, and the original once in
-        chaotic order per order seed; no state runs on its own."""
+        chaotic order per order seed; no state runs on its own, and no
+        state's stage table is built or read."""
         monkeypatch.setenv("AXF_THREADS", "1")
         built, blocks = [], []
         real_init, real = Engine.__init__, Engine.run_block
@@ -489,12 +494,14 @@ class TestOnePass:
             return real(self, states, rng=rng)
 
         def refuse(*args, **kwargs):
-            pytest.fail("a state ran on its own")
+            pytest.fail("the sweep went per state")
 
         monkeypatch.setattr(Engine, "__init__", building)
         monkeypatch.setattr(Engine, "run_block", counting)
         monkeypatch.setattr(Engine, "run", refuse)
         monkeypatch.setattr(Engine, "run_with_stages", refuse)
+        monkeypatch.setattr(StageTable, "__init__", refuse)
+        monkeypatch.setattr(axf.evaluator, "stage_relations", refuse)
         assert run_checks(path_program, VerificationPlan(universe_sizes=(3,))).passed
         # original, two stage families, transformed, merged, optimized
         assert len(built) == len(set(map(id, built))) == 6
