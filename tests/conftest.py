@@ -28,6 +28,20 @@ def path_state(path_program):
     )
 
 
+# Three strata whose transform takes two passes: Q's family is generated
+# first, P's family later lands in front of it, and the second pass rewrites
+# two occurrences of P in one axiom of Q's family.
+THREE_STRATA_SOURCE = """
+(program
+  (objects a b)
+  (basic (E 2))
+  (derived (P 1) (Q 1) (S 1))
+  (stratum (axiom (P ?x) (E ?x ?x)))
+  (stratum (axiom (Q ?x) (and (E ?x ?x) (P ?x))))
+  (stratum (axiom (S ?x) (not (Q ?x)))))
+"""
+
+
 # Seven basic cells over two objects: 128 basic states, enough for a sweep
 # to start a process pool, and cheap to evaluate.
 POOL_SOURCE = """

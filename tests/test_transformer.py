@@ -35,7 +35,7 @@ from axf import (
 from axf.logic import formula_at, free_vars
 from axf.transformer import MUTATIONS
 
-from conftest import ROOT
+from conftest import ROOT, THREE_STRATA_SOURCE
 
 GOLDEN_FAMILIES = ROOT / "tests" / "golden" / "two_member_families.axp"
 
@@ -380,18 +380,7 @@ class TestElimination:
     def test_family_placed_before_an_earlier_family(self):
         # Q's family comes first; P's family later lands in front of it, so
         # every stratum index recorded after Q's family shifts by one
-        prog = parse_program(
-            """
-            (program
-              (objects a b)
-              (basic (E 2))
-              (derived (P 1) (Q 1) (S 1))
-              (stratum (axiom (P ?x) (E ?x ?x)))
-              (stratum (axiom (Q ?x) (and (E ?x ?x) (P ?x))))
-              (stratum (axiom (S ?x) (not (Q ?x)))))
-            """
-        )
-        out, report = eliminate_negative_occurrences(prog)
+        out, report = eliminate_negative_occurrences(parse_program(THREE_STRATA_SOURCE))
         assert report.iterations == 2
         assert [
             (f.origin_stratum, f.stratum_index, f.family.round_index) for f in report.families
