@@ -1,8 +1,8 @@
 """Core syntax for stratified axiom programs.
 
 Terms, first order formulas, axioms, and whole programs, plus the purely
-syntactic operations everything else builds on: free variables, polarity of
-atom occurrences, substitution, stratification checking, and size counting.
+syntactic operations everything else builds on: free variables, the one
+polarity walk and its path write, substitution, stratification, and size.
 
 This module is the one home of the formula tree's shape and of program
 validity.  Every node kind lists and replaces its own subformulas
@@ -283,6 +283,20 @@ def formula_at(formula: Formula, path: Iterable[int]) -> Formula:
             raise LogicError(f"invalid path step {step} at {type(node).__name__}")
         node = subs[step]
     return node
+
+
+def replace_at(formula: Formula, path: Sequence[int], new: Formula) -> Formula:
+    """The formula with its subformula at ``path`` replaced by ``new``: the
+    write twin of ``formula_at``.  Only the nodes on the path are rebuilt;
+    every other subtree is shared."""
+    if not path:
+        return new
+    subs = list(formula.children())
+    step = path[0]
+    if not 0 <= step < len(subs):
+        raise LogicError(f"invalid path step {step} at {type(formula).__name__}")
+    subs[step] = replace_at(subs[step], path[1:], new)
+    return formula.rebuild(subs)
 
 
 def substitute(formula: Formula, binding: Mapping[str, Term]) -> Formula:

@@ -34,7 +34,9 @@ Every derived predicate occurs positively in the generated bodies, so a
 negative occurrence of a member P_i(t) elsewhere can be replaced by the
 positive-only test "not nleq_ii(t, t)", which holds exactly when P_i(t) is
 derived.  ``eliminate_negative_occurrences`` applies this until no derived
-predicate occurs negatively anywhere, generating at most one relation
+predicate occurs negatively anywhere, each pass finding the occurrences
+with ``logic.iter_atoms``, the one polarity walk, and rewriting them in
+place with ``logic.replace_at``; it generates at most one relation
 family per stratum; families are always generated from the stratum's
 original axioms, never from rewritten ones, which keeps the rewriting from
 feeding on its own output.  ``merge_to_single_stratum`` then collapses the
@@ -74,6 +76,7 @@ from .logic import (
     make_forall,
     node_count,
     prune_constants,
+    replace_at,
     substitute,
 )
 
@@ -542,35 +545,6 @@ def compute_metrics(program: AxiomProgram) -> ProgramMetrics:
     )
 
 
-def _replace_negative(
-    formula: Formula, targets: Mapping[str, Optional[str]]
-) -> tuple[Formula, list[tuple[tuple[int, ...], str]]]:
-    """Replace negative occurrences of target predicates.
-
-    A target mapped to a name becomes "not name(args ++ args)"; a target
-    mapped to None becomes false (sound only for never-derivable
-    predicates).  Returns the new formula and the replaced paths.
-    """
-    hits: list[tuple[tuple[int, ...], str]] = []
-
-    def walk(f: Formula, negative: bool, path: tuple[int, ...]) -> Formula:
-        if isinstance(f, Atom):
-            repl = targets.get(f.pred)
-            if negative and f.pred in targets:
-                hits.append((path, f.pred))
-                if repl is None:
-                    return Bottom()
-                return Not(Atom(repl, f.args + f.args))
-            return f
-        if isinstance(f, Not):
-            negative = not negative
-        return f.rebuild(
-            [walk(s, negative, path + (n,)) for n, s in enumerate(f.children())]
-        )
-
-    return walk(formula, False, ()), hits
-
-
 def eliminate_negative_occurrences(
     program: AxiomProgram, *, optimize_aux: bool = False
 ) -> tuple[AxiomProgram, TransformReport]:
@@ -586,6 +560,10 @@ def eliminate_negative_occurrences(
     later passes pick up; each pass removes every negative occurrence of
     the chosen stratum's members, so the loop ends after at most one family
     plus a handful of rewrite passes per stratum.
+
+    Each pass scans once, and rewrites the occurrences of its targets that
+    the scan listed.  A family placed in the pass is not listed and needs
+    no rewrite: its bodies hold its own members only positively.
 
     Stratum keys fix the layout: original stratum i is keyed (i, 0) and its
     family (i, 1), so the sorted keys are the current stratum order.  The
@@ -603,16 +581,6 @@ def eliminate_negative_occurrences(
     iterations = 0
     budget = (len(working) + 2) * (len(working) + 2) + 4
 
-    def apply_targets(targets: Mapping[str, Optional[str]], kind: str) -> None:
-        for key in sorted(working):
-            stratum = working[key]
-            for ai, ax in enumerate(stratum):
-                new_body, hits = _replace_negative(ax.body, targets)
-                if hits:
-                    stratum[ai] = Axiom(ax.head_pred, ax.head_vars, new_body)
-                    for path, pred in hits:
-                        replacements.append((pred, key, ai, path, targets[pred], kind))
-
     while True:
         if iterations > budget:
             raise TransformError(
@@ -622,42 +590,56 @@ def eliminate_negative_occurrences(
         for key in sorted(working):
             for p in affected_predicates(working[key]):
                 defined_at.setdefault(p, key)
-        negative_preds: set[str] = set()
-        for stratum in working.values():
-            for ax in stratum:
-                for _, atom, pol in iter_atoms(ax.body):
-                    if pol == NEGATIVE and signature[atom.pred].kind == "derived":
-                        negative_preds.add(atom.pred)
+        occurrences = [
+            (key, ai, path, atom)
+            for key in sorted(working)
+            for ai, ax in enumerate(working[key])
+            for path, atom, pol in iter_atoms(ax.body)
+            if pol == NEGATIVE and signature[atom.pred].kind == "derived"
+        ]
+        negative_preds = {atom.pred for *_, atom in occurrences}
         if not negative_preds:
             break
         iterations += 1
         unaffected = {p for p in negative_preds if p not in defined_at}
         if unaffected:
-            apply_targets({p: None for p in unaffected}, "unaffected-false")
-            continue
-        o, generated = min(defined_at[p] for p in negative_preds)
-        if generated:
-            raise TransformError(
-                "internal error: generated stage predicate occurs negatively"
-            )
-        family = families.get(o)
-        if family is None:
-            family = families[o] = generate_stage_axioms(
-                program,
-                o,
-                round_index=1 + max((f.round_index for f in families.values()), default=0),
-                optimize_aux=optimize_aux,
-                avoid_names=frozenset(signature),
-            )
-            working[(o, 1)] = list(family.axioms)
-            for pred in family.predicates:
-                signature[pred.name] = pred
-        targets = {
-            member: family.names[("nleq", k + 1, k + 1)]
-            for k, member in enumerate(family.members)
-            if member in negative_preds
-        }
-        apply_targets(targets, "stage")
+            targets: dict[str, Optional[str]] = dict.fromkeys(unaffected)
+            kind = "unaffected-false"
+        else:
+            o, generated = min(defined_at[p] for p in negative_preds)
+            if generated:
+                raise TransformError(
+                    "internal error: generated stage predicate occurs negatively"
+                )
+            family = families.get(o)
+            if family is None:
+                family = families[o] = generate_stage_axioms(
+                    program,
+                    o,
+                    round_index=1 + max((f.round_index for f in families.values()), default=0),
+                    optimize_aux=optimize_aux,
+                    avoid_names=frozenset(signature),
+                )
+                working[(o, 1)] = list(family.axioms)
+                for pred in family.predicates:
+                    signature[pred.name] = pred
+            targets = {
+                member: family.names[("nleq", k + 1, k + 1)]
+                for k, member in enumerate(family.members)
+                if member in negative_preds
+            }
+            kind = "stage"
+        bodies: dict[tuple, Formula] = {}
+        for key, ai, path, atom in occurrences:
+            if atom.pred in targets:
+                repl = targets[atom.pred]
+                new = Bottom() if repl is None else Not(Atom(repl, atom.args + atom.args))
+                body = bodies.get((key, ai), working[key][ai].body)
+                bodies[key, ai] = replace_at(body, path, new)
+                replacements.append((atom.pred, key, ai, path, repl, kind))
+        for (key, ai), body in bodies.items():
+            ax = working[key][ai]
+            working[key][ai] = Axiom(ax.head_pred, ax.head_vars, body)
 
     layout = sorted(working)
     index = {key: n for n, key in enumerate(layout)}

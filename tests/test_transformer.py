@@ -32,7 +32,7 @@ from axf import (
     print_program,
     substitute_stage,
 )
-from axf.logic import formula_at, free_vars
+from axf.logic import NEGATIVE, formula_at, free_vars, iter_atoms
 from axf.transformer import MUTATIONS
 
 from conftest import ROOT, THREE_STRATA_SOURCE
@@ -444,7 +444,7 @@ class TestElimination:
         import axf.transformer as T
 
         # replacements that never land starve the worklist of progress
-        monkeypatch.setattr(T, "_replace_negative", lambda formula, targets: (formula, []))
+        monkeypatch.setattr(T, "replace_at", lambda formula, path, new: formula)
         with pytest.raises(TransformError) as info:
             eliminate_negative_occurrences(path_program)
         assert str(info.value).startswith("internal error")
@@ -517,3 +517,31 @@ def test_random_programs_transform_clean(seed):
     before = compute_metrics(prog).total_size
     after = compute_metrics(out).total_size
     assert after <= before ** 4
+
+
+@pytest.mark.parametrize("optimize_aux", [False, True])
+def test_families_hold_no_negative_own_member(path_source, optimize_aux):
+    """Elimination rewrites from the scan made before a family is placed,
+    so a family must hold its own members only positively."""
+    from axf import RandomProfile, generate_random_program
+    from test_evaluator import TWO_MEMBERS as TWO_MEMBERS_RECURSIVE
+
+    programs = [parse_program(s) for s in (path_source, CHAIN, TWO_MEMBERS, TWO_MEMBERS_RECURSIVE)]
+    wide = RandomProfile(objects=3, strata=4, max_members=3, negation_rate=0.5)
+    for profile in (RandomProfile(), wide):
+        programs.extend(generate_random_program(f"own:{seed}", profile) for seed in range(100))
+    families = 0
+    for prog in programs:
+        for index, stratum in enumerate(prog.strata):
+            if not stratum:
+                continue
+            family = generate_stage_axioms(prog, index, optimize_aux=optimize_aux)
+            families += 1
+            own = [
+                (ax.head_pred, path)
+                for ax in family.axioms
+                for path, found, pol in iter_atoms(ax.body)
+                if pol == NEGATIVE and found.pred in family.members
+            ]
+            assert own == [], print_program(prog)
+    assert families > 300
