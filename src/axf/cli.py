@@ -243,13 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="universe sizes to sweep (default: the declared objects)",
     )
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help="enumerate every basic state (default)",
+    p.add_argument(
+        "--samples", type=int, help="sample this many basic states (default: every state)"
     )
-    group.add_argument("--samples", type=int, help="sample this many basic states instead")
     p.add_argument("--seed", default="0", help="seed for sampling (default 0)")
     p.add_argument(
         "--checks",

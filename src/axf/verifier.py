@@ -76,6 +76,8 @@ class BudgetError(VerifyError):
 
 _MAX_EXHAUSTIVE_BITS = 24
 _MAX_SAMPLED_CELLS = 1 << 16
+_HUGE = 1 << 64  # counts of cells from here up are refused, never computed
+_MAX_WORKERS = 256  # a pool forks all its workers at its first task
 # States per block.  Each round's pass over every head instance costs the
 # same at any width, and the masks grow with it.  Exhaustive n=4 `path`, all
 # checks, 2 workers: 1,024 states took 44-48 s (worker peak RSS 25 MiB),
@@ -253,17 +255,21 @@ def _planned_states(program: AxiomProgram, size: int, plan: VerificationPlan) ->
     Raises BudgetError when the basic cells exceed the exhaustive or the
     sampled budget; only the object count is needed, so nothing is built
     before the refusal."""
-    bits = sum(size ** p.arity for p in program.basic_predicates)
+    bits = sum(
+        _HUGE if size > 1 and p.arity > 64 else min(min(size, _HUGE + 1) ** p.arity, _HUGE)
+        for p in program.basic_predicates
+    )
+    cells = "2^64 or more" if bits >= _HUGE else bits
     if plan.samples is None:
         if bits > _MAX_EXHAUSTIVE_BITS:
             raise BudgetError(
-                f"2^{bits} basic states exceed the exhaustive budget of "
-                f"2^{_MAX_EXHAUSTIVE_BITS}; use sampled mode"
+                f"2^{f'({cells})' if bits >= _HUGE else bits} basic states exceed the "
+                f"exhaustive budget of 2^{_MAX_EXHAUSTIVE_BITS}; use sampled mode"
             )
         return 1 << bits
     if bits > _MAX_SAMPLED_CELLS:
         raise BudgetError(
-            f"{bits} basic cells exceed the sampled budget of "
+            f"{cells} basic cells exceed the sampled budget of "
             f"{_MAX_SAMPLED_CELLS} cells; use a smaller universe"
         )
     return plan.samples
@@ -393,8 +399,8 @@ def worker_count() -> int:
             n = int(raw)
         except ValueError:
             raise VerifyError("AXF_THREADS must be an integer") from None
-        if n < 1:
-            raise VerifyError("AXF_THREADS must be at least 1")
+        if not 1 <= n <= _MAX_WORKERS:
+            raise VerifyError(f"AXF_THREADS must be between 1 and {_MAX_WORKERS}")
         return n
     return os.cpu_count() or 1
 

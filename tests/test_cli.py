@@ -3,6 +3,7 @@
 import builtins
 import json
 import re
+import time
 
 import pytest
 
@@ -363,6 +364,32 @@ class TestVerify:
             capsys, "verify", "samples/path.axp", "--universe", "2", "--checks", "equivalence"
         )
         assert code == 2 and "AXF_THREADS" in err
+
+    def test_too_many_threads_exit_2(self, capsys, monkeypatch, pool_starts):
+        # 16 states at --universe 2: the sweep would stay in process anyway
+        monkeypatch.setenv("AXF_THREADS", "100000")
+        code, out, err = run(capsys, "verify", "samples/path.axp", "--universe", "2")
+        assert (code, out) == (2, "")
+        assert err == "error: AXF_THREADS must be between 1 and 256\n"
+        assert pool_starts == []
+
+    @pytest.mark.parametrize("arity", [10**4, 10**7])
+    @pytest.mark.parametrize("flags", [(), ("--samples", "5")])
+    def test_huge_arity_refused_at_once(self, capsys, tmp_path, flags, arity):
+        # 3^(10^4) has too many digits to print; 3^(10^7) takes seconds to compute
+        program = tmp_path / "wide.axp"
+        program.write_text(f"(program (objects a b c) (basic (E {arity})) (derived))")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(program), *flags)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 2^(2^64 or more) basic states exceed the exhaustive budget of 2^24; "
+            "use sampled mode\n"
+            if not flags
+            else "error: 2^64 or more basic cells exceed the sampled budget of 65536 "
+            "cells; use a smaller universe\n"
+        )
 
 
 class TestStats:

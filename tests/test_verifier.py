@@ -437,6 +437,14 @@ class TestParallel:
         monkeypatch.setenv("AXF_THREADS", "0")
         with pytest.raises(VerifyError):
             worker_count()
+        # a pool forks every worker at its first task, so a huge count is refused
+        monkeypatch.setenv("AXF_THREADS", "256")
+        assert worker_count() == 256
+        for raw in ("257", "100000"):
+            monkeypatch.setenv("AXF_THREADS", raw)
+            with pytest.raises(VerifyError) as info:
+                worker_count()
+            assert str(info.value) == "AXF_THREADS must be between 1 and 256"
 
 
 def count_calls(monkeypatch, name: str) -> list:
