@@ -505,6 +505,11 @@ def check_stratified(program: AxiomProgram) -> list[Violation]:
 
     violations: list[Violation] = []
 
+    def flag(bullet: Literal["b", "c", "d"], message: str) -> None:
+        """Report the occurrence the body walk below is at; only a violation
+        builds its OccurrenceRef."""
+        violations.append(Violation(bullet, si, ai, OccurrenceRef(si, ai, path, pol), message))
+
     for name, strata_of in affecting.items():
         if len(strata_of) > 1:
             where = ", ".join(str(s + 1) for s in strata_of)
@@ -554,40 +559,24 @@ def check_stratified(program: AxiomProgram) -> list[Violation]:
                             f"unknown object {term.name} in atom {atom.pred} ({where})"
                         )
                 for di in affecting.get(atom.pred, ()):
-                    ref = OccurrenceRef(si, ai, path, pol)
                     # A predicate occurring in its own axiom is reported under (a).
                     if di > si and atom.pred != axiom.head_pred:
-                        violations.append(
-                            Violation(
-                                "b",
-                                si,
-                                ai,
-                                ref,
-                                f"predicate {atom.pred} is affected by stratum "
-                                f"{di + 1} but occurs in stratum {si + 1}",
-                            )
+                        flag(
+                            "b",
+                            f"predicate {atom.pred} is affected by stratum "
+                            f"{di + 1} but occurs in stratum {si + 1}",
                         )
                     if pol == POSITIVE and di > si:
-                        violations.append(
-                            Violation(
-                                "c",
-                                si,
-                                ai,
-                                ref,
-                                f"{atom.pred} occurs positively in stratum {si + 1} "
-                                f"but is affected only in stratum {di + 1}",
-                            )
+                        flag(
+                            "c",
+                            f"{atom.pred} occurs positively in stratum {si + 1} "
+                            f"but is affected only in stratum {di + 1}",
                         )
                     if pol == NEGATIVE and di >= si:
-                        violations.append(
-                            Violation(
-                                "d",
-                                si,
-                                ai,
-                                ref,
-                                f"{atom.pred} occurs negatively in stratum {si + 1} "
-                                f"but is affected in stratum {di + 1}, not strictly earlier",
-                            )
+                        flag(
+                            "d",
+                            f"{atom.pred} occurs negatively in stratum {si + 1} "
+                            f"but is affected in stratum {di + 1}, not strictly earlier",
                         )
     return violations
 

@@ -27,13 +27,15 @@ a variable already bound further out (including head variables) is renamed
 on the spot (``x`` becomes ``x__1``), so downstream code never needs
 capture-avoidance logic.
 
-Spans live in this module only; formula nodes and axioms carry just their
-logic.  The reader gives every symbol and list a ``SourceSpan``, and the
-builder keeps one table per parse with the span of each atom and each axiom
-it makes: those are the only nodes a ``not-stratified`` diagnostic points
-at, since an occurrence path ends at an atom and a head-level violation
-names its axiom.  The table is keyed by ``id()`` because nodes compare and
-hash by value, so equal atoms at two places would otherwise share one entry.
+Positions live in this module only; formula nodes and axioms carry just
+their logic.  Reader nodes hold start and end offsets into the text, and
+``_Builder.err``, the one maker of a ``SourceSpan``, computes a line and
+column only for a diagnostic.  The builder keeps one table per parse from
+each atom and axiom it makes to its reader node: those are the only nodes a
+``not-stratified`` diagnostic points at, since an occurrence path ends at an
+atom and a head-level violation names its axiom.  The table is keyed by
+``id()`` because nodes compare and hash by value, so equal atoms at two
+places would otherwise share one entry.
 
 ``print_program`` is the inverse: deterministic text whose reparse is
 structurally equal to the original program, including for transformed
@@ -44,6 +46,7 @@ return text nested deeper than ``MAX_NESTING``, which the reader would refuse.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Union
@@ -80,7 +83,7 @@ MAX_NESTING = 256
 
 
 class SourceSpan(NamedTuple):
-    """Byte range in an input text; line and column are 1-based for the start."""
+    """Character range in an input text; line and column are 1-based for the start."""
 
     filename: str
     start: int
@@ -115,65 +118,54 @@ class ParseError(Exception):
 
 class _SAtom(NamedTuple):
     text: str
-    span: SourceSpan
+    start: int
+    end: int
 
 
 class _SList(NamedTuple):
     items: tuple
-    span: SourceSpan
+    start: int
+    end: int
 
 
 _SNode = Union[_SAtom, _SList]
 
-# A newline, a comment, a parenthesis or a symbol; whatever none of them
-# matches is whitespace, since ``\s`` matches exactly the ``str.isspace``
-# characters.
-_LEXEME = re.compile(r"\n|;[^\n]*|[()]|[^\s();]+")
+# A comment, a parenthesis or a symbol; whatever none of them matches is
+# whitespace, since ``\s`` matches exactly the ``str.isspace`` characters.
+_LEXEME = re.compile(r";[^\n]*|[()]|[^\s();]+")
 
 
 def _read(text: str, filename: str) -> list[_SNode]:
     """Read ``text`` into nested lists in one pass; raises ParseError for
-    unbalanced parentheses and the first list nested deeper than
-    ``MAX_NESTING``.  Only a newline starts a new line, so a column counts
-    every character since the last one."""
-    diags: list[Diagnostic] = []
+    unbalanced parentheses and the first list deeper than ``MAX_NESTING``."""
+    b = _Builder(text, filename)
     top: list[_SNode] = []
-    stack: list[tuple[list[_SNode], SourceSpan]] = []
+    stack: list[tuple[list[_SNode], int]] = []  # enclosing lists, '(' offsets
     current = top
     too_deep = False
-    line, line_start = 1, 0
     for match in _LEXEME.finditer(text):
         lexeme = match.group()
-        start, end = match.span()
-        if lexeme == "\n":
-            line, line_start = line + 1, end
-            continue
-        if lexeme[0] == ";":
-            continue
-        span = SourceSpan(filename, start, end, line, start - line_start + 1)
+        start = match.start()
         if lexeme == "(":
-            stack.append((current, span))
+            stack.append((current, start))
             current = []
             if len(stack) > MAX_NESTING and not too_deep:
                 too_deep = True
                 message = f"lists nest deeper than {MAX_NESTING} levels"
-                diags.append(Diagnostic("too-deep", message, span))
+                b.err("too-deep", message, _SAtom(lexeme, start, start + 1))
         elif lexeme == ")":
             if not stack:
-                diags.append(Diagnostic("unbalanced-paren", "unmatched ')'", span))
+                b.err("unbalanced-paren", "unmatched ')'", _SAtom(lexeme, start, start + 1))
                 continue
-            parent, open_span = stack.pop()
-            full = SourceSpan(filename, open_span.start, end, open_span.line, open_span.column)
-            parent.append(_SList(tuple(current), full))
+            parent, open_start = stack.pop()
+            parent.append(_SList(tuple(current), open_start, start + 1))
             current = parent
-        else:
-            current.append(_SAtom(lexeme, span))
-    while stack:
-        parent, open_span = stack.pop()
-        diags.append(Diagnostic("unbalanced-paren", "unclosed '('", open_span))
-        current = parent
-    if diags:
-        raise ParseError(diags)
+        elif lexeme[0] != ";":
+            current.append(_SAtom(lexeme, start, match.end()))
+    for _, open_start in reversed(stack):
+        b.err("unbalanced-paren", "unclosed '('", _SAtom("(", open_start, open_start + 1))
+    if b.diags:
+        raise ParseError(b.diags)
     return top
 
 
@@ -182,18 +174,28 @@ def _read(text: str, filename: str) -> list[_SNode]:
 
 
 class _Builder:
-    def __init__(self) -> None:
+    def __init__(self, text: str, filename: str) -> None:
+        self.text = text
+        self.filename = filename
         self.diags: list[Diagnostic] = []
-        self.spans: dict[int, SourceSpan] = {}  # id() of an atom or axiom -> its span
+        self.nodes: dict[int, _SNode] = {}  # id() of an atom or axiom -> its reader node
+        self.newlines: Optional[list[int]] = None  # offsets in ``text``, found by the first err
 
-    def err(self, code: str, message: str, span: SourceSpan) -> None:
+    def err(self, code: str, message: str, node: _SNode) -> None:
+        """Record a diagnostic at ``node``.  Only a newline starts a new
+        line, so a column counts every character since the last one."""
+        if self.newlines is None:
+            self.newlines = [m.start() for m in re.finditer("\n", self.text)]
+        before = bisect_left(self.newlines, node.start)  # newlines before the node
+        column = node.start - (self.newlines[before - 1] if before else -1)
+        span = SourceSpan(self.filename, node.start, node.end, before + 1, column)
         self.diags.append(Diagnostic(code, message, span))
 
     # -- small helpers
 
     def expect_list(self, node: _SNode, what: str) -> Optional[_SList]:
         if not isinstance(node, _SList):
-            self.err("expected-list", f"expected {what}, got {node.text!r}", node.span)
+            self.err("expected-list", f"expected {what}, got {node.text!r}", node)
             return None
         return node
 
@@ -206,13 +208,13 @@ class _Builder:
 
     def name_token(self, node: _SNode, what: str) -> Optional[_SAtom]:
         if not isinstance(node, _SAtom):
-            self.err("expected-name", f"expected {what}", node.span)
+            self.err("expected-name", f"expected {what}", node)
             return None
         if node.text.startswith("?"):
-            self.err("expected-name", f"{what} may not be a variable", node.span)
+            self.err("expected-name", f"{what} may not be a variable", node)
             return None
         if node.text in RESERVED:
-            self.err("reserved-name", f"{node.text!r} is reserved", node.span)
+            self.err("reserved-name", f"{node.text!r} is reserved", node)
             return None
         return node
 
@@ -220,23 +222,20 @@ class _Builder:
 def parse_program(text: str, filename: str = "<string>") -> AxiomProgram:
     """Parse a program; raises ParseError with all collected diagnostics."""
     forms = _read(text, filename)
-    b = _Builder()
+    b = _Builder(text, filename)
     if len(forms) != 1:
-        whole = SourceSpan(filename, 0, len(text), 1, 1)
+        whole = _SList(tuple(forms), 0, len(text))
         b.err("program-shape", "input must be exactly one (program ...) form", whole)
         raise ParseError(b.diags)
     root = forms[0]
     if not isinstance(root, _SList) or not b.head_is(root, "program"):
-        b.err("program-shape", "top-level form must start with 'program'", root.span)
+        b.err("program-shape", "top-level form must start with 'program'", root)
         raise ParseError(b.diags)
 
     sections = root.items[1:]
     if len(sections) < 3:
-        b.err(
-            "program-shape",
-            "program needs (objects ...), (basic ...), and (derived ...) sections",
-            root.span,
-        )
+        message = "program needs (objects ...), (basic ...), and (derived ...) sections"
+        b.err("program-shape", message, root)
         raise ParseError(b.diags)
 
     objects = _parse_objects(b, sections[0])
@@ -251,7 +250,7 @@ def parse_program(text: str, filename: str = "<string>") -> AxiomProgram:
         if node is None:
             continue
         if not b.head_is(node, "stratum"):
-            b.err("program-shape", "expected a (stratum ...) section", node.span)
+            b.err("program-shape", "expected a (stratum ...) section", node)
             continue
         axioms: list[Axiom] = []
         for form in node.items[1:]:
@@ -269,7 +268,7 @@ def parse_program(text: str, filename: str = "<string>") -> AxiomProgram:
     for v in check_stratified(program):
         axiom = program.strata[v.stratum_index][v.axiom_index]
         node = axiom if v.occurrence is None else formula_at(axiom.body, v.occurrence.path)
-        b.err("not-stratified", v.message, b.spans[id(node)])
+        b.err("not-stratified", v.message, b.nodes[id(node)])
     if b.diags:
         raise ParseError(b.diags)
     return program
@@ -281,14 +280,14 @@ def _parse_objects(b: _Builder, node: _SNode) -> list[str]:
     if lst is None:
         return out
     if not b.head_is(lst, "objects"):
-        b.err("program-shape", "first section must be (objects ...)", lst.span)
+        b.err("program-shape", "first section must be (objects ...)", lst)
         return out
     for item in lst.items[1:]:
         name = b.name_token(item, "an object name")
         if name is None:
             continue
         if name.text in out:
-            b.err("duplicate-object", f"object {name.text} declared twice", name.span)
+            b.err("duplicate-object", f"object {name.text} declared twice", name)
             continue
         out.append(name.text)
     return out
@@ -301,24 +300,24 @@ def _parse_decls(
     if lst is None:
         return
     if not b.head_is(lst, kind):
-        b.err("program-shape", f"expected a ({kind} ...) section", lst.span)
+        b.err("program-shape", f"expected a ({kind} ...) section", lst)
         return
     for item in lst.items[1:]:
         decl = b.expect_list(item, "a (name arity) declaration")
         if decl is None:
             continue
         if len(decl.items) != 2:
-            b.err("bad-declaration", "declaration must be (name arity)", decl.span)
+            b.err("bad-declaration", "declaration must be (name arity)", decl)
             continue
         name = b.name_token(decl.items[0], "a predicate name")
         if name is None:
             continue
         arity_tok = decl.items[1]
         if not isinstance(arity_tok, _SAtom) or not (arity_tok.text.isascii() and arity_tok.text.isdigit()):
-            b.err("bad-declaration", "arity must be a nonnegative integer", decl.items[1].span)
+            b.err("bad-declaration", "arity must be a nonnegative integer", arity_tok)
             continue
         if name.text in predicates:
-            b.err("duplicate-predicate", f"predicate {name.text} declared twice", name.span)
+            b.err("duplicate-predicate", f"predicate {name.text} declared twice", name)
             continue
         predicates[name.text] = Predicate(name.text, int(arity_tok.text), kind)  # type: ignore[arg-type]
 
@@ -330,37 +329,37 @@ def _parse_axiom(
     if lst is None:
         return None
     if not b.head_is(lst, "axiom") or len(lst.items) != 3:
-        b.err("bad-axiom", "axiom must be (axiom (pred ?v ...) formula)", lst.span)
+        b.err("bad-axiom", "axiom must be (axiom (pred ?v ...) formula)", lst)
         return None
     head = b.expect_list(lst.items[1], "an axiom head")
     if head is None or not head.items:
         if head is not None:
-            b.err("bad-axiom", "axiom head must be (pred ?v ...)", head.span)
+            b.err("bad-axiom", "axiom head must be (pred ?v ...)", head)
         return None
     name = b.name_token(head.items[0], "a predicate name")
     if name is None:
         return None
     pred = predicates.get(name.text)
     if pred is None:
-        b.err("undeclared-predicate", f"undeclared predicate {name.text}", name.span)
+        b.err("undeclared-predicate", f"undeclared predicate {name.text}", name)
         return None
     if pred.kind != "derived":
-        b.err("head-not-derived", f"head predicate {name.text} is basic", name.span)
+        b.err("head-not-derived", f"head predicate {name.text} is basic", name)
         return None
     head_vars: list[str] = []
     ok = True
     for item in head.items[1:]:
         if not isinstance(item, _SAtom) or not item.text.startswith("?"):
-            b.err("head-constant", "axiom head arguments must be variables", item.span)
+            b.err("head-constant", "axiom head arguments must be variables", item)
             ok = False
             continue
         v = item.text[1:]
         if not v:
-            b.err("bad-variable", "bare '?' is not a variable", item.span)
+            b.err("bad-variable", "bare '?' is not a variable", item)
             ok = False
             continue
         if v in head_vars:
-            b.err("repeated-head-variable", f"head variable ?{v} repeated", item.span)
+            b.err("repeated-head-variable", f"head variable ?{v} repeated", item)
             ok = False
             continue
         head_vars.append(v)
@@ -368,7 +367,7 @@ def _parse_axiom(
         b.err(
             "arity-mismatch",
             f"head of {pred.name} has {len(head_vars)} arguments, declared arity is {pred.arity}",
-            head.span,
+            head,
         )
         ok = False
     body = _parse_formula(
@@ -382,13 +381,10 @@ def _parse_axiom(
         # head variables are distinct by now, so a body variable is unbound
         loose = free_vars(body) - set(head_vars)
         names = ", ".join("?" + v for v in sorted(loose))
-        b.err(
-            "free-variable-mismatch",
-            f"body uses variables not bound by the head: {names}",
-            lst.items[2].span,
-        )
+        message = f"body uses variables not bound by the head: {names}"
+        b.err("free-variable-mismatch", message, lst.items[2])
         return None
-    b.spans[id(axiom)] = lst.span
+    b.nodes[id(axiom)] = lst
     return axiom
 
 
@@ -410,20 +406,20 @@ def _parse_formula(
             return Top()
         if node.text == "false":
             return Bottom()
-        b.err("bad-formula", f"expected a formula, got {node.text!r}", node.span)
+        b.err("bad-formula", f"expected a formula, got {node.text!r}", node)
         return None
     if not node.items:
-        b.err("bad-formula", "empty list is not a formula", node.span)
+        b.err("bad-formula", "empty list is not a formula", node)
         return None
     head = node.items[0]
     if not isinstance(head, _SAtom):
-        b.err("bad-formula", "formula must start with a connective or predicate", head.span)
+        b.err("bad-formula", "formula must start with a connective or predicate", head)
         return None
     word = head.text
 
     if word in ("and", "or"):
         if len(node.items) < 3:
-            b.err("bad-formula", f"({word} ...) needs at least two subformulas", node.span)
+            b.err("bad-formula", f"({word} ...) needs at least two subformulas", node)
             return None
         subs = [
             _parse_formula(b, item, predicates, objects, scope, taken)
@@ -436,14 +432,14 @@ def _parse_formula(
 
     if word == "not":
         if len(node.items) != 2:
-            b.err("bad-formula", "(not ...) takes exactly one subformula", node.span)
+            b.err("bad-formula", "(not ...) takes exactly one subformula", node)
             return None
         sub = _parse_formula(b, node.items[1], predicates, objects, scope, taken)
         return None if sub is None else Not(sub)
 
     if word == "imply":
         if len(node.items) != 3:
-            b.err("bad-formula", "(imply a b) takes exactly two subformulas", node.span)
+            b.err("bad-formula", "(imply a b) takes exactly two subformulas", node)
             return None
         left = _parse_formula(b, node.items[1], predicates, objects, scope, taken)
         right = _parse_formula(b, node.items[2], predicates, objects, scope, taken)
@@ -453,7 +449,7 @@ def _parse_formula(
 
     if word in ("exists", "forall"):
         if len(node.items) != 3:
-            b.err("bad-formula", f"({word} (?v ...) body) takes a variable list and a body", node.span)
+            b.err("bad-formula", f"({word} (?v ...) body) takes a variable list and a body", node)
             return None
         var_list = b.expect_list(node.items[1], "a variable list")
         if var_list is None:
@@ -461,15 +457,15 @@ def _parse_formula(
         names: list[str] = []
         for item in var_list.items:
             if not isinstance(item, _SAtom) or not item.text.startswith("?") or len(item.text) < 2:
-                b.err("bad-variable", "quantifier variables look like ?name", item.span)
+                b.err("bad-variable", "quantifier variables look like ?name", item)
                 return None
             v = item.text[1:]
             if v in names:
-                b.err("duplicate-quantifier-variable", f"?{v} bound twice in one quantifier", item.span)
+                b.err("duplicate-quantifier-variable", f"?{v} bound twice in one quantifier", item)
                 return None
             names.append(v)
         if not names:
-            b.err("bad-formula", "quantifier needs at least one variable", var_list.span)
+            b.err("bad-formula", "quantifier needs at least one variable", var_list)
             return None
         inner_scope = dict(scope)
         in_use = set(taken)
@@ -494,31 +490,31 @@ def _parse_formula(
     # Atom.
     pred = predicates.get(word)
     if word.startswith("?"):
-        b.err("bad-formula", "a variable is not a formula", head.span)
+        b.err("bad-formula", "a variable is not a formula", head)
         return None
     if word in RESERVED:
-        b.err("bad-formula", f"{word!r} cannot start a formula here", head.span)
+        b.err("bad-formula", f"{word!r} cannot start a formula here", head)
         return None
     if pred is None:
-        b.err("undeclared-predicate", f"undeclared predicate {word}", head.span)
+        b.err("undeclared-predicate", f"undeclared predicate {word}", head)
         return None
     args: list[Term] = []
     ok = True
     for item in node.items[1:]:
         if not isinstance(item, _SAtom):
-            b.err("bad-term", "atom arguments must be variables or objects", item.span)
+            b.err("bad-term", "atom arguments must be variables or objects", item)
             ok = False
             continue
         if item.text.startswith("?"):
             v = item.text[1:]
             if not v:
-                b.err("bad-variable", "bare '?' is not a variable", item.span)
+                b.err("bad-variable", "bare '?' is not a variable", item)
                 ok = False
                 continue
             args.append(Var(scope.get(v, v)))
         else:
             if item.text not in objects:
-                b.err("unknown-object", f"unknown object {item.text}", item.span)
+                b.err("unknown-object", f"unknown object {item.text}", item)
                 ok = False
                 continue
             args.append(Const(item.text))
@@ -526,13 +522,13 @@ def _parse_formula(
         b.err(
             "arity-mismatch",
             f"atom {word} has {len(node.items) - 1} arguments, declared arity is {pred.arity}",
-            node.span,
+            node,
         )
         ok = False
     if not ok:
         return None
     atom = Atom(pred.name, tuple(args))
-    b.spans[id(atom)] = node.span
+    b.nodes[id(atom)] = node
     return atom
 
 
@@ -544,8 +540,8 @@ def parse_state(text: str, program: AxiomProgram, filename: str = "<string>"):
     """Parse ``(state (P obj ...) ...)`` into a basic-state TruthAssignment
     over the program's declared objects."""
     forms = _read(text, filename)
-    b = _Builder()
-    whole = SourceSpan(filename, 0, len(text), 1, 1)
+    b = _Builder(text, filename)
+    whole = _SList(tuple(forms), 0, len(text))
     if len(forms) != 1 or not isinstance(forms[0], _SList) or not b.head_is(forms[0], "state"):
         b.err("state-shape", "input must be exactly one (state ...) form", whole)
         raise ParseError(b.diags)
@@ -559,27 +555,27 @@ def parse_state(text: str, program: AxiomProgram, filename: str = "<string>"):
         lst = b.expect_list(item, "a ground atom (P obj ...)")
         if lst is None or not lst.items:
             if lst is not None:
-                b.err("bad-ground-atom", "empty list is not a ground atom", lst.span)
+                b.err("bad-ground-atom", "empty list is not a ground atom", lst)
             continue
         name = b.name_token(lst.items[0], "a predicate name")
         if name is None:
             continue
         pred = program.signature.get(name.text)
         if pred is None:
-            b.err("undeclared-predicate", f"undeclared predicate {name.text}", name.span)
+            b.err("undeclared-predicate", f"undeclared predicate {name.text}", name)
             continue
         if pred.kind != "basic":
-            b.err("derived-in-state", f"{name.text} is derived; states assign basic predicates only", name.span)
+            b.err("derived-in-state", f"{name.text} is derived; states assign basic predicates only", name)
             continue
         consts: list[str] = []
         ok = True
         for arg in lst.items[1:]:
             if not isinstance(arg, _SAtom) or arg.text.startswith("?"):
-                b.err("bad-ground-atom", "state atoms take object names only", arg.span)
+                b.err("bad-ground-atom", "state atoms take object names only", arg)
                 ok = False
                 continue
             if arg.text not in objects:
-                b.err("unknown-object", f"unknown object {arg.text}", arg.span)
+                b.err("unknown-object", f"unknown object {arg.text}", arg)
                 ok = False
                 continue
             consts.append(arg.text)
@@ -587,7 +583,7 @@ def parse_state(text: str, program: AxiomProgram, filename: str = "<string>"):
             b.err(
                 "arity-mismatch",
                 f"atom {pred.name} has {len(consts)} arguments, declared arity is {pred.arity}",
-                lst.span,
+                lst,
             )
             ok = False
         if ok:

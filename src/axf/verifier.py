@@ -253,8 +253,8 @@ def _planned_states(program: AxiomProgram, size: int, plan: VerificationPlan) ->
     """The number of states a planned sweep over ``size`` objects visits.
 
     Raises BudgetError when the basic cells exceed the exhaustive or the
-    sampled budget; only the object count is needed, so nothing is built
-    before the refusal."""
+    sampled budget, or the samples exceed the exhaustive state budget; only
+    the object count is needed, so nothing is built before the refusal."""
     bits = sum(
         _HUGE if size > 1 and p.arity > 64 else min(min(size, _HUGE + 1) ** p.arity, _HUGE)
         for p in program.basic_predicates
@@ -271,6 +271,11 @@ def _planned_states(program: AxiomProgram, size: int, plan: VerificationPlan) ->
         raise BudgetError(
             f"{cells} basic cells exceed the sampled budget of "
             f"{_MAX_SAMPLED_CELLS} cells; use a smaller universe"
+        )
+    if plan.samples > 1 << _MAX_EXHAUSTIVE_BITS:
+        raise BudgetError(
+            f"{plan.samples} sampled states exceed the state budget of "
+            f"2^{_MAX_EXHAUSTIVE_BITS}; use fewer samples"
         )
     return plan.samples
 

@@ -373,6 +373,20 @@ class TestVerify:
         assert err == "error: AXF_THREADS must be between 1 and 256\n"
         assert pool_starts == []
 
+    def test_huge_sample_count_refused_at_once(self, capsys, pool_starts):
+        # one job per 4,096 states would make about 244 million jobs
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "verify", "samples/path.axp", "--universe", "2", "--samples", "1000000000000"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: 1000000000000 sampled states exceed the state budget of 2^24; "
+            "use fewer samples\n"
+        )
+        assert pool_starts == []
+
     @pytest.mark.parametrize("arity", [10**4, 10**7])
     @pytest.mark.parametrize("flags", [(), ("--samples", "5")])
     def test_huge_arity_refused_at_once(self, capsys, tmp_path, flags, arity):

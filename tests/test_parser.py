@@ -318,22 +318,25 @@ READER_PIECES = [
 @given(st.lists(st.sampled_from(READER_PIECES), max_size=60).map("".join))
 @settings(max_examples=300, deadline=None)
 def test_reader_spans_match_the_text(text):
-    """Every symbol's span covers its text, and its line and column count
-    newlines and characters before it; every list runs from its '(' through
-    its ')'."""
-    from axf.parser import _SList, _read
+    """Every symbol's offsets cover its text, and every list runs from its
+    '(' through its ')'; a diagnostic at a node counts the newlines before
+    it for its line and the characters since the last one for its column."""
+    from axf.parser import _Builder, _SList, _read
 
     try:
         nodes = _read(text, "f")
     except ParseError:
         return
+    b = _Builder(text, "f")
     while nodes:
         node = nodes.pop()
-        span = node.span
-        assert span.line == text.count("\n", 0, span.start) + 1
-        assert span.column == span.start - text.rfind("\n", 0, span.start)
         if isinstance(node, _SList):
-            assert text[span.start] == "(" and text[span.end - 1] == ")"
+            assert text[node.start] == "(" and text[node.end - 1] == ")"
             nodes.extend(node.items)
         else:
-            assert text[span.start:span.end] == node.text
+            assert text[node.start:node.end] == node.text
+        b.err("code", "message", node)
+        span = b.diags[-1].span
+        assert (span.start, span.end) == (node.start, node.end)
+        assert span.line == text.count("\n", 0, node.start) + 1
+        assert span.column == node.start - text.rfind("\n", 0, node.start)

@@ -353,6 +353,16 @@ class TestBudgets:
             "use a smaller universe"
         )
 
+    def test_sample_count_budget(self, path_program):
+        from axf.verifier import _planned_states
+
+        assert _planned_states(path_program, 2, VerificationPlan(samples=1 << 24)) == 1 << 24
+        with pytest.raises(BudgetError) as info:
+            _planned_states(path_program, 2, VerificationPlan(samples=(1 << 24) + 1))
+        assert str(info.value) == (
+            "16777217 sampled states exceed the state budget of 2^24; use fewer samples"
+        )
+
     def test_sampled_mode_allowed_over_budget(self):
         from axf import parse_program
 
