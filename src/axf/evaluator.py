@@ -19,7 +19,13 @@ block of one.  One per-stratum fixpoint loop runs in two orders:
 
 The live mask holds the states that gained an atom in the previous round; a
 round evaluates a head instance only in the live states that lack it, and
-the loop ends when no state is live.  Each state thus runs the rounds it
+the loop ends when no state is live.  A staged round after the first
+narrows that further, semi-naively: a body false in the snapshot before can
+turn true only where a same-stratum atom it reads grew in the previous
+round, so the engine indexes that round's additions by the argument
+pattern of each such atom in the body (head variable, constant, or a
+quantified variable read as any object) and evaluates a head instance only
+in the states its index entries hold.  Each state thus runs the rounds it
 would run alone.  A run returns its ``Block``: the final masks and each
 stratum's additions by round, off which ``stage_relation_masks`` reads the
 stage-order relations of every state of the block at once.
@@ -148,7 +154,7 @@ _Compiled = Callable[[dict, Mapping, int], int]
 
 
 def compile_formula(
-    formula: Formula, objects: Sequence[str], slots: Mapping[str, int]
+    formula: Formula, objects: Sequence[str], slots: Mapping[str, int], atoms: list
 ) -> _Compiled:
     """Compile a formula to ``fn(env, masks, care) -> mask``.
 
@@ -160,7 +166,9 @@ def compile_formula(
     variables and constants alike.  A quantifier gives its variables the
     slots after every slot in scope and writes them as it loops, so a
     rebound name never overwrites the slot an enclosing binding still reads.
-    A constant outside ``objects`` raises EvalError.
+    Each atom is appended to ``atoms``, in preorder, as its predicate and
+    per argument its slot or constant.  A constant outside ``objects``
+    raises EvalError.
     """
     if isinstance(formula, Atom):
         pred = formula.pred
@@ -168,6 +176,7 @@ def compile_formula(
             if isinstance(t, Const) and t.name not in objects:
                 raise EvalError(f"program mentions object {t.name} outside the universe")
         refs = tuple(slots[t.name] if isinstance(t, Var) else t.name for t in formula.args)
+        atoms.append((pred, refs))
         if all(isinstance(t, Const) for t in formula.args):
             key = (pred, refs)
             return lambda env, masks, care: masks.get(key, 0) & care
@@ -181,12 +190,12 @@ def compile_formula(
     if isinstance(formula, Bottom):
         return lambda env, masks, care: 0
     if isinstance(formula, Not):
-        sub = compile_formula(formula.sub, objects, slots)
+        sub = compile_formula(formula.sub, objects, slots, atoms)
         return lambda env, masks, care: care ^ sub(env, masks, care)
     if isinstance(formula, (And, Or)):
         # A conjunct is evaluated only in ``c``, where the earlier ones hold;
         # a disjunct only in ``r``, where the earlier ones fail.
-        subs = tuple(compile_formula(s, objects, slots) for s in formula.subs)
+        subs = tuple(compile_formula(s, objects, slots, atoms) for s in formula.subs)
         if isinstance(formula, And):
             if len(subs) == 2:
                 s0, s1 = subs
@@ -226,7 +235,7 @@ def compile_formula(
     if isinstance(formula, (Exists, Forall)):
         first = max(slots.values(), default=-1) + 1
         scope = {**slots, **{var: first + n for n, var in enumerate(formula.vars)}}
-        fn = compile_formula(formula.sub, objects, scope)
+        fn = compile_formula(formula.sub, objects, scope, atoms)
         objs = tuple(objects)
         want = isinstance(formula, Exists)
         for var in reversed(formula.vars):
@@ -261,10 +270,53 @@ def _quantifier_loop(slot: int, fn: _Compiled, objs: tuple[str, ...], want: bool
 # ---------------------------------------------------------------------------
 # Extension engine
 
-_CompiledAxiom = tuple[str, tuple[tuple[str, ...], ...], _Compiled]
+# The atoms a same-stratum atom occurrence can read: (predicate,
+# (position, constant) pairs to match, getter of the arguments at the
+# positions that read head variables).
+_Shape = tuple[str, tuple[tuple[int, str], ...], Callable[[tuple[str, ...]], object]]
+# An occurrence in a body: (index of its shape among the stratum's shapes,
+# getter of the head-instance objects its shape's getter yields for the
+# atoms it reads).
+_Occurrence = tuple[int, Callable[[tuple[str, ...]], object]]
+_CompiledAxiom = tuple[str, tuple[tuple[str, ...], ...], _Compiled, tuple[_Occurrence, ...]]
 # A stratum's additions in the order made: (round, atom, mask of the states
 # that gained the atom in that round).
 _Added = list[tuple[int, GroundAtom, int]]
+
+
+def _split(refs: tuple, width: int) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+    """An atom's compiled arguments, of an axiom with ``width`` head
+    variables, as (position, name) of each constant, the positions that read
+    a head variable and the head variables they read.  Head variables hold
+    the slots below ``width``; a quantifier's variables, a rebound name's
+    included, hold the slots above."""
+    consts = tuple((i, r) for i, r in enumerate(refs) if isinstance(r, str))
+    at = tuple(i for i, r in enumerate(refs) if isinstance(r, int) and r < width)
+    return consts, at, tuple(refs[i] for i in at)
+
+
+def _getter(positions: tuple[int, ...]) -> Callable[[tuple[str, ...]], object]:
+    """The items of a tuple at ``positions``: one item as itself, several
+    as a tuple, none as ``()``."""
+    return itemgetter(*positions) if positions else lambda _: ()
+
+
+def _grown(shapes: Sequence[_Shape], additions: _Added) -> list[dict[object, int]]:
+    """Per shape, the states where an atom of that shape was added among
+    ``additions``, keyed by the atom's arguments at the shape's head-variable
+    positions."""
+    by_pred: dict[str, list[tuple[tuple[str, ...], int]]] = {}
+    for _, (pred, args), got in additions:
+        by_pred.setdefault(pred, []).append((args, got))
+    out = []
+    for pred, consts, key in shapes:
+        index: dict[object, int] = {}
+        for args, got in by_pred.get(pred, ()):
+            if all(args[i] == c for i, c in consts):
+                k = key(args)
+                index[k] = index.get(k, 0) | got
+        out.append(index)
+    return out
 
 
 class Block(NamedTuple):
@@ -290,17 +342,28 @@ class Engine:
         self.universe = universe
         objects = universe.objects
         combos = cache(lambda arity: tuple(product(objects, repeat=arity)))  # shared per arity
-        self.compiled: list[list[_CompiledAxiom]] = [
-            [
-                (
-                    ax.head_pred,
-                    combos(len(ax.head_vars)),
-                    compile_formula(ax.body, objects, {v: n for n, v in enumerate(ax.head_vars)}),
-                )
-                for ax in stratum
-            ]
-            for stratum in program.strata
-        ]
+        split, getter = cache(_split), cache(_getter)  # patterns repeat across axioms
+        self.compiled: list[list[_CompiledAxiom]] = []
+        self.shapes: list[list[_Shape]] = []
+        for stratum in program.strata:
+            same = {ax.head_pred for ax in stratum}
+            shapes: dict[tuple[str, tuple, tuple[int, ...]], int] = {}
+            compiled = []
+            for ax in stratum:
+                width = len(ax.head_vars)
+                atoms: list[tuple[str, tuple]] = []
+                slots = dict(zip(ax.head_vars, range(width)))
+                body = compile_formula(ax.body, objects, slots, atoms)
+                occurs: dict[tuple[int, tuple[int, ...]], None] = {}
+                for pred, refs in atoms:
+                    if pred in same:
+                        consts, at, hv = split(refs, width)
+                        shape = shapes.setdefault((pred, consts, at), len(shapes))
+                        occurs[shape, hv] = None
+                occurrences = tuple((shape, getter(hv)) for shape, hv in occurs)
+                compiled.append((ax.head_pred, combos(width), body, occurrences))
+            self.compiled.append(compiled)
+            self.shapes.append([(pred, consts, getter(at)) for pred, consts, at in shapes])
 
     def check_basic_state(self, basic_state: TruthAssignment) -> None:
         if basic_state.universe != self.universe:
@@ -341,31 +404,50 @@ class Engine:
             for key in atoms:
                 masks[key] = masks.get(key, 0) | 1 << s
         every = (1 << len(states)) - 1
-        added = [self._fixpoint(compiled, masks, every, rng) for compiled in self.compiled]
+        added = [
+            self._fixpoint(compiled, shapes, masks, every, rng)
+            for compiled, shapes in zip(self.compiled, self.shapes)
+        ]
         return Block(self.universe, masks, added, every)
 
     def _fixpoint(
-        self, compiled: list[_CompiledAxiom], masks: dict, live: int, rng: Optional[random.Random]
+        self,
+        compiled: list[_CompiledAxiom],
+        shapes: list[_Shape],
+        masks: dict,
+        live: int,
+        rng: Optional[random.Random],
     ) -> _Added:
         """Add the stratum's derivable atoms to ``masks``; return the
         additions.  A round evaluates a head instance only in the ``live``
         states that lack it; a state stays live while it gains atoms.
         Without ``rng`` every body reads the snapshot taken at the start of
-        its round, so rounds are stages; with it, each round shuffles the
-        axioms, then each axiom's head instances, and every body reads the
-        live masks."""
+        its round, so rounds are stages, and a round after the first also
+        skips the states where no same-stratum atom the body reads grew in
+        the round before: there the body is still false.  With ``rng``, each
+        round shuffles the axioms, then each axiom's head instances, and
+        every body reads the live masks."""
         added: _Added = []
-        rounds = 0
+        rounds = start = 0
         env: dict = {o: o for o in self.universe.objects}
         while live:
             rounds += 1
+            grew = None
             if rng is None:
                 order, reads = compiled, dict(masks)
+                if rounds > 1:
+                    grew = _grown(shapes, added[start:])
+                start = len(added)
             else:
                 order, reads = list(compiled), masks
                 rng.shuffle(order)
             gained = 0
-            for head, combos, body in order:
+            for head, combos, body, occurrences in order:
+                deltas = None
+                if grew is not None:
+                    deltas = [(grew[i], project) for i, project in occurrences if grew[i]]
+                    if not deltas:
+                        continue
                 if rng is not None:
                     combos = list(combos)
                     rng.shuffle(combos)
@@ -373,6 +455,11 @@ class Engine:
                     key = (head, combo)
                     old = masks.get(key, 0)
                     need = live & ~old
+                    if need and deltas:
+                        grown = 0
+                        for index, project in deltas:
+                            grown |= index.get(project(combo), 0)
+                        need &= grown
                     if need:
                         env.update(enumerate(combo))
                         got = body(env, reads, need)

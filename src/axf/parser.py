@@ -45,6 +45,7 @@ return text nested deeper than ``MAX_NESTING``, which the reader would refuse.
 
 from __future__ import annotations
 
+import gc
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -220,7 +221,21 @@ class _Builder:
 
 
 def parse_program(text: str, filename: str = "<string>") -> AxiomProgram:
-    """Parse a program; raises ParseError with all collected diagnostics."""
+    """Parse a program; raises ParseError with all collected diagnostics.
+
+    The cyclic garbage collector is paused while it runs: reader nodes and
+    formulas form no cycles, and rescanning their growing heap made the
+    parse grow faster than its input."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_program(text, filename)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_program(text: str, filename: str) -> AxiomProgram:
     forms = _read(text, filename)
     b = _Builder(text, filename)
     if len(forms) != 1:

@@ -226,6 +226,33 @@ class TestDiagnostics:
         with pytest.raises(ParseError):
             parse_program("(program (objects a) (basic (B 1)) (derived)")
 
+    @pytest.mark.parametrize("collecting", [True, False])
+    def test_collector_paused_and_restored(self, path_source, monkeypatch, collecting):
+        """The cyclic collector is off while a program is read and back in
+        its earlier state after a parse that succeeds or raises."""
+        import gc
+
+        import axf.parser
+
+        real, seen = axf.parser._read, []
+
+        def reading(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(axf.parser, "_read", reading)
+        was = gc.isenabled()
+        (gc.enable if collecting else gc.disable)()
+        try:
+            parse_program(path_source)
+            assert gc.isenabled() is collecting
+            with pytest.raises(ParseError):
+                parse_program("(program (objects a) (basic (B 1)) (derived)")
+            assert gc.isenabled() is collecting
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False, False]
+
     def test_empty_object_section_gives_empty_hint(self):
         prog = parse_program("(program (objects) (basic (B 1)) (derived))")
         assert prog.universe_hint == ()
