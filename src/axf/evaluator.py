@@ -275,8 +275,8 @@ def _quantifier_loop(slot: int, fn: _Compiled, objs: tuple[str, ...], want: bool
 # positions that read head variables).
 _Shape = tuple[str, tuple[tuple[int, str], ...], Callable[[tuple[str, ...]], object]]
 # An occurrence in a body: (index of its shape among the stratum's shapes,
-# getter of the head-instance objects its shape's getter yields for the
-# atoms it reads).
+# getter that takes a head instance to the key, under its shape's getter,
+# of the atoms the occurrence reads for that instance).
 _Occurrence = tuple[int, Callable[[tuple[str, ...]], object]]
 _CompiledAxiom = tuple[str, tuple[tuple[str, ...], ...], _Compiled, tuple[_Occurrence, ...]]
 # A stratum's additions in the order made: (round, atom, mask of the states
