@@ -1,15 +1,15 @@
 """Core syntax for stratified axiom programs.
 
 Terms, first order formulas, axioms, and whole programs, plus the purely
-syntactic operations everything else builds on: free variables, the one
-polarity walk and its path write, substitution, stratification, and size.
+syntactic operations everything else builds on: the one walk (occurrences
+and free variables), its path write, substitution, stratification, size.
 
 This module is the one home of the formula tree's shape and of program
 validity.  Every node kind lists and replaces its own subformulas
 (``Formula.children`` / ``Formula.rebuild``), so a walker elsewhere handles
 only the node kinds it cares about.  ``check_stratified`` checks signature
 use and all four stratification conditions in one pass over the body
-occurrences, and ``AxiomProgram.validate`` raises on what it finds.
+occurrences each axiom stored, and ``AxiomProgram.validate`` raises on them.
 
 A program owns a signature of basic and derived predicates, an ordered list
 of object constants, and a sequence of strata; each stratum is a tuple of
@@ -20,7 +20,7 @@ modules and treat everything here as immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Literal, Mapping, Optional, Sequence, Union
 
 Kind = Literal["basic", "derived"]
@@ -235,17 +235,6 @@ def make_forall(vars: Iterable[str], sub: Formula) -> Formula:
     return Forall(vars, sub) if vars else sub
 
 
-def free_vars(formula: Formula) -> frozenset[str]:
-    if isinstance(formula, Atom):
-        return frozenset(t.name for t in formula.args if isinstance(t, Var))
-    if isinstance(formula, (Exists, Forall)):
-        return free_vars(formula.sub) - frozenset(formula.vars)
-    out: frozenset[str] = frozenset()
-    for sub in formula.children():
-        out |= free_vars(sub)
-    return out
-
-
 def node_count(formula: Formula) -> int:
     """Size of a formula: one per connective, quantifier, atom, term, and
     quantified variable."""
@@ -256,23 +245,43 @@ def node_count(formula: Formula) -> int:
     return 1 + sum(node_count(sub) for sub in formula.children())
 
 
-def iter_atoms(formula: Formula) -> Iterator[tuple[tuple[int, ...], Atom, Polarity]]:
-    """Yield (path, atom, polarity) for every atom occurrence, in preorder.
+Occurrence = tuple[tuple[int, ...], Atom, Polarity]
 
-    The path is the sequence of child indices from the root; polarity is
-    negative iff the atom sits under an odd number of Not nodes.
-    """
 
-    def walk(f: Formula, path: tuple[int, ...], negations: int) -> Iterator:
+def _scan(formula: Formula) -> tuple[tuple[Occurrence, ...], frozenset[str]]:
+    """The one walk of a formula: its atom occurrences (path, atom,
+    polarity) in preorder, and its free variables.  The path is the child
+    indices from the root; polarity is negative iff the atom sits under an
+    odd number of Not nodes."""
+    occurrences: list[Occurrence] = []
+    free: set[str] = set()
+
+    def walk(f: Formula, path: tuple[int, ...], negative: bool, bound: frozenset[str]) -> None:
         if isinstance(f, Atom):
-            yield path, f, (NEGATIVE if negations % 2 else POSITIVE)
+            occurrences.append((path, f, NEGATIVE if negative else POSITIVE))
+            for t in f.args:
+                if isinstance(t, Var) and t.name not in bound:
+                    free.add(t.name)
             return
         if isinstance(f, Not):
-            negations += 1
+            negative = not negative
+        elif isinstance(f, (Exists, Forall)):
+            bound = bound.union(f.vars)
         for i, sub in enumerate(f.children()):
-            yield from walk(sub, path + (i,), negations)
+            walk(sub, path + (i,), negative, bound)
 
-    yield from walk(formula, (), 0)
+    walk(formula, (), False, frozenset())
+    return tuple(occurrences), frozenset(free)
+
+
+def iter_atoms(formula: Formula) -> Iterator[Occurrence]:
+    """Yield (path, atom, polarity) for every atom occurrence, in preorder;
+    a built axiom holds those of its body as ``axiom.occurrences``."""
+    return iter(_scan(formula)[0])
+
+
+def free_vars(formula: Formula) -> frozenset[str]:
+    return _scan(formula)[1]
 
 
 def formula_at(formula: Formula, path: Iterable[int]) -> Formula:
@@ -396,22 +405,27 @@ class Axiom:
     Head variables are pairwise distinct.  Every free variable of the body
     must be a head variable; the converse may fail (generated stage axioms
     can have head positions the body does not mention), in which case the
-    unconstrained positions range over the whole universe.
+    unconstrained positions range over the whole universe.  ``occurrences``
+    is ``tuple(iter_atoms(body))``, stored by the walk that checks the body;
+    it takes no part in equality, hashing or ``repr``.
     """
 
     head_pred: str
     head_vars: tuple[str, ...]
     body: Formula
+    occurrences: tuple[Occurrence, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(set(self.head_vars)) != len(self.head_vars):
             raise LogicError(f"repeated head variable in axiom for {self.head_pred}")
-        loose = free_vars(self.body) - set(self.head_vars)
+        occurrences, free = _scan(self.body)
+        loose = free - set(self.head_vars)
         if loose:
             names = ", ".join(sorted(loose))
             raise LogicError(
                 f"body of axiom for {self.head_pred} has free variables not in the head: {names}"
             )
+        object.__setattr__(self, "occurrences", occurrences)
 
 
 Stratum = tuple[Axiom, ...]
@@ -506,28 +520,17 @@ def check_stratified(program: AxiomProgram) -> list[Violation]:
     violations: list[Violation] = []
 
     def flag(bullet: Literal["b", "c", "d"], message: str) -> None:
-        """Report the occurrence the body walk below is at; only a violation
+        """Report the occurrence the loop below is at; only a violation
         builds its OccurrenceRef."""
         violations.append(Violation(bullet, si, ai, OccurrenceRef(si, ai, path, pol), message))
 
     for name, strata_of in affecting.items():
         if len(strata_of) > 1:
             where = ", ".join(str(s + 1) for s in strata_of)
-            first_extra = strata_of[1]
-            ax_idx = next(
-                ai
-                for ai, ax in enumerate(program.strata[first_extra])
-                if ax.head_pred == name
-            )
-            violations.append(
-                Violation(
-                    "a",
-                    first_extra,
-                    ax_idx,
-                    None,
-                    f"predicate {name} is affected by axioms in strata {where}",
-                )
-            )
+            extra = strata_of[1]
+            ax_idx = next(i for i, ax in enumerate(program.strata[extra]) if ax.head_pred == name)
+            message = f"predicate {name} is affected by axioms in strata {where}"
+            violations.append(Violation("a", extra, ax_idx, None, message))
 
     for si, stratum in enumerate(program.strata):
         for ai, axiom in enumerate(stratum):
@@ -544,7 +547,7 @@ def check_stratified(program: AxiomProgram) -> list[Violation]:
                     f"head of {axiom.head_pred} has {len(axiom.head_vars)} arguments, "
                     f"declared arity is {head.arity} ({where})"
                 )
-            for path, atom, pol in iter_atoms(axiom.body):
+            for path, atom, pol in axiom.occurrences:
                 pred = program.signature.get(atom.pred)
                 if pred is None:
                     raise SignatureError(f"undeclared predicate {atom.pred} ({where})")
@@ -590,7 +593,7 @@ def negative_occurrences(
     out: list[OccurrenceRef] = []
     for si, stratum in enumerate(program.strata):
         for ai, axiom in enumerate(stratum):
-            for path, atom, pol in iter_atoms(axiom.body):
+            for path, atom, pol in axiom.occurrences:
                 if pol == NEGATIVE and atom.pred in wanted:
                     out.append(OccurrenceRef(si, ai, path, pol))
     return out

@@ -34,13 +34,14 @@ Every derived predicate occurs positively in the generated bodies, so a
 negative occurrence of a member P_i(t) elsewhere can be replaced by the
 positive-only test "not nleq_ii(t, t)", which holds exactly when P_i(t) is
 derived.  ``eliminate_negative_occurrences`` applies this until no derived
-predicate occurs negatively anywhere, each pass finding the occurrences
-with ``logic.iter_atoms``, the one polarity walk, and rewriting them in
-place with ``logic.replace_at``; it generates at most one relation
-family per stratum; families are always generated from the stratum's
-original axioms, never from rewritten ones, which keeps the rewriting from
-feeding on its own output.  ``merge_to_single_stratum`` then collapses the
-result into an equivalent one-stratum program.
+predicate occurs negatively anywhere, each pass reading the occurrences
+off ``Axiom.occurrences``, which the one polarity walk stored when the
+axiom was built, and rewriting them in place with ``logic.replace_at``;
+it generates at most one relation family per stratum; families are always
+generated from the stratum's original axioms, never from rewritten ones,
+which keeps the rewriting from feeding on its own output.
+``merge_to_single_stratum`` then collapses the result into an equivalent
+one-stratum program.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from .logic import (
     Var,
     affected_predicates,
     collapse_double_negation,
-    iter_atoms,
     lint_polarity,
     make_conj,
     make_disj,
@@ -521,20 +521,15 @@ def compute_metrics(program: AxiomProgram) -> ProgramMetrics:
         members = affected_predicates(stratum)
         member_set = set(members)
         arities = [program.signature[p].arity for p in members]
-        occurrences = 0
-        size = 0
-        for ax in stratum:
-            size += 1 + len(ax.head_vars) + node_count(ax.body)
-            for _, atom, _ in iter_atoms(ax.body):
-                if atom.pred in member_set:
-                    occurrences += 1
         per.append(
             StratumMetrics(
                 members=len(members),
                 max_arity=max(arities, default=0),
                 total_arity=sum(arities),
-                same_stratum_occurrences=occurrences,
-                size=size,
+                same_stratum_occurrences=sum(
+                    atom.pred in member_set for ax in stratum for _, atom, _ in ax.occurrences
+                ),
+                size=sum(1 + len(ax.head_vars) + node_count(ax.body) for ax in stratum),
             )
         )
     signature_size = sum(1 + p.arity for p in program.signature.values())
@@ -594,7 +589,7 @@ def eliminate_negative_occurrences(
             (key, ai, path, atom)
             for key in sorted(working)
             for ai, ax in enumerate(working[key])
-            for path, atom, pol in iter_atoms(ax.body)
+            for path, atom, pol in ax.occurrences
             if pol == NEGATIVE and signature[atom.pred].kind == "derived"
         ]
         negative_preds = {atom.pred for *_, atom in occurrences}

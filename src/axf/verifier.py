@@ -55,7 +55,6 @@ from .logic import (
     Term,
     Top,
     Var,
-    iter_atoms,
     lint_polarity,
 )
 from .parser import format_ground_atom, format_state
@@ -113,6 +112,8 @@ class VerificationPlan:
             raise VerifyError("at least one universe size is required")
         if any(n < 1 for n in self.universe_sizes):
             raise VerifyError("universe sizes must be positive")
+        if len(set(self.universe_sizes)) != len(self.universe_sizes):
+            raise VerifyError("universe sizes must not repeat")
 
 
 @dataclass(frozen=True)
@@ -225,7 +226,7 @@ def _refuse_dropped_constants(program: AxiomProgram, size: int) -> None:
         term.name
         for stratum in program.strata
         for axiom in stratum
-        for _, atom, _ in iter_atoms(axiom.body)
+        for _, atom, _ in axiom.occurrences
         for term in atom.args
         if isinstance(term, Const)
     }

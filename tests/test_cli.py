@@ -221,6 +221,12 @@ class TestVerify:
         names = [line.split()[1] for line in out.splitlines()]
         assert names == ["polarity", "theorem2[n=2,stratum=0]", "theorem2[n=2,stratum=1]"]
 
+    def test_repeated_universe_size_exit_2(self, capsys):
+        """A repeated size would sweep it twice and report two checks of one
+        name; the plan refuses it before any sweep."""
+        code, out, err = run(capsys, "verify", "samples/path.axp", "--universe", "2", "2")
+        assert (code, out, err) == (2, "", "error: universe sizes must not repeat\n")
+
     def test_unknown_check_exit_2(self, capsys):
         code, _, err = run(
             capsys, "verify", "samples/path.axp", "--checks", "theorem9"

@@ -1,8 +1,8 @@
 """Code hygiene: every name a module imports with ``from ... import`` is used,
 every function reads each of its parameters, every module-level private name
 is referenced in its module, every public one is exported or read by another
-definition, every name the benchmark traces exists, and every call shape the
-benchmark uses binds.
+definition, every name the benchmark traces exists, every call shape the
+benchmark uses binds, and no module but ``logic`` walks an axiom body.
 
 ``__init__.py`` is skipped by the import check because its imports are the
 package's re-exports.
@@ -251,3 +251,34 @@ def test_benchmark_call_shapes_bind(name):
     without failing here, before a benchmark run."""
     args, keywords = BENCHMARK_CALL_SHAPES[name]
     inspect.signature(getattr(axf, name)).bind(*args, **dict.fromkeys(keywords))
+
+
+def calls_of(source: str, name: str) -> list[int]:
+    """Lines of every call of ``name``, as a bare name or an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+    )
+
+
+NOT_LOGIC = [p for p in ALL_SOURCES if p.name != "logic.py"]
+
+
+@pytest.mark.parametrize("path", NOT_LOGIC, ids=lambda p: p.name)
+def test_no_body_walk_outside_logic(path):
+    """An axiom walks its body once, when it is built; every other module
+    reads ``axiom.occurrences`` instead of walking the body again."""
+    assert calls_of(path.read_text(encoding="utf-8"), "iter_atoms") == []
+
+
+def test_detects_a_body_walk():
+    source = (
+        "from .logic import iter_atoms\n"
+        "import axf\n"
+        "a = list(iter_atoms(body))\n"
+        "b = axf.logic.iter_atoms(body)\n"
+        "c = iter_atoms\n"
+    )
+    assert calls_of(source, "iter_atoms") == [3, 4]

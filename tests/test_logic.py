@@ -2,6 +2,7 @@
 simplification, and the stratification checks."""
 
 import dataclasses
+import pickle
 from dataclasses import dataclass
 
 import pytest
@@ -22,6 +23,7 @@ from axf import (
     Not,
     Or,
     Predicate,
+    RandomProfile,
     SignatureError,
     StratificationError,
     Top,
@@ -30,7 +32,9 @@ from axf import (
     check_stratified,
     collapse_double_negation,
     free_vars,
+    generate_random_program,
     iter_atoms,
+    lint_polarity,
     negative_occurrences,
     node_count,
     prune_constants,
@@ -127,7 +131,9 @@ class TestNodeProtocol:
 
     def test_nodes_and_axioms_hold_only_their_logic(self):
         """Source spans stay in the parser: no node kind and no axiom has a
-        field beyond its logical parts."""
+        field beyond its logical parts.  An axiom's one derived field, the
+        occurrences its body walk stored, is not set by a caller and is left
+        out of equality and ``repr``."""
         logical = {
             Atom: ("pred", "args"),
             Top: (),
@@ -137,10 +143,12 @@ class TestNodeProtocol:
             Or: ("subs",),
             Exists: ("vars", "sub"),
             Forall: ("vars", "sub"),
-            Axiom: ("head_pred", "head_vars", "body"),
+            Axiom: ("head_pred", "head_vars", "body", "occurrences"),
         }
         for cls, names in logical.items():
             assert tuple(f.name for f in dataclasses.fields(cls)) == names
+        derived = [(f.name, f.init, f.compare, f.repr) for f in dataclasses.fields(Axiom)][3:]
+        assert derived == [("occurrences", False, False, False)]
 
     def test_rebuild_replaces_children_in_order(self):
         c = atom("R", "x")
@@ -179,6 +187,72 @@ class TestPolarity:
         entries = list(iter_atoms(body))
         for path, found, _ in entries:
             assert formula_at(body, path) == found
+
+
+def _reference_walk(f, path=(), negations=0):
+    """(path, atom, polarity) per atom occurrence in preorder, and the free
+    variables, by a recursion that shares no code with ``logic``."""
+    if isinstance(f, Atom):
+        pol = NEGATIVE if negations % 2 else POSITIVE
+        return [(path, f, pol)], {t.name for t in f.args if isinstance(t, Var)}
+    negations += isinstance(f, Not)
+    occurrences, free = [], set()
+    for i, sub in enumerate(f.children()):
+        found, loose = _reference_walk(sub, path + (i,), negations)
+        occurrences += found
+        free |= loose
+    if isinstance(f, (Exists, Forall)):
+        free -= set(f.vars)
+    return occurrences, free
+
+
+class TestStoredOccurrences:
+    """Each axiom walks its body once, when it is built, and keeps the
+    occurrences that ``iter_atoms`` would yield."""
+
+    PROFILES = (
+        RandomProfile(),
+        RandomProfile(
+            objects=3, basic_predicates=3, constant_rate=0.3, strata=4, max_members=3, max_depth=4
+        ),
+    )
+
+    def test_occurrences_match_the_walk(self, path_program):
+        programs = [path_program] + [
+            generate_random_program(seed, profile)
+            for profile in self.PROFILES
+            for seed in range(100)
+        ]
+        axioms = 0
+        for program in programs:
+            for stratum in program.strata:
+                for ax in stratum:
+                    occurrences, free = _reference_walk(ax.body)
+                    assert ax.occurrences == tuple(iter_atoms(ax.body)) == tuple(occurrences)
+                    assert free_vars(ax.body) == frozenset(free) <= set(ax.head_vars)
+                    axioms += 1
+        assert axioms > 400
+
+    def test_free_variable_error_text_unchanged(self):
+        body = And((atom("B", "x", "z"), Exists(("x",), atom("B", "x", "y"))))
+        with pytest.raises(LogicError) as err:
+            Axiom("P", ("x",), body)
+        assert str(err.value) == (
+            "body of axiom for P has free variables not in the head: y, z"
+        )
+
+    def test_stored_state_is_not_identity(self):
+        ax = Axiom("P", ("x",), Not(atom("B", "x")))
+        twin = Axiom("P", ("x",), Not(atom("B", "x")))
+        object.__setattr__(twin, "occurrences", ())
+        assert ax == twin and hash(ax) == hash(twin)
+        assert repr(ax) == (
+            "Axiom(head_pred='P', head_vars=('x',), "
+            "body=Not(sub=Atom(pred='B', args=(Var(name='x'),))))"
+        )
+        back = pickle.loads(pickle.dumps(ax))
+        assert back == ax
+        assert back.occurrences == ax.occurrences == (((0,), atom("B", "x"), NEGATIVE),)
 
 
 class TestSubstitution:
@@ -361,18 +435,45 @@ class TestStratification:
             )
 
     def test_one_body_walk_per_axiom(self, path_program, monkeypatch):
+        """Building an axiom walks its body exactly once; the program-level
+        scans read the stored occurrences and walk no built body again."""
         import axf.logic
+        from axf.transformer import compute_metrics, eliminate_negative_occurrences
+        from axf.verifier import _refuse_dropped_constants
 
-        walked = []
-        real = axf.logic.iter_atoms
+        walked, built = [], [0]
+        real_scan, real_post_init = axf.logic._scan, Axiom.__post_init__
 
         def counting(formula):
             walked.append(formula)
-            return real(formula)
+            return real_scan(formula)
 
-        monkeypatch.setattr(axf.logic, "iter_atoms", counting)
+        def building(axiom):
+            built[0] += 1
+            real_post_init(axiom)
+
+        monkeypatch.setattr(axf.logic, "_scan", counting)
+        monkeypatch.setattr(Axiom, "__post_init__", building)
+        axioms = [ax for stratum in path_program.strata for ax in stratum]
+        again = [Axiom(ax.head_pred, ax.head_vars, ax.body) for ax in axioms]
+        assert walked == [ax.body for ax in axioms]
+        assert [ax.occurrences for ax in again] == [ax.occurrences for ax in axioms]
+
+        walked.clear()
         assert check_stratified(path_program) == []
-        assert walked == [ax.body for stratum in path_program.strata for ax in stratum]
+        assert lint_polarity(path_program)
+        compute_metrics(path_program)
+        _refuse_dropped_constants(path_program, 2)
+        assert walked == []
+
+        # The elimination walks only the bodies of the axioms it builds: the
+        # rewritten ones and the stage family, each once.
+        built[0] = 0
+        out, report = eliminate_negative_occurrences(path_program)
+        assert report.iterations == 1 and len(walked) == built[0] > 0
+        before = {id(ax.body) for ax in axioms}
+        assert not any(id(body) in before for body in walked)
+        assert len({id(body) for body in walked}) == len(walked)
 
     def test_first_signature_error_in_source_order(self):
         """The first axiom's undeclared body predicate is reported before

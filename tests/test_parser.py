@@ -175,24 +175,18 @@ class TestDiagnostics:
         assert (d.span.line, d.span.column) == (2, text.index(body) - text.index("\n"))
 
     def test_one_free_variable_walk_per_axiom(self, path_source, monkeypatch):
+        """Parsing walks each axiom body exactly once, when the axiom is
+        built; validating the parsed program walks no body again."""
         import axf.logic
-        import axf.parser
 
-        real = axf.logic.free_vars
-        depth = [0]
+        real = axf.logic._scan
         walked = []
 
         def counting(formula):
-            if not depth[0]:
-                walked.append(formula)
-            depth[0] += 1
-            try:
-                return real(formula)
-            finally:
-                depth[0] -= 1
+            walked.append(formula)
+            return real(formula)
 
-        monkeypatch.setattr(axf.logic, "free_vars", counting)
-        monkeypatch.setattr(axf.parser, "free_vars", counting)
+        monkeypatch.setattr(axf.logic, "_scan", counting)
         program = parse_program(path_source)
         assert walked == [ax.body for stratum in program.strata for ax in stratum]
 

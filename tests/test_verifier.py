@@ -58,6 +58,8 @@ class TestPlans:
             VerificationPlan(universe_sizes=())
         with pytest.raises(VerifyError):
             VerificationPlan(universe_sizes=(0,))
+        with pytest.raises(VerifyError, match="^universe sizes must not repeat$"):
+            VerificationPlan(universe_sizes=(2, 3, 2))
         with pytest.raises(VerifyError):
             VerificationPlan(samples=0)
         with pytest.raises(VerifyError):
