@@ -5,8 +5,9 @@ object universe.  ``extend`` computes the unique extension of a basic state
 stratum by stratum.  The engine extends a block of basic states at once:
 each ground atom has one Python ``int`` mask whose bit s is its truth in
 state s, so ``and``, ``or`` and ``not`` are ``&``, ``|`` and complement, and
-a quantifier ORs or ANDs its body over the objects.  A single state is a
-block of one.  One per-stratum fixpoint loop runs in two orders:
+a quantifier ORs or ANDs its body over the objects.  A block comes in as
+its width and its basic atoms' masks, built once by the caller; a single
+state is a block of one.  One per-stratum fixpoint loop runs in two orders:
 
  - staged: each round applies all axioms in parallel against a frozen
    snapshot of the masks and records, for every derived atom, the first
@@ -384,26 +385,23 @@ class Engine:
     ) -> frozenset[GroundAtom]:
         """Extend a basic state through every stratum; ``rng`` switches to
         chaotic order for order-independence experiments."""
-        return frozenset(self.run_block((basic_atoms,), rng=rng).masks)
+        return frozenset(self.run_block(dict.fromkeys(basic_atoms, 1), 1, rng=rng).masks)
 
     def run_with_stages(
         self, basic_atoms: frozenset[GroundAtom]
     ) -> tuple[frozenset[GroundAtom], list[StageTable]]:
-        block = self.run_block((basic_atoms,))
+        block = self.run_block(dict.fromkeys(basic_atoms, 1), 1)
         stages = [{key: rnd for rnd, key, _ in added} for added in block.added]
         tables = [StageTable(self.universe, got, max(got.values(), default=0)) for got in stages]
         return frozenset(block.masks), tables
 
     def run_block(
-        self, states: Sequence[frozenset[GroundAtom]], *, rng: Optional[random.Random] = None
+        self, basic: Mapping[GroundAtom, int], width: int, *, rng: Optional[random.Random] = None
     ) -> Block:
-        """Extend every basic state of ``states`` at once, in staged order
-        unless ``rng`` switches to chaotic order."""
-        masks: dict[GroundAtom, int] = {}
-        for s, atoms in enumerate(states):
-            for key in atoms:
-                masks[key] = masks.get(key, 0) | 1 << s
-        every = (1 << len(states)) - 1
+        """Extend ``width`` states from a copy of their basic atoms' masks,
+        in staged order unless ``rng`` switches to chaotic order."""
+        masks = dict(basic)
+        every = (1 << width) - 1
         added = [
             self._fixpoint(compiled, shapes, masks, every, rng)
             for compiled, shapes in zip(self.compiled, self.shapes)

@@ -235,43 +235,36 @@ def make_forall(vars: Iterable[str], sub: Formula) -> Formula:
     return Forall(vars, sub) if vars else sub
 
 
-def node_count(formula: Formula) -> int:
-    """Size of a formula: one per connective, quantifier, atom, term, and
-    quantified variable."""
-    if isinstance(formula, Atom):
-        return 1 + len(formula.args)
-    if isinstance(formula, (Exists, Forall)):
-        return 1 + len(formula.vars) + node_count(formula.sub)
-    return 1 + sum(node_count(sub) for sub in formula.children())
-
-
 Occurrence = tuple[tuple[int, ...], Atom, Polarity]
 
 
-def _scan(formula: Formula) -> tuple[tuple[Occurrence, ...], frozenset[str]]:
+def _scan(formula: Formula) -> tuple[tuple[Occurrence, ...], frozenset[str], int]:
     """The one walk of a formula: its atom occurrences (path, atom,
-    polarity) in preorder, and its free variables.  The path is the child
-    indices from the root; polarity is negative iff the atom sits under an
-    odd number of Not nodes."""
+    polarity) in preorder, its free variables and its ``node_count``.  The
+    path is the child indices from the root; polarity is negative iff the
+    atom sits under an odd number of Not nodes."""
     occurrences: list[Occurrence] = []
     free: set[str] = set()
 
-    def walk(f: Formula, path: tuple[int, ...], negative: bool, bound: frozenset[str]) -> None:
+    def walk(f: Formula, path: tuple[int, ...], negative: bool, bound: frozenset[str]) -> int:
         if isinstance(f, Atom):
             occurrences.append((path, f, NEGATIVE if negative else POSITIVE))
             for t in f.args:
                 if isinstance(t, Var) and t.name not in bound:
                     free.add(t.name)
-            return
+            return 1 + len(f.args)
+        size = 1
         if isinstance(f, Not):
             negative = not negative
         elif isinstance(f, (Exists, Forall)):
             bound = bound.union(f.vars)
+            size += len(f.vars)
         for i, sub in enumerate(f.children()):
-            walk(sub, path + (i,), negative, bound)
+            size += walk(sub, path + (i,), negative, bound)
+        return size
 
-    walk(formula, (), False, frozenset())
-    return tuple(occurrences), frozenset(free)
+    size = walk(formula, (), False, frozenset())
+    return tuple(occurrences), frozenset(free), size
 
 
 def iter_atoms(formula: Formula) -> Iterator[Occurrence]:
@@ -282,6 +275,12 @@ def iter_atoms(formula: Formula) -> Iterator[Occurrence]:
 
 def free_vars(formula: Formula) -> frozenset[str]:
     return _scan(formula)[1]
+
+
+def node_count(formula: Formula) -> int:
+    """Size of a formula: one per connective, quantifier, atom, term, and
+    quantified variable; a built axiom holds its body's as ``axiom.size``."""
+    return _scan(formula)[2]
 
 
 def formula_at(formula: Formula, path: Iterable[int]) -> Formula:
@@ -406,19 +405,21 @@ class Axiom:
     must be a head variable; the converse may fail (generated stage axioms
     can have head positions the body does not mention), in which case the
     unconstrained positions range over the whole universe.  ``occurrences``
-    is ``tuple(iter_atoms(body))``, stored by the walk that checks the body;
-    it takes no part in equality, hashing or ``repr``.
+    is ``tuple(iter_atoms(body))`` and ``size`` is ``node_count(body)``, both
+    stored by the walk that checks the body; they take no part in equality,
+    hashing or ``repr``.
     """
 
     head_pred: str
     head_vars: tuple[str, ...]
     body: Formula
     occurrences: tuple[Occurrence, ...] = field(init=False, compare=False, repr=False)
+    size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(set(self.head_vars)) != len(self.head_vars):
             raise LogicError(f"repeated head variable in axiom for {self.head_pred}")
-        occurrences, free = _scan(self.body)
+        occurrences, free, size = _scan(self.body)
         loose = free - set(self.head_vars)
         if loose:
             names = ", ".join(sorted(loose))
@@ -426,6 +427,7 @@ class Axiom:
                 f"body of axiom for {self.head_pred} has free variables not in the head: {names}"
             )
         object.__setattr__(self, "occurrences", occurrences)
+        object.__setattr__(self, "size", size)
 
 
 Stratum = tuple[Axiom, ...]

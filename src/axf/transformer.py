@@ -74,7 +74,6 @@ from .logic import (
     make_disj,
     make_exists,
     make_forall,
-    node_count,
     prune_constants,
     replace_at,
     substitute,
@@ -529,7 +528,7 @@ def compute_metrics(program: AxiomProgram) -> ProgramMetrics:
                 same_stratum_occurrences=sum(
                     atom.pred in member_set for ax in stratum for _, atom, _ in ax.occurrences
                 ),
-                size=sum(1 + len(ax.head_vars) + node_count(ax.body) for ax in stratum),
+                size=sum(1 + len(ax.head_vars) + ax.size for ax in stratum),
             )
         )
     signature_size = sum(1 + p.arity for p in program.signature.values())

@@ -19,12 +19,14 @@ the staged evaluator.  Checks:
                a lint-clean transform is stratified
 
 ``run_checks`` makes one pass per universe size: one stream of states feeds
-every planned check.  Each program runs once per block of states, on one
-bit mask per ground atom, and each check compares those masks for all the
-block's states at once.  Sweeps of 64 states or more are chunked over
-AXF_THREADS processes (default: machine CPU count) from one process pool
-per run, reused across sizes; the lexicographically smallest failing state
-is reported, so results do not depend on worker count or chunk order.
+every planned check.  A state is the tuple of its true basic cells in cell
+order, from generation to counterexample.  A block of states becomes one
+bit mask per basic atom, built once; each program runs once per block from
+those masks, and each check compares the results for all the block's
+states at once.  Sweeps of 64 states or more are chunked over AXF_THREADS
+processes (default: machine CPU count) from one process pool per run,
+reused across sizes; the least failing state (by its tuple) is reported,
+so results do not depend on worker count or chunk order.
 """
 
 from __future__ import annotations
@@ -114,6 +116,8 @@ class VerificationPlan:
             raise VerifyError("universe sizes must be positive")
         if len(set(self.universe_sizes)) != len(self.universe_sizes):
             raise VerifyError("universe sizes must not repeat")
+        if len(set(self.checks)) != len(self.checks):
+            raise VerifyError("checks must not repeat")
 
 
 @dataclass(frozen=True)
@@ -186,34 +190,29 @@ def basic_cells(program: AxiomProgram, universe: Universe) -> tuple[GroundAtom, 
 
 def enumerate_basic_states(
     cells: Sequence[GroundAtom], start: int = 0, stop: Optional[int] = None
-) -> Iterator[frozenset[GroundAtom]]:
+) -> Iterator[tuple[GroundAtom, ...]]:
     total = 1 << len(cells)
     stop = total if stop is None else stop
     for index in range(start, stop):
-        yield frozenset(cells[k] for k in range(len(cells)) if index >> k & 1)
+        yield tuple(cells[k] for k in range(len(cells)) if index >> k & 1)
 
 
 def sample_basic_state(
     cells: Sequence[GroundAtom], seed: int | str, index: int
-) -> frozenset[GroundAtom]:
+) -> tuple[GroundAtom, ...]:
     """Deterministic per-index sample; density varies state to state."""
     rng = random.Random(f"{seed}:{index}")
     density = rng.random()
-    return frozenset(c for c in cells if rng.random() < density)
+    return tuple(c for c in cells if rng.random() < density)
 
 
-def _spec_states(spec: tuple) -> Iterator[frozenset[GroundAtom]]:
-    kind = spec[0]
+def _spec_states(spec: tuple) -> Iterable[tuple[GroundAtom, ...]]:
+    kind, *source, start, stop = spec
     if kind == "exhaustive":
-        _, cells, start, stop = spec
-        yield from enumerate_basic_states(cells, start, stop)
-    elif kind == "sampled":
-        _, cells, seed, start, stop = spec
-        for index in range(start, stop):
-            yield sample_basic_state(cells, seed, index)
-    else:  # "explicit"
-        _, given, start, stop = spec
-        yield from given[start:stop]
+        return enumerate_basic_states(*source, start, stop)
+    if kind == "sampled":
+        return (sample_basic_state(*source, index) for index in range(start, stop))
+    return source[0][start:stop]  # "explicit"
 
 
 def _refuse_dropped_constants(program: AxiomProgram, size: int) -> None:
@@ -365,19 +364,21 @@ def _order(order_seeds, runs) -> _Entries:
 def _run_chunk(job) -> list[tuple[int, int, Optional[Counterexample]]]:
     """A (checked, failures, least counterexample) triple for each check
     over one block of states: a check fails in the states of any of its
-    entries, and its counterexample is the failing state with the least
-    sorted atoms."""
+    entries, and its counterexample is the least failing state."""
     checks, programs, universe, spec = job
     states = tuple(_spec_states(spec))
+    basic: dict[GroundAtom, int] = {}
+    for s, atoms in enumerate(states):
+        for key in atoms:
+            basic[key] = basic.get(key, 0) | 1 << s
     distinct = {id(program): program for program, _ in programs.values()}
     compiled = {key: Engine(program, universe) for key, program in distinct.items()}
     runs = {
         role: compiled[id(program)].run_block(
-            states, rng=None if order is None else random.Random(f"order:{order}")
+            basic, len(states), rng=None if order is None else random.Random(f"order:{order}")
         )
         for role, (program, order) in programs.items()
     }
-    state_atoms = [tuple(sorted(atoms)) for atoms in states]
     tallies = []
     for name, _, compare, args in checks:
         entries = list(compare(*args, runs))
@@ -387,13 +388,13 @@ def _run_chunk(job) -> list[tuple[int, int, Optional[Counterexample]]]:
         least = None
         if failing:
             failed = (s for s in range(len(states)) if failing >> s & 1)
-            s = min(failed, key=state_atoms.__getitem__)
+            s = min(failed, key=states.__getitem__)
             detail = next(
                 text if first >> s & 1 else other
                 for fails, first, text, other in entries
                 if fails >> s & 1
             )
-            least = Counterexample(name, universe.objects, state_atoms[s], detail)
+            least = Counterexample(name, universe.objects, states[s], detail)
         tallies.append((len(states), failing.bit_count(), least))
     return tallies
 
@@ -436,7 +437,7 @@ def _sweep(
     program: AxiomProgram,
     universe: Universe,
     plan: Optional[VerificationPlan],
-    states: Optional[Iterable[frozenset[GroundAtom]]],
+    states: Optional[Iterable[Iterable[GroundAtom]]],
     pool: _Pool,
 ) -> list[CheckResult]:
     """Run ``checks`` over the given states, or else the planned ones over
@@ -444,7 +445,7 @@ def _sweep(
     are 64 states or more."""
     plan = plan or VerificationPlan()
     if states is not None:
-        head: tuple = ("explicit", tuple(frozenset(s) for s in states))
+        head: tuple = ("explicit", tuple(tuple(sorted(set(s))) for s in states))
         total, workers = len(head[1]), 1
     else:
         total = _planned_states(program, len(universe.objects), plan)
@@ -546,7 +547,7 @@ def _verify_one(
     program: AxiomProgram,
     universe: Universe,
     plan: Optional[VerificationPlan],
-    states: Optional[Iterable[frozenset[GroundAtom]]],
+    states: Optional[Iterable[Iterable[GroundAtom]]],
     *,
     transformed: Optional[AxiomProgram] = None,
     strata: Iterable[int] = (),
@@ -564,7 +565,7 @@ def verify_theorem1(
     universe: Universe,
     plan: Optional[VerificationPlan] = None,
     *,
-    states: Optional[Iterable[frozenset[GroundAtom]]] = None,
+    states: Optional[Iterable[Iterable[GroundAtom]]] = None,
     mutation: Optional[str] = None,
 ) -> CheckResult:
     """Sweep: stage relations by axioms == stage relations by oracle."""
@@ -579,7 +580,7 @@ def verify_theorem2(
     universe: Universe,
     plan: Optional[VerificationPlan] = None,
     *,
-    states: Optional[Iterable[frozenset[GroundAtom]]] = None,
+    states: Optional[Iterable[Iterable[GroundAtom]]] = None,
 ) -> CheckResult:
     """Sweep: P_i(a) holds in the stratum's fixpoint iff nleq_ii(a,a) fails."""
     return _verify_one("theorem2", program, universe, plan, states, strata=(stratum_index,))
@@ -591,7 +592,7 @@ def verify_equivalence(
     plan: Optional[VerificationPlan] = None,
     *,
     transformed: Optional[AxiomProgram] = None,
-    states: Optional[Iterable[frozenset[GroundAtom]]] = None,
+    states: Optional[Iterable[Iterable[GroundAtom]]] = None,
 ) -> CheckResult:
     """Sweep: the transformation preserves every original derived atom; the
     merged form joins in when the transform passes the polarity lint."""
@@ -603,7 +604,7 @@ def verify_aux(
     universe: Universe,
     plan: Optional[VerificationPlan] = None,
     *,
-    states: Optional[Iterable[frozenset[GroundAtom]]] = None,
+    states: Optional[Iterable[Iterable[GroundAtom]]] = None,
 ) -> CheckResult:
     """Sweep: the aux rewrite leaves every shared predicate's extension alone."""
     return _verify_one("aux", program, universe, plan, states)
@@ -615,7 +616,7 @@ def verify_order_independence(
     plan: Optional[VerificationPlan] = None,
     *,
     orders: int = 8,
-    states: Optional[Iterable[frozenset[GroundAtom]]] = None,
+    states: Optional[Iterable[Iterable[GroundAtom]]] = None,
 ) -> CheckResult:
     """Sweep: chaotic evaluation agrees with the staged fixpoint."""
     return _verify_one("order", program, universe, plan, states, orders=orders)

@@ -227,6 +227,14 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "samples/path.axp", "--universe", "2", "2")
         assert (code, out, err) == (2, "", "error: universe sizes must not repeat\n")
 
+    def test_repeated_check_exit_2(self, capsys):
+        """A repeated check would be swept twice and reported twice; the
+        plan refuses it before any sweep."""
+        for checks in ("order,order", "polarity,polarity"):
+            argv = ("verify", "samples/path.axp", "--universe", "2", "--checks", checks)
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", "error: checks must not repeat\n")
+
     def test_unknown_check_exit_2(self, capsys):
         code, _, err = run(
             capsys, "verify", "samples/path.axp", "--checks", "theorem9"

@@ -131,9 +131,9 @@ class TestNodeProtocol:
 
     def test_nodes_and_axioms_hold_only_their_logic(self):
         """Source spans stay in the parser: no node kind and no axiom has a
-        field beyond its logical parts.  An axiom's one derived field, the
-        occurrences its body walk stored, is not set by a caller and is left
-        out of equality and ``repr``."""
+        field beyond its logical parts.  An axiom's two derived fields, the
+        occurrences and the size its body walk stored, are not set by a
+        caller and are left out of equality and ``repr``."""
         logical = {
             Atom: ("pred", "args"),
             Top: (),
@@ -143,12 +143,12 @@ class TestNodeProtocol:
             Or: ("subs",),
             Exists: ("vars", "sub"),
             Forall: ("vars", "sub"),
-            Axiom: ("head_pred", "head_vars", "body", "occurrences"),
+            Axiom: ("head_pred", "head_vars", "body", "occurrences", "size"),
         }
         for cls, names in logical.items():
             assert tuple(f.name for f in dataclasses.fields(cls)) == names
         derived = [(f.name, f.init, f.compare, f.repr) for f in dataclasses.fields(Axiom)][3:]
-        assert derived == [("occurrences", False, False, False)]
+        assert derived == [("occurrences", False, False, False), ("size", False, False, False)]
 
     def test_rebuild_replaces_children_in_order(self):
         c = atom("R", "x")
@@ -306,6 +306,8 @@ class TestSimplification:
         assert node_count(atom("P", "x", "y")) == 3
         assert node_count(Exists(("x",), atom("P", "x"))) == 2 + 2
         assert node_count(And((Top(), Bottom()))) == 3
+        body = Or((Not(atom("P", "x")), Forall(("y", "z"), atom("Q", "x", "y", "z"))))
+        assert node_count(body) == Axiom("R", ("x",), body).size == 1 + 3 + 7
 
 
 def program_of(text_preds, strata, objects=("a",)):
@@ -458,6 +460,7 @@ class TestStratification:
         again = [Axiom(ax.head_pred, ax.head_vars, ax.body) for ax in axioms]
         assert walked == [ax.body for ax in axioms]
         assert [ax.occurrences for ax in again] == [ax.occurrences for ax in axioms]
+        assert [ax.size for ax in again] == [ax.size for ax in axioms]
 
         walked.clear()
         assert check_stratified(path_program) == []

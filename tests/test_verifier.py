@@ -64,6 +64,9 @@ class TestPlans:
             VerificationPlan(samples=0)
         with pytest.raises(VerifyError):
             VerificationPlan(checks=("theorem9",))
+        for checks in (("order", "order"), ("polarity", "aux", "polarity")):
+            with pytest.raises(VerifyError, match="^checks must not repeat$"):
+                VerificationPlan(checks=checks)
         with pytest.raises(VerifyError):
             VerificationPlan(checks=())
 
@@ -101,7 +104,7 @@ class TestPlans:
         cells = basic_cells(path_program, U2)
         every = list(enumerate_basic_states(cells))
         assert len(every) == 16
-        assert every[0] == frozenset()
+        assert every[0] == ()
         chunked = list(enumerate_basic_states(cells, 5, 9))
         assert chunked == every[5:9]
 
@@ -293,11 +296,12 @@ class TestFailureTexts:
     def test_order(self, path_program, monkeypatch):
         real = Engine.run_block
 
-        def broken(self, states, *, rng=None):
+        def broken(self, basic, width, *, rng=None):
             """Clears each state's greatest derived atom in a chaotic block."""
-            block = real(self, states, rng=rng)
-            for s, basic_atoms in enumerate(states if rng is not None else ()):
-                derived = {key for key, held in block.masks.items() if held >> s & 1} - basic_atoms
+            block = real(self, basic, width, rng=rng)
+            for s in range(width if rng is not None else 0):
+                held = {key for key, mask in block.masks.items() if mask >> s & 1}
+                derived = held - {key for key, mask in basic.items() if mask >> s & 1}
                 if derived:
                     block.masks[max(derived)] &= ~(1 << s)
             return block
@@ -500,18 +504,20 @@ class TestOnePass:
         """A serial n=3 pass compiles each program once and runs each role
         once on its block of all 512 states, and the original once in
         chaotic order per order seed; no state runs on its own, and no
-        state's stage table is built or read."""
+        state's stage table is built or read.  Every run of the block reads
+        one dict of basic masks, built once, and no run changes it."""
         monkeypatch.setenv("AXF_THREADS", "1")
-        built, blocks = [], []
+        built, blocks, given = [], [], []
         real_init, real = Engine.__init__, Engine.run_block
 
         def building(self, program, universe):
             built.append(program)
             real_init(self, program, universe)
 
-        def counting(self, states, *, rng=None):
-            blocks.append((len(states), rng is None))
-            return real(self, states, rng=rng)
+        def counting(self, basic, width, *, rng=None):
+            blocks.append((width, rng is None))
+            given.append((basic, dict(basic)))
+            return real(self, basic, width, rng=rng)
 
         def refuse(*args, **kwargs):
             pytest.fail("the sweep went per state")
@@ -526,6 +532,10 @@ class TestOnePass:
         # original, two stage families, transformed, merged, optimized
         assert len(built) == len(set(map(id, built))) == 6
         assert sorted(blocks) == [(512, False)] * 8 + [(512, True)] * 6
+        (basic, before), *_ = given
+        assert all(masks is basic for masks, _ in given)
+        assert all(seen == before for _, seen in given)
+        assert basic == before and len(basic) == 9 and max(basic.values()).bit_length() == 512
 
     def test_blocks_split_the_states(self, pool_programs, monkeypatch):
         """Blocks smaller than the sweep give the same results, serial and
@@ -541,9 +551,9 @@ class TestOnePass:
         widths = []  # of the blocks run in this process
         real = Engine.run_block
 
-        def counting(self, states, *, rng=None):
-            widths.append(len(states))
-            return real(self, states, rng=rng)
+        def counting(self, basic, width, *, rng=None):
+            widths.append(width)
+            return real(self, basic, width, rng=rng)
 
         monkeypatch.setattr(Engine, "run_block", counting)
         for threads in ("1", "2"):
@@ -554,6 +564,19 @@ class TestOnePass:
             ] == whole
         assert max(widths) == 5
         assert whole[1]["states_checked"] == 43 and whole[1]["failures"] > 0
+
+    def test_given_states_in_any_form(self, pool_programs):
+        """A state a caller gives may list its atoms in any order and repeat
+        one; it checks as the set of its atoms, counterexample included."""
+        program, bad = pool_programs
+        u2 = universe_for(program, 2)
+        states = [s for s in enumerate_basic_states(basic_cells(program, u2)) if len(s) > 2]
+        as_sets = verify_equivalence(program, u2, transformed=bad, states=map(frozenset, states))
+        as_lists = verify_equivalence(
+            program, u2, transformed=bad, states=[list(s[::-1]) + [s[0]] for s in states]
+        )
+        assert as_lists.to_json() == as_sets.to_json()
+        assert as_sets.failures > 0 and len(as_sets.counterexample.state_atoms) > 2
 
     def test_no_states_no_checks(self, pool_programs):
         program, bad = pool_programs
