@@ -7,7 +7,9 @@ each ground atom has one Python ``int`` mask whose bit s is its truth in
 state s, so ``and``, ``or`` and ``not`` are ``&``, ``|`` and complement, and
 a quantifier ORs or ANDs its body over the objects.  A block comes in as
 its width and its basic atoms' masks, built once by the caller; a single
-state is a block of one.  One per-stratum fixpoint loop runs in two orders:
+state is a block of one.  A run holds the masks in a list, one entry per
+atom id: p(o1, ..., ok) has id offset(p) plus the base-n value of the
+objects' indices.  One per-stratum fixpoint loop runs in two orders:
 
  - staged: each round applies all axioms in parallel against a frozen
    snapshot of the masks and records, for every derived atom, the first
@@ -40,11 +42,12 @@ derivable at all, f = 0 and every atom of the stratum sits at stage 1 = f+1.
 
 Formulas are compiled once into nested closures that evaluate a subformula
 only in the states still undecided (short-circuiting And/Or, early-exit
-quantifier loops).  Every variable is resolved to a slot of the evaluation
-environment at compile time: head variables take the first slots, and each
-quantifier gives its variables fresh slots for its scope, so a rebound name
-is sound.  Engine keeps the compiled program around so sweeps over many
-blocks pay compilation once.
+quantifier loops).  Each variable is resolved at compile time to a slot of
+the environment, a list of object indices: head variables take the first
+slots, and each quantifier gives its variables fresh slots for its scope,
+so a rebound name is sound.  An atom reads ``masks[base + env[a] * ca +
+...]``, its constants folded into ``base``.  Engine keeps the compiled
+program around so sweeps over many blocks pay compilation once.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -61,7 +64,6 @@ from .logic import (
     Atom,
     AxiomProgram,
     Bottom,
-    Const,
     Exists,
     Forall,
     Formula,
@@ -151,52 +153,67 @@ RELATION_NAMES = tuple(STAGE_ORDER)
 # ---------------------------------------------------------------------------
 # Formula compilation
 
-_Compiled = Callable[[dict, Mapping, int], int]
+_Compiled = Callable[[list, list, int], int]
 
 
 def compile_formula(
-    formula: Formula, objects: Sequence[str], slots: Mapping[str, int], atoms: list
+    formula: Formula, engine: Engine, slots: Mapping[str, int], atoms: list
 ) -> _Compiled:
-    """Compile a formula to ``fn(env, masks, care) -> mask``.
-
-    ``masks`` maps ground atoms to masks; an absent atom is false in every
-    state.  The result is the formula's truth in each state of ``care``, with
-    no bit outside it.  Each variable is resolved to a slot at compile time:
-    ``slots`` maps the names in scope to their slots, and ``env`` maps slots
-    to object names and each object name to itself, so an atom reads
-    variables and constants alike.  A quantifier gives its variables the
-    slots after every slot in scope and writes them as it loops, so a
-    rebound name never overwrites the slot an enclosing binding still reads.
-    Each atom is appended to ``atoms``, in preorder, as its predicate and
-    per argument its slot or constant.  A constant outside ``objects``
-    raises EvalError.
+    """Compile a formula to ``fn(env, masks, care) -> mask`` over the atom
+    ids of ``engine``: ``masks`` lists each ground atom's mask at its id,
+    ``engine.offsets[p]`` plus the base-n value of the object indices
+    (``engine.index``) of p's arguments.  The result is the formula's truth
+    in each state of ``care``, with no bit outside it.  ``slots`` maps the
+    variables in scope to slots of ``env``, a list of the object index bound
+    to each slot; constants fold into an atom's base id.  A quantifier gives
+    its variables the slots after every slot in scope, so a rebound name
+    never overwrites a slot an enclosing binding still reads, and raises
+    ``engine.env_size`` past them.  Each atom is appended to ``atoms``, in
+    preorder, as its predicate and per argument its slot or constant.  A
+    constant outside the universe raises EvalError.
     """
     if isinstance(formula, Atom):
-        pred = formula.pred
-        for t in formula.args:
-            if isinstance(t, Const) and t.name not in objects:
-                raise EvalError(f"program mentions object {t.name} outside the universe")
         refs = tuple(slots[t.name] if isinstance(t, Var) else t.name for t in formula.args)
-        atoms.append((pred, refs))
-        if all(isinstance(t, Const) for t in formula.args):
-            key = (pred, refs)
-            return lambda env, masks, care: masks.get(key, 0) & care
-        if len(refs) == 1:
-            (ref,) = refs
-            return lambda env, masks, care: masks.get((pred, (env[ref],)), 0) & care
-        args = itemgetter(*refs)
-        return lambda env, masks, care: masks.get((pred, args(env)), 0) & care
+        n, base, terms = len(engine.index), engine.offsets[formula.pred], {}  # slot -> coefficient
+        for k, ref in enumerate(refs, 1):
+            if isinstance(ref, int):
+                terms[ref] = terms.get(ref, 0) + n ** (len(refs) - k)
+            elif ref in engine.index:
+                base += engine.index[ref] * n ** (len(refs) - k)
+            else:
+                raise EvalError(f"program mentions object {ref} outside the universe")
+        atoms.append((formula.pred, refs))
+        pairs = tuple(terms.items())
+        if not pairs:
+            return lambda env, masks, care: masks[base] & care
+        if len(pairs) == 1:
+            ((a, ca),) = pairs
+            return lambda env, masks, care: masks[base + env[a] * ca] & care
+        if len(pairs) == 2:
+            (a, ca), (b, cb) = pairs
+            return lambda env, masks, care: masks[base + env[a] * ca + env[b] * cb] & care
+        if len(pairs) == 3:
+            (a, ca), (b, cb), (c, cc) = pairs
+            return lambda env, masks, care: (
+                masks[base + env[a] * ca + env[b] * cb + env[c] * cc] & care
+            )
+        if len(pairs) == 4:
+            (a, ca), (b, cb), (c, cc), (d, cd) = pairs
+            return lambda env, masks, care: (
+                masks[base + env[a] * ca + env[b] * cb + env[c] * cc + env[d] * cd] & care
+            )
+        return lambda env, masks, care: masks[base + sum([env[s] * c for s, c in pairs])] & care
     if isinstance(formula, Top):
         return lambda env, masks, care: care
     if isinstance(formula, Bottom):
         return lambda env, masks, care: 0
     if isinstance(formula, Not):
-        sub = compile_formula(formula.sub, objects, slots, atoms)
+        sub = compile_formula(formula.sub, engine, slots, atoms)
         return lambda env, masks, care: care ^ sub(env, masks, care)
     if isinstance(formula, (And, Or)):
         # A conjunct is evaluated only in ``c``, where the earlier ones hold;
         # a disjunct only in ``r``, where the earlier ones fail.
-        subs = tuple(compile_formula(s, objects, slots, atoms) for s in formula.subs)
+        subs = tuple(compile_formula(s, engine, slots, atoms) for s in formula.subs)
         if isinstance(formula, And):
             if len(subs) == 2:
                 s0, s1 = subs
@@ -207,7 +224,7 @@ def compile_formula(
                     (c := s0(env, masks, care)) and (c := s1(env, masks, c)) and s2(env, masks, c)
                 )
 
-            def ev_and(env: dict, masks: Mapping, care: int) -> int:
+            def ev_and(env: list, masks: list, care: int) -> int:
                 for sub in subs:
                     care = care and sub(env, masks, care)
                 return care
@@ -226,7 +243,7 @@ def compile_formula(
                 and r ^ s2(env, masks, r)
             )
 
-        def ev_or(env: dict, masks: Mapping, care: int) -> int:
+        def ev_or(env: list, masks: list, care: int) -> int:
             r = care
             for sub in subs:
                 r = r and r ^ sub(env, masks, r)
@@ -236,29 +253,30 @@ def compile_formula(
     if isinstance(formula, (Exists, Forall)):
         first = max(slots.values(), default=-1) + 1
         scope = {**slots, **{var: first + n for n, var in enumerate(formula.vars)}}
-        fn = compile_formula(formula.sub, objects, scope, atoms)
-        objs = tuple(objects)
+        engine.env_size = max(engine.env_size, first + len(formula.vars))
+        fn = compile_formula(formula.sub, engine, scope, atoms)
+        codes = tuple(range(len(engine.index)))
         want = isinstance(formula, Exists)
         for var in reversed(formula.vars):
-            fn = _quantifier_loop(scope[var], fn, objs, want)
+            fn = _quantifier_loop(scope[var], fn, codes, want)
         return fn
     raise LogicError(f"unknown formula node {type(formula).__name__}")
 
 
-def _quantifier_loop(slot: int, fn: _Compiled, objs: tuple[str, ...], want: bool) -> _Compiled:
+def _quantifier_loop(slot: int, fn: _Compiled, codes: tuple[int, ...], want: bool) -> _Compiled:
     """``exists`` (``want``) as a disjunction and ``forall`` as a
-    conjunction of ``fn`` over the objects, each bound to ``slot``."""
-    def ev_exists(env: dict, masks: Mapping, care: int) -> int:
+    conjunction of ``fn`` over the object indices, each bound to ``slot``."""
+    def ev_exists(env: list, masks: list, care: int) -> int:
         rest = care
-        for o in objs:
+        for o in codes:
             env[slot] = o
             rest ^= fn(env, masks, rest)
             if not rest:
                 break
         return care ^ rest
 
-    def ev_forall(env: dict, masks: Mapping, care: int) -> int:
-        for o in objs:
+    def ev_forall(env: list, masks: list, care: int) -> int:
+        for o in codes:
             env[slot] = o
             care = fn(env, masks, care)
             if not care:
@@ -279,7 +297,9 @@ _Shape = tuple[str, tuple[tuple[int, str], ...], Callable[[tuple[str, ...]], obj
 # getter that takes a head instance to the key, under its shape's getter,
 # of the atoms the occurrence reads for that instance).
 _Occurrence = tuple[int, Callable[[tuple[str, ...]], object]]
-_CompiledAxiom = tuple[str, tuple[tuple[str, ...], ...], _Compiled, tuple[_Occurrence, ...]]
+# A head instance: (atom id, object indices, object names).
+_Instance = tuple[int, tuple[int, ...], tuple[str, ...]]
+_CompiledAxiom = tuple[str, tuple[_Instance, ...], _Compiled, tuple[_Occurrence, ...]]
 # A stratum's additions in the order made: (round, atom, mask of the states
 # that gained the atom in that round).
 _Added = list[tuple[int, GroundAtom, int]]
@@ -342,8 +362,16 @@ class Engine:
         self.program = program
         self.universe = universe
         objects = universe.objects
-        combos = cache(lambda arity: tuple(product(objects, repeat=arity)))  # shared per arity
+        self.index = {o: k for k, o in enumerate(objects)}
+        self.offsets: dict[str, int] = {}  # p's atoms take ids offsets[p], ... in product order
+        self.size = 0  # the number of ground atoms
+        for pred in program.signature.values():
+            self.offsets[pred.name] = self.size
+            self.size += len(objects) ** pred.arity
+        names = cache(lambda arity: tuple(product(objects, repeat=arity)))  # shared per arity
+        codes = cache(lambda arity: tuple(product(range(len(objects)), repeat=arity)))
         split, getter = cache(_split), cache(_getter)  # patterns repeat across axioms
+        self.env_size = 0  # the environment's length: one past the highest slot handed out
         self.compiled: list[list[_CompiledAxiom]] = []
         self.shapes: list[list[_Shape]] = []
         for stratum in program.strata:
@@ -352,9 +380,10 @@ class Engine:
             compiled = []
             for ax in stratum:
                 width = len(ax.head_vars)
+                self.env_size = max(self.env_size, width)
                 atoms: list[tuple[str, tuple]] = []
                 slots = dict(zip(ax.head_vars, range(width)))
-                body = compile_formula(ax.body, objects, slots, atoms)
+                body = compile_formula(ax.body, self, slots, atoms)
                 occurs: dict[tuple[int, tuple[int, ...]], None] = {}
                 for pred, refs in atoms:
                     if pred in same:
@@ -362,7 +391,9 @@ class Engine:
                         shape = shapes.setdefault((pred, consts, at), len(shapes))
                         occurs[shape, hv] = None
                 occurrences = tuple((shape, getter(hv)) for shape, hv in occurs)
-                compiled.append((ax.head_pred, combos(width), body, occurrences))
+                ids = range(self.offsets[ax.head_pred], self.size)
+                instances = tuple(zip(ids, codes(width), names(width)))
+                compiled.append((ax.head_pred, instances, body, occurrences))
             self.compiled.append(compiled)
             self.shapes.append([(pred, consts, getter(at)) for pred, consts, at in shapes])
 
@@ -398,21 +429,30 @@ class Engine:
     def run_block(
         self, basic: Mapping[GroundAtom, int], width: int, *, rng: Optional[random.Random] = None
     ) -> Block:
-        """Extend ``width`` states from a copy of their basic atoms' masks,
-        in staged order unless ``rng`` switches to chaotic order."""
-        masks = dict(basic)
+        """Extend ``width`` states, in staged order unless ``rng`` switches
+        to chaotic order, on a list of masks indexed by atom id; the run's
+        ``Block.masks`` is ``basic`` plus each derived atom's final mask.  An
+        atom the program does not declare at its arity reads as false."""
+        masks, n = [0] * self.size, len(self.index)
+        for (pred, args), got in basic.items():
+            if pred in self.offsets and self.program.signature[pred].arity == len(args):
+                at = sum(self.index[name] * n ** k for k, name in enumerate(reversed(args)))
+                masks[self.offsets[pred] + at] = got
         every = (1 << width) - 1
         added = [
             self._fixpoint(compiled, shapes, masks, every, rng)
             for compiled, shapes in zip(self.compiled, self.shapes)
         ]
-        return Block(self.universe, masks, added, every)
+        out = dict(basic)
+        for _, key, got in chain.from_iterable(added):
+            out[key] = out.get(key, 0) | got
+        return Block(self.universe, out, added, every)
 
     def _fixpoint(
         self,
         compiled: list[_CompiledAxiom],
         shapes: list[_Shape],
-        masks: dict,
+        masks: list[int],
         live: int,
         rng: Optional[random.Random],
     ) -> _Added:
@@ -427,12 +467,12 @@ class Engine:
         every body reads the live masks."""
         added: _Added = []
         rounds = start = 0
-        env: dict = {o: o for o in self.universe.objects}
+        env = [0] * self.env_size
         while live:
             rounds += 1
             grew = None
             if rng is None:
-                order, reads = compiled, dict(masks)
+                order, reads = compiled, masks[:]
                 if rounds > 1:
                     grew = _grown(shapes, added[start:])
                 start = len(added)
@@ -440,30 +480,29 @@ class Engine:
                 order, reads = list(compiled), masks
                 rng.shuffle(order)
             gained = 0
-            for head, combos, body, occurrences in order:
+            for head, instances, body, occurrences in order:
                 deltas = None
                 if grew is not None:
                     deltas = [(grew[i], project) for i, project in occurrences if grew[i]]
                     if not deltas:
                         continue
                 if rng is not None:
-                    combos = list(combos)
-                    rng.shuffle(combos)
-                for combo in combos:
-                    key = (head, combo)
-                    old = masks.get(key, 0)
+                    instances = list(instances)
+                    rng.shuffle(instances)
+                for at, codes, names in instances:
+                    old = masks[at]
                     need = live & ~old
                     if need and deltas:
                         grown = 0
                         for index, project in deltas:
-                            grown |= index.get(project(combo), 0)
+                            grown |= index.get(project(names), 0)
                         need &= grown
                     if need:
-                        env.update(enumerate(combo))
+                        env[: len(codes)] = codes
                         got = body(env, reads, need)
                         if got:
-                            masks[key] = old | got
-                            added.append((rounds, key, got))
+                            masks[at] = old | got
+                            added.append((rounds, (head, names), got))
                             gained |= got
             live = gained
         return added

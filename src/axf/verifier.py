@@ -442,10 +442,16 @@ def _sweep(
 ) -> list[CheckResult]:
     """Run ``checks`` over the given states, or else the planned ones over
     ``program``'s basic cells, in blocks shared across ``pool`` once there
-    are 64 states or more."""
+    are 64 states or more.  A given state must hold only basic cells."""
     plan = plan or VerificationPlan()
     if states is not None:
         head: tuple = ("explicit", tuple(tuple(sorted(set(s))) for s in states))
+        arity, objects = {p.name: p.arity for p in program.basic_predicates}, set(universe.objects)
+        stray = {(p, args) for s in head[1] for p, args in s if arity.get(p) != len(args)}
+        stray |= {(p, args) for s in head[1] for p, args in s if not objects.issuperset(args)}
+        if stray:
+            atom = format_ground_atom(*min(stray))
+            raise VerifyError(f"given state atom {atom} is not a basic cell over the universe")
         total, workers = len(head[1]), 1
     else:
         total = _planned_states(program, len(universe.objects), plan)

@@ -524,6 +524,77 @@ def test_same_stratum_reads_match_reference(program, width):
         assert max(want[s][1][0][1] for s in states) > 1  # a round after the first derives
 
 
+# Predicates of arity 0, 1, 3 and 5.  Atoms carry the constant ``a`` first,
+# in the middle and last, repeat a variable (``(W ?x ?x a ?x ?x)`` reads one
+# slot at two coefficients), and ``(W ?v ?w ?x ?y ?z)`` reads five distinct
+# variables.  R and P also read themselves.
+ARITIES = """
+(program
+  (objects a b c)
+  (basic (Z 0) (U 1) (T 3))
+  (derived (R 3) (W 5) (P 1) (B 0))
+  (stratum
+    (axiom (R ?x ?y ?z)
+      (or (T ?x ?y ?z)
+          (and (T a ?y ?x) (U ?z))
+          (exists (?w) (and (R ?x ?w ?y) (R ?w a ?z)))
+          (R ?z ?z a)))
+    (axiom (W ?v ?w ?x ?y ?z) (and (R ?v ?w ?x) (R ?x ?y ?z) (not (Z)))))
+  (stratum
+    (axiom (P ?x)
+      (or (and (Z) (not (U ?x)))
+          (exists (?v ?w ?y ?z) (W ?v ?w ?x ?y ?z))
+          (W ?x ?x a ?x ?x)
+          (exists (?y) (and (P ?y) (T ?y ?x ?y)))))
+    (axiom (B) (forall (?x) (P ?x)))))
+"""
+
+
+@pytest.mark.parametrize("width", [1, 64])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_atom_numbering_matches_reference(size, width):
+    """Over one, two and three objects, a staged block holds the reference
+    interpreter's atoms and stage tables state by state, and a chaotic
+    block its atoms, for atoms of every arity and argument pattern."""
+    program = parse_program(ARITIES)
+    universe = Universe(("a", "b", "c")[:size])
+    cells = [
+        (p.name, args)
+        for p in program.basic_predicates
+        for args in product(universe.objects, repeat=p.arity)
+    ]
+    states = block_states(cells, width, f"arities:{size}:{width}")
+    want = {s: reference_stages(program, universe.objects, s) for s in set(states)}
+    engine = Engine(program, universe)
+    block = run_states(engine, states)
+    chaotic = run_states(engine, states, random.Random(f"order:{size}"))
+    for s, state in enumerate(states):
+        assert state_of(block, s) == want[state]
+        assert state_of(chaotic, s)[0] == want[state][0]
+    if width > 1:
+        assert any(pred == "W" for s in states for pred, _ in want[s][0])  # W is derived
+        assert max(want[s][1][1][1] for s in states) > 1  # P reads itself
+
+
+def test_environment_holds_every_quantified_variable():
+    """A body under 100 nested quantifiers needs 101 slots of environment;
+    the engine sizes it from the slots the compiler hands out."""
+    body = Atom("E", (Var("x"), Var("v99")))
+    for k in reversed(range(100)):
+        body = Exists((f"v{k}",), body)
+    program = AxiomProgram(
+        [Predicate("E", 2, "basic"), Predicate("Q", 1, "derived")],
+        ("a",),
+        [[Axiom("Q", ("x",), body)]],
+    )
+    universe = Universe(("a",))
+    states = [frozenset(), frozenset({("E", ("a", "a"))})]
+    block = run_states(Engine(program, universe), states)
+    for s, state in enumerate(states):
+        assert state_of(block, s) == reference_stages(program, universe.objects, state)
+    assert block.masks[("Q", ("a",))] == 0b10
+
+
 def test_later_rounds_skip_unchanged_bodies(path_program):
     """A staged block of all 512 three-object states of the transformed
     ``path`` program calls the compiled bodies 2,818 times over 433,553

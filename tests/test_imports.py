@@ -282,3 +282,34 @@ def test_detects_a_body_walk():
         "c = iter_atoms\n"
     )
     assert calls_of(source, "iter_atoms") == [3, 4]
+
+
+# The two marks of an atom looked up by a tuple key: ``masks.get(`` of a
+# dict keyed by ground atoms, and ``args(env)`` building the argument tuple.
+TUPLE_KEY_MARKS = ("masks.get(", "args(env)")
+
+
+def tuple_key_lookups(source: str) -> list[int]:
+    """Lines that carry a mark of a tuple-key atom lookup."""
+    return [
+        number
+        for number, line in enumerate(source.splitlines(), 1)
+        if any(mark in line for mark in TUPLE_KEY_MARKS)
+    ]
+
+
+def test_evaluator_looks_atoms_up_by_id():
+    """The engine reads an atom's mask at its integer id; no tuple-key path
+    is kept beside it."""
+    source = (ROOT / "src" / "axf" / "evaluator.py").read_text(encoding="utf-8")
+    assert tuple_key_lookups(source) == []
+
+
+def test_detects_a_tuple_key_lookup():
+    source = (
+        "a = masks.get((pred, args(env)), 0) & care\n"
+        "b = masks[base + env[a] * ca] & care\n"
+        "c = masks.get(key, 0)\n"
+        "d = lambda env: args(env)\n"
+    )
+    assert tuple_key_lookups(source) == [1, 3, 4]

@@ -26,6 +26,7 @@ from axf import (
     eliminate_negative_occurrences,
     enumerate_basic_states,
     generate_random_program,
+    parse_program,
     parse_state,
     power_fit,
     run_checks,
@@ -577,6 +578,38 @@ class TestOnePass:
         )
         assert as_lists.to_json() == as_sets.to_json()
         assert as_sets.failures > 0 and len(as_sets.counterexample.state_atoms) > 2
+
+    @pytest.mark.parametrize("stray, text", [
+        pytest.param(("path", ("a", "a")), "(path a a)", id="derived"),
+        pytest.param(("E", ("a", "z")), "(E a z)", id="outside-universe"),
+        pytest.param(("E", ("a",)), "(E a)", id="wrong-arity"),
+    ])
+    def test_given_states_hold_only_basic_cells(self, path_program, monkeypatch, stray, text):
+        """A given state's atom that is not a basic cell of the program over
+        the universe is refused, the least such atom named, before any
+        engine is built."""
+        monkeypatch.setattr(Engine, "__init__", lambda *_: pytest.fail("a block was built"))
+        states = [[("E", ("a", "b"))], [("E", ("b", "a")), stray, ("path", ("b", "b"))]]
+        with pytest.raises(VerifyError) as info:
+            verify_equivalence(path_program, U2, states=states)
+        assert str(info.value) == f"given state atom {text} is not a basic cell over the universe"
+
+    @pytest.mark.parametrize("basic", ["(E 1)", "(F 1)"])
+    def test_transform_without_the_basic_cells(self, path_program, basic):
+        """A transformed program that declares ``E`` at another arity, or
+        not at all, reads none of the original's ``E`` atoms: its ``E``
+        atoms stay false and no other atom is set in their place."""
+        p = basic[1]
+        transformed = parse_program(f"""
+            (program (objects a b) (basic {basic}) (derived (path 2) (acyclic 0))
+              (stratum (axiom (path ?x ?y) (and ({p} ?x) ({p} ?y))))
+              (stratum (axiom (acyclic) (forall (?x) (not ({p} ?x))))))""")
+        result = verify_equivalence(path_program, U2, transformed=transformed)
+        assert (result.states_checked, result.failures) == (16, 15)
+        assert result.counterexample.state_text() == "(state (E a a))"
+        assert result.counterexample.detail == (
+            "(acyclic) is false in the original but true in the transformed program"
+        )
 
     def test_no_states_no_checks(self, pool_programs):
         program, bad = pool_programs
