@@ -8,8 +8,10 @@ state s, so ``and``, ``or`` and ``not`` are ``&``, ``|`` and complement, and
 a quantifier ORs or ANDs its body over the objects.  A block comes in as
 its width and its basic atoms' masks, built once by the caller; a single
 state is a block of one.  A run holds the masks in a list, one entry per
-atom id: p(o1, ..., ok) has id offset(p) plus the base-n value of the
-objects' indices.  One per-stratum fixpoint loop runs in two orders:
+atom id of a predicate some axiom mentions: p(o1, ..., ok) has id
+offset(p) plus the base-n value of the objects' indices; the atoms of a
+predicate no axiom mentions get no id and pass through a run unread.  One
+per-stratum fixpoint loop runs in two orders:
 
  - staged: each round applies all axioms in parallel against a frozen
    snapshot of the masks and records, for every derived atom, the first
@@ -363,11 +365,17 @@ class Engine:
         self.universe = universe
         objects = universe.objects
         self.index = {o: k for k, o in enumerate(objects)}
-        self.offsets: dict[str, int] = {}  # p's atoms take ids offsets[p], ... in product order
-        self.size = 0  # the number of ground atoms
+        # Only the predicates some axiom mentions are numbered; p's atoms
+        # take ids offsets[p], ... in product order.
+        axioms = [ax for stratum in program.strata for ax in stratum]
+        mentioned = {atom.pred for ax in axioms for _, atom, _ in ax.occurrences}
+        mentioned.update(ax.head_pred for ax in axioms)
+        self.offsets: dict[str, int] = {}
+        self.size = 0  # the number of ground atoms numbered
         for pred in program.signature.values():
-            self.offsets[pred.name] = self.size
-            self.size += len(objects) ** pred.arity
+            if pred.name in mentioned:
+                self.offsets[pred.name] = self.size
+                self.size += len(objects) ** pred.arity
         names = cache(lambda arity: tuple(product(objects, repeat=arity)))  # shared per arity
         codes = cache(lambda arity: tuple(product(range(len(objects)), repeat=arity)))
         split, getter = cache(_split), cache(_getter)  # patterns repeat across axioms

@@ -3,6 +3,8 @@
 Terms, first order formulas, axioms, and whole programs, plus the purely
 syntactic operations everything else builds on: the one walk (occurrences
 and free variables), its path write, substitution, stratification, size.
+Constant folding has one home, the ``make_*`` constructors; ``fold`` and
+``prune_constants`` apply them, while ``rebuild`` and ``substitute`` do not.
 
 This module is the one home of the formula tree's shape and of program
 validity.  Every node kind lists and replaces its own subformulas
@@ -205,34 +207,58 @@ class Forall(Formula):
     children, rebuild = Exists.children, Exists.rebuild
 
 
+def make_not(sub: Formula) -> Formula:
+    """Not over ``sub``, folded: Top and Bottom swap."""
+    if isinstance(sub, (Top, Bottom)):
+        return Bottom() if isinstance(sub, Top) else Top()
+    return Not(sub)
+
+
+def _junction(kind: type, absorber: type, unit: type, parts: Iterable[Formula]) -> Formula:
+    kept = []
+    for part in parts:
+        if isinstance(part, absorber):
+            return part
+        if not isinstance(part, unit):
+            kept.append(part)
+    return kind(tuple(kept)) if len(kept) > 1 else kept[0] if kept else unit()
+
+
 def make_conj(parts: Iterable[Formula]) -> Formula:
-    """And over ``parts``; a single part collapses to itself, none to Top."""
-    parts = tuple(parts)
-    if not parts:
-        return Top()
-    if len(parts) == 1:
-        return parts[0]
-    return And(parts)
+    """And over ``parts``, folded: a Bottom part absorbs the conjunction and
+    Top parts drop out; a single part left collapses to itself, none to Top."""
+    return _junction(And, Bottom, Top, parts)
 
 
 def make_disj(parts: Iterable[Formula]) -> Formula:
-    """Or over ``parts``; a single part collapses to itself, none to Bottom."""
-    parts = tuple(parts)
-    if not parts:
-        return Bottom()
-    if len(parts) == 1:
-        return parts[0]
-    return Or(parts)
+    """Or over ``parts``, folded: the dual of ``make_conj``, so a Top part
+    absorbs, Bottom parts drop out, and no parts left give Bottom."""
+    return _junction(Or, Top, Bottom, parts)
 
 
 def make_exists(vars: Iterable[str], sub: Formula) -> Formula:
+    """Exists over ``sub``; no variables, or a constant body, give ``sub``
+    (universes are nonempty, so a quantified constant is that constant)."""
     vars = tuple(vars)
-    return Exists(vars, sub) if vars else sub
+    return Exists(vars, sub) if vars and not isinstance(sub, (Top, Bottom)) else sub
 
 
 def make_forall(vars: Iterable[str], sub: Formula) -> Formula:
+    """Forall over ``sub``, folded as ``make_exists``."""
     vars = tuple(vars)
-    return Forall(vars, sub) if vars else sub
+    return Forall(vars, sub) if vars and not isinstance(sub, (Top, Bottom)) else sub
+
+
+def fold(node: Formula, subs: Sequence[Formula]) -> Formula:
+    """``node.rebuild(subs)`` through the folding constructors above: the
+    one step of every walk that folds constants as it builds."""
+    if isinstance(node, Not):
+        return make_not(subs[0])
+    if isinstance(node, (And, Or)):
+        return (make_conj if isinstance(node, And) else make_disj)(subs)
+    if isinstance(node, (Exists, Forall)):
+        return (make_exists if isinstance(node, Exists) else make_forall)(node.vars, subs[0])
+    return node.rebuild(subs)
 
 
 Occurrence = tuple[tuple[int, ...], Atom, Polarity]
@@ -332,39 +358,13 @@ def substitute(formula: Formula, binding: Mapping[str, Term]) -> Formula:
 
 
 def prune_constants(formula: Formula) -> Formula:
-    """Fold Top and Bottom upward: absorb them in And/Or, collapse Not and
-    quantifiers over constants.  Assumes a nonempty universe, so a quantifier
-    over a constant body is that constant.  No other rewriting happens here;
-    in particular double negations survive.
+    """Fold Top and Bottom upward: the folding constructors applied
+    bottom-up, one ``fold`` per node.  Assumes a nonempty universe, so a
+    quantifier over a constant body is that constant.  No other rewriting
+    happens here; in particular double negations survive.
     """
-    if not formula.children():  # a leaf; an unknown node kind raises here
-        return formula
-    if isinstance(formula, Not):
-        sub = prune_constants(formula.sub)
-        if isinstance(sub, Top):
-            return Bottom()
-        if isinstance(sub, Bottom):
-            return Top()
-        return Not(sub)
-    if isinstance(formula, (And, Or)):
-        absorber, unit = (Bottom, Top) if isinstance(formula, And) else (Top, Bottom)
-        kept: list[Formula] = []
-        for sub in formula.subs:
-            sub = prune_constants(sub)
-            if isinstance(sub, absorber):
-                return absorber()
-            if isinstance(sub, unit):
-                continue
-            kept.append(sub)
-        if not kept:
-            return unit()
-        if len(kept) == 1:
-            return kept[0]
-        return type(formula)(tuple(kept))
-    sub = prune_constants(formula.sub)  # Exists or Forall
-    if isinstance(sub, (Top, Bottom)):
-        return sub
-    return type(formula)(formula.vars, sub)
+    # ``children`` of an unknown node kind raises LogicError
+    return fold(formula, [prune_constants(s) for s in formula.children()])
 
 
 def collapse_double_negation(formula: Formula) -> Formula:

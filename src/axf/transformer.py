@@ -28,7 +28,10 @@ where NEVER = AND_k forall z: not phi_k(z)[BOTTOM] says the stratum
 derives nothing, and LAST_i(x) = AND_k forall z: not phi_k(z)[NOT_NLEQ i x]
 or phi_k(z)[LT i x] says no atom enters at the stage after P_i(x)'s.  With
 ``optimize_aux`` the two are the predicates aux_empty and aux_fix_i(x),
-each defined by the formula it stands for.
+each defined by the formula it stands for.  Every part is built once per
+call and folded as it is built (``substitute_stage`` and the ``make_*``
+constructors fold Top and Bottom), so no assembled body is walked again to
+prune it.
 
 Every derived predicate occurs positively in the generated bodies, so a
 negative occurrence of a member P_i(t) elsewhere can be replaced by the
@@ -48,7 +51,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping, Optional
+from itertools import count
+from typing import Callable, Iterator, Mapping, Optional
 
 from .evaluator import RELATION_NAMES
 from .logic import (
@@ -69,11 +73,13 @@ from .logic import (
     Var,
     affected_predicates,
     collapse_double_negation,
+    fold,
     lint_polarity,
     make_conj,
     make_disj,
     make_exists,
     make_forall,
+    make_not,
     prune_constants,
     replace_at,
     substitute,
@@ -124,9 +130,10 @@ def substitute_stage(
     """Replace every member atom in a formula per the given stage mode.
 
     ``member_index`` maps member predicate names to 1-based positions,
-    ``names`` maps (relation, k, target) to generated predicate names.  No
-    simplification happens here; callers prune the assembled bodies.  The
-    extra arguments must not be captured by quantifiers in the formula.
+    ``names`` maps (relation, k, target) to generated predicate names.  Each
+    node is rebuilt through ``logic.fold``, so a BOTTOM substitution folds
+    upward as it is made.  The extra arguments must not be captured by
+    quantifiers in the formula.
     """
     extra_vars = {t.name for t in extra if isinstance(t, Var)}
 
@@ -147,7 +154,7 @@ def substitute_stage(
                 raise TransformError(
                     "stage substitution would capture " + ", ".join(sorted(caught))
                 )
-        return f.rebuild([walk(s) for s in f.children()])
+        return fold(f, [walk(s) for s in f.children()])
 
     return walk(formula)
 
@@ -170,54 +177,37 @@ def _collect_var_names(formula: Formula) -> set[str]:
     return out
 
 
-def _fresh_namer(avoid: set[str], prefix: str = "w") -> Callable[[], str]:
-    counter = 0
-
-    def fresh() -> str:
-        nonlocal counter
-        while True:
-            counter += 1
-            candidate = f"{prefix}{counter}"
-            if candidate not in avoid:
-                avoid.add(candidate)
-                return candidate
-
-    return fresh
-
-
-def _freshen_bound(formula: Formula, fresh: Callable[[], str]) -> Formula:
-    """Alpha-rename every bound variable to a fresh name."""
+def _rename(formula: Formula, names: Mapping[str, Term], fresh: Iterator[str]) -> Formula:
+    """Rename the free variables per ``names`` and every bound variable to a
+    fresh name, quantifiers taken in preorder, in one walk."""
+    if isinstance(formula, Atom):
+        args = tuple(names.get(t.name, t) if isinstance(t, Var) else t for t in formula.args)
+        return Atom(formula.pred, args)
     if isinstance(formula, (Exists, Forall)):
-        new_names = tuple(fresh() for _ in formula.vars)
-        renamed = substitute(
-            formula.sub,
-            {old: Var(new) for old, new in zip(formula.vars, new_names)},
-        )
-        return type(formula)(new_names, _freshen_bound(renamed, fresh))
-    return formula.rebuild([_freshen_bound(s, fresh) for s in formula.children()])
+        bound = tuple(next(fresh) for _ in formula.vars)
+        names = {**names, **{old: Var(new) for old, new in zip(formula.vars, bound)}}
+        return type(formula)(bound, _rename(formula.sub, names, fresh))
+    return formula.rebuild([_rename(s, names, fresh) for s in formula.children()])
 
 
 def normalize_stratum(stratum: Stratum) -> tuple[Axiom, ...]:
     """One axiom per member, canonical head variables v1.., bound variables
-    alpha-renamed to be unique across the stratum, multiple axioms for the
-    same head joined into a disjunction."""
+    alpha-renamed to be unique across the stratum (fresh names w1.. that
+    avoid every variable name the stratum uses), multiple axioms for the
+    same head joined by ``make_disj``, which folds constant bodies."""
     avoid: set[str] = set()
     for axiom in stratum:
         avoid.update(axiom.head_vars)
         avoid.update(_collect_var_names(axiom.body))
-    fresh = _fresh_namer(avoid)
+    fresh = (name for name in map("w{}".format, count(1)) if name not in avoid)
     out = []
     for pred in affected_predicates(stratum):
         group = [ax for ax in stratum if ax.head_pred == pred]
-        arity = len(group[0].head_vars)
-        head = tuple(f"v{n + 1}" for n in range(arity))
-        bodies = []
-        for ax in group:
-            body = _freshen_bound(ax.body, fresh)
-            body = substitute(
-                body, {old: Var(new) for old, new in zip(ax.head_vars, head)}
-            )
-            bodies.append(body)
+        head = tuple(f"v{n + 1}" for n in range(len(group[0].head_vars)))
+        bodies = [
+            _rename(ax.body, {old: Var(new) for old, new in zip(ax.head_vars, head)}, fresh)
+            for ax in group
+        ]
         out.append(Axiom(pred, head, make_disj(bodies)))
     return tuple(out)
 
@@ -315,42 +305,40 @@ def generate_stage_axioms(
 
     # Member k's head variables in the role of the defined atom (x), of the
     # stage bound (y) or of a quantified member (z).
-    def vs(prefix: str, k: int) -> tuple[str, ...]:
-        return tuple(f"{prefix}{n + 1}" for n in range(arities[k - 1]))
+    vs = {(p, k): tuple(f"{p}{n + 1}" for n in range(arities[k - 1]))
+          for p in "xyz" for k in positions}
+    args = {role: tuple(map(Var, role_vars)) for role, role_vars in vs.items()}
 
-    def args(prefix: str, k: int) -> tuple[Term, ...]:
-        return tuple(Var(v) for v in vs(prefix, k))
-
-    # Built once per call: each member's body renamed for each role, and
-    # every part that depends on fewer indices than its axiom.
+    # Built once per call, folded as built: each member's body renamed for
+    # each role, and every part that depends on fewer indices than its axiom.
     body = {
-        (prefix, k): substitute(ax.body, dict(zip(ax.head_vars, args(prefix, k))))
+        (prefix, k): substitute(ax.body, dict(zip(ax.head_vars, args[prefix, k])))
         for prefix in "xyz"
         for k, ax in zip(positions, normalized)
     }
 
     def phi(k: int, prefix: str, mode: StageMode, target: int = 0, bound: str = "") -> Formula:
-        extra = args(bound, target) if bound else ()
+        extra = args[bound, target] if bound else ()
         return substitute_stage(body[prefix, k], member_index, names, mode, target, extra)
 
     def chain(first: str, i: int, j: int) -> Formula:
         return make_disj(
             make_exists(
-                vs("z", k),
-                And((Atom(names[first, i, k], args("x", i) + args("z", k)),
-                     Atom(names["tri", k, j], args("z", k) + args("y", j)))),
+                vs["z", k],
+                And((Atom(names[first, i, k], args["x", i] + args["z", k]),
+                     Atom(names["tri", k, j], args["z", k] + args["y", j]))),
             )
             for k in positions
         )
 
     never_derivable = make_conj(
-        make_forall(vs("z", k), Not(phi(k, "z", StageMode.BOTTOM))) for k in positions
+        make_forall(vs["z", k], make_not(phi(k, "z", StageMode.BOTTOM))) for k in positions
     )
     stage_is_last = {
         i: make_conj(
             make_forall(
-                vs("z", k),
-                make_disj([Not(phi(k, "z", StageMode.NOT_NLEQ, i, "x")),
+                vs["z", k],
+                make_disj([make_not(phi(k, "z", StageMode.NOT_NLEQ, i, "x")),
                            phi(k, "z", StageMode.LT, i, "x")]),
             )
             for k in positions
@@ -361,7 +349,7 @@ def generate_stage_axioms(
     derived_x = {i: phi(i, "x", StageMode.LT, i, "x") for i in positions}
     if optimize_aux:
         never: Formula = Atom(aux_empty)
-        settled = {i: Atom(aux_fix[i], args("x", i)) for i in positions}
+        settled = {i: Atom(aux_fix[i], args["x", i]) for i in positions}
     else:
         never, settled = never_derivable, stage_is_last
 
@@ -370,7 +358,7 @@ def generate_stage_axioms(
         return chain("lt" if edited else "leq", i, j)
 
     def leq(i: int, j: int, edited: bool) -> Formula:  # eq2
-        return body["x", i] if edited else phi(i, "x", StageMode.LT, j, "y")
+        return prune_constants(body["x", i]) if edited else phi(i, "x", StageMode.LT, j, "y")
 
     def nlt(i: int, j: int, edited: bool) -> Formula:  # eq3
         parts = [first_stage_y[j], chain("nleq", i, j)]
@@ -378,12 +366,12 @@ def generate_stage_axioms(
 
     def nleq(i: int, j: int, edited: bool) -> Formula:  # eq4
         mode = StageMode.NOT_NLEQ if edited else StageMode.NOT_NLT
-        return Not(phi(i, "x", mode, j, "y"))
+        return make_not(phi(i, "x", mode, j, "y"))
 
     def tri(i: int, j: int, edited: bool) -> Formula:  # eq5
         conjuncts = [derived_x[i]]
         if not edited:
-            conjuncts.append(Not(phi(j, "y", StageMode.NOT_NLT, i, "x")))
+            conjuncts.append(make_not(phi(j, "y", StageMode.NOT_NLT, i, "x")))
         conjuncts.append(make_disj([phi(j, "y", StageMode.LEQ, i, "x"), settled[i]]))
         return make_conj(conjuncts)
 
@@ -393,13 +381,13 @@ def generate_stage_axioms(
     predicates: list[Predicate] = []
     for (rel, i, j), name in names.items():
         built = builders[rel](i, j, rel == edited_rel)
-        axioms.append(Axiom(name, vs("x", i) + vs("y", j), prune_constants(built)))
+        axioms.append(Axiom(name, vs["x", i] + vs["y", j], built))
         predicates.append(Predicate(name, arities[i - 1] + arities[j - 1], "derived"))
     if optimize_aux:
-        axioms.append(Axiom(aux_empty, (), prune_constants(never_derivable)))
+        axioms.append(Axiom(aux_empty, (), never_derivable))
         predicates.append(Predicate(aux_empty, 0, "derived"))
         for i in positions:
-            axioms.append(Axiom(aux_fix[i], vs("x", i), prune_constants(stage_is_last[i])))
+            axioms.append(Axiom(aux_fix[i], vs["x", i], stage_is_last[i]))
             predicates.append(Predicate(aux_fix[i], arities[i - 1], "derived"))
 
     return StagePredicateFamily(

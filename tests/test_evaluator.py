@@ -595,6 +595,26 @@ def test_environment_holds_every_quantified_variable():
     assert block.masks[("Q", ("a",))] == 0b10
 
 
+def test_only_mentioned_predicates_are_numbered():
+    """A declared predicate that no axiom mentions gets no atom ids, so the
+    10-ary ``B`` over four objects costs no 4**10 entries per run; its atoms
+    pass through the run unread, and the extension is the reference's."""
+    program = parse_program(
+        "(program (objects a b c d) (basic (B 10) (E 1)) (derived (P 1))"
+        " (stratum (axiom (P ?x) (E ?x))))"
+    )
+    universe = Universe(("a", "b", "c", "d"))
+    engine = Engine(program, universe)
+    assert engine.size == 8
+    state = frozenset({("B", ("a",) * 10), ("E", ("a",)), ("E", ("c",))})
+    want, tables = reference_stages(program, universe.objects, state)
+    assert ("P", ("c",)) in want and ("B", ("a",) * 10) in want
+    assert engine.run(state) == want
+    got, stages = extend_in_stages(program, universe, basic_state(universe, state, ("B", "E")))
+    assert got.true_atoms == want
+    assert [table.stage for table in stages] == [stage for stage, _ in tables]
+
+
 def test_later_rounds_skip_unchanged_bodies(path_program):
     """A staged block of all 512 three-object states of the transformed
     ``path`` program calls the compiled bodies 2,818 times over 433,553

@@ -234,6 +234,44 @@ def test_benchmark_traced_names_resolve(monkeypatch):
     assert [key for key, value in before.items() if after[key] is not value] == []
 
 
+def unresolved_entry_points(entry_points) -> list[tuple]:
+    """Every ``(module, owner, attribute)`` that names nothing in ``axf``:
+    ``Tracer.install`` looks each one up in the module, or in the class
+    ``owner`` names, and raises on a missing name."""
+    missing = []
+    for module, owner, attr in entry_points:
+        home = sys.modules.get(f"axf.{module}")
+        target = home if home is None or owner is None else vars(home).get(owner)
+        if target is None or attr not in vars(target):
+            missing.append((module, owner, attr))
+    return missing
+
+
+def test_every_traced_entry_point_exists(monkeypatch):
+    """``bench/run.py --trace 1`` fails if a name ``ENTRY_POINTS`` lists is
+    gone from ``axf``; this says which one."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    entry_points = importlib.import_module("tracing").ENTRY_POINTS
+    assert entry_points and unresolved_entry_points(entry_points) == []
+
+
+def test_detects_a_missing_entry_point():
+    entry_points = [
+        ("logic", None, "check_stratified"),
+        ("logic", None, "no_such_function"),
+        ("evaluator", "Engine", "run_block"),
+        ("evaluator", "Engine", "no_such_method"),
+        ("evaluator", "NoSuchClass", "run"),
+        ("no_such_module", None, "main"),
+    ]
+    assert unresolved_entry_points(entry_points) == [
+        ("logic", None, "no_such_function"),
+        ("evaluator", "Engine", "no_such_method"),
+        ("evaluator", "NoSuchClass", "run"),
+        ("no_such_module", None, "main"),
+    ]
+
+
 # The positional arguments and keywords ``bench/workloads.py`` passes to
 # each ``verify_*`` entry point.
 BENCHMARK_CALL_SHAPES = {

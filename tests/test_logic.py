@@ -40,7 +40,16 @@ from axf import (
     prune_constants,
     substitute,
 )
-from axf.logic import NEGATIVE, POSITIVE, formula_at
+from axf.logic import (
+    NEGATIVE,
+    POSITIVE,
+    formula_at,
+    make_conj,
+    make_disj,
+    make_exists,
+    make_forall,
+    make_not,
+)
 
 
 def atom(pred, *names):
@@ -622,6 +631,41 @@ def test_prune_constants_preserves_truth(case):
     formula, atoms, env = case
     pruned = prune_constants(formula)
     assert _naive_eval(formula, atoms, env) == _naive_eval(pruned, atoms, env)
+
+
+def _nary_formulas():
+    """Formulas whose And and Or nodes have two to four parts."""
+    return st.recursive(
+        st.one_of(_atoms(), st.just(Top()), st.just(Bottom())),
+        lambda sub: st.one_of(
+            st.builds(Not, sub),
+            st.lists(sub, min_size=2, max_size=4).map(lambda parts: And(tuple(parts))),
+            st.lists(sub, min_size=2, max_size=4).map(lambda parts: Or(tuple(parts))),
+            st.builds(lambda n, s: Exists((f"q{n}",), s), _fresh_q, sub),
+            st.builds(lambda n, s: Forall((f"q{n}",), s), _fresh_q, sub),
+        ),
+        max_leaves=16,
+    )
+
+
+def _through_constructors(formula):
+    """The same formula built bottom-up through the ``make_*`` constructors."""
+    subs = [_through_constructors(s) for s in formula.children()]
+    if isinstance(formula, Not):
+        return make_not(subs[0])
+    if isinstance(formula, (And, Or)):
+        return (make_conj if isinstance(formula, And) else make_disj)(subs)
+    if isinstance(formula, (Exists, Forall)):
+        return (make_exists if isinstance(formula, Exists) else make_forall)(formula.vars, subs[0])
+    return formula
+
+
+@given(_nary_formulas())
+@settings(max_examples=150, deadline=None)
+def test_constructors_fold_as_prune_constants(formula):
+    """Folding lives in the constructors: a formula built through them is
+    the built-plainly formula pruned."""
+    assert _through_constructors(formula) == prune_constants(formula)
 
 
 @given(_formula_and_state())

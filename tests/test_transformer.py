@@ -24,12 +24,14 @@ from axf import (
     compute_metrics,
     eliminate_negative_occurrences,
     extend,
+    format_formula,
     generate_stage_axioms,
     merge_to_single_stratum,
     negative_occurrences,
     normalize_stratum,
     parse_program,
     print_program,
+    prune_constants,
     substitute_stage,
 )
 from axf.logic import NEGATIVE, formula_at, free_vars, iter_atoms
@@ -58,12 +60,12 @@ class TestSubstituteStage:
 
     def test_bottom_mode(self):
         out = substitute_stage(self.body, MEMBERS, NAMES, StageMode.BOTTOM)
-        assert out == And((Bottom(), atom("E", "x")))
+        assert out == Bottom()  # a Bottom conjunct absorbs its And
 
     def test_bottom_under_quantifier_not_folded(self):
         f = Exists(("w1",), And((atom("E", "w1"), atom("P", "w1"))))
         out = substitute_stage(f, MEMBERS, NAMES, StageMode.BOTTOM)
-        assert out == Exists(("w1",), And((atom("E", "w1"), Bottom())))
+        assert out == Bottom()  # and a quantifier over Bottom is Bottom
 
     def test_leq_appends_extras(self):
         extra = (Var("y1"), Var("y2"))
@@ -127,6 +129,32 @@ class TestNormalizeStratum:
         )
         heads = [ax.head_pred for ax in normalize_stratum(stratum)]
         assert heads == ["Q", "P"]
+
+    def test_renaming_edge_cases(self):
+        """Fresh names w1.. go to the quantifiers in preorder, member by
+        member, and skip every name the stratum uses (here w1, w3 and v1)."""
+        stratum = (
+            # a quantifier rebinding the head variable x, then a nested
+            # rebinding of z
+            Axiom("P", ("x",), And((
+                atom("E", "x", "x"),
+                Exists(("x",), Exists(("z",), And((
+                    atom("E", "x", "z"), Forall(("z",), atom("E", "z", "x")))))),
+            ))),
+            # two sibling quantifiers binding z, in a head that uses w1
+            Axiom("Q", ("w1", "y"), Or((
+                Exists(("z",), atom("E", "w1", "z")), Forall(("z",), atom("E", "z", "y"))
+            ))),
+            # a second axiom for P, whose binders use w3 and v1
+            Axiom("P", ("u",), Exists(("w3", "v1"), atom("E", "u", "w3"))),
+        )
+        p_ax, q_ax = normalize_stratum(stratum)
+        assert (p_ax.head_vars, q_ax.head_vars) == (("v1",), ("v1", "v2"))
+        assert format_formula(p_ax.body) == (
+            "(or (and (E ?v1 ?v1) (exists (?w2) (exists (?w4) "
+            "(and (E ?w2 ?w4) (forall (?w5) (E ?w5 ?w2)))))) (exists (?w6 ?w7) (E ?v1 ?w6)))"
+        )
+        assert format_formula(q_ax.body) == "(or (exists (?w8) (E ?v1 ?w8)) (forall (?w9) (E ?w9 ?v2)))"
 
 
 class TestFamilyStructure:
@@ -545,3 +573,22 @@ def test_families_hold_no_negative_own_member(path_source, optimize_aux):
             ]
             assert own == [], print_program(prog)
     assert families > 300
+
+
+def test_generated_bodies_come_out_folded(path_source):
+    """The generator builds every body with its constants folded and prunes
+    no assembled axiom, so ``prune_constants`` finds nothing left to fold."""
+    from axf import RandomProfile, generate_random_program
+
+    programs = [parse_program(s) for s in (path_source, TWO_MEMBERS)]
+    for profile in (RandomProfile(), RandomProfile(objects=3, strata=3, max_members=2)):
+        programs.extend(generate_random_program(f"fold:{seed}", profile) for seed in range(100))
+    options = [{}, {"optimize_aux": True}] + [{"mutation": m} for m in MUTATIONS]
+    axioms = 0
+    for prog in programs:
+        for index, stratum in enumerate(prog.strata):
+            for option in options if stratum else ():
+                for ax in generate_stage_axioms(prog, index, **option).axioms:
+                    assert prune_constants(ax.body) == ax.body, (print_program(prog), option)
+                    axioms += 1
+    assert axioms > 10_000
