@@ -42,22 +42,33 @@ The fixpoint stage f is the number of productive rounds, so explicit stages
 lie in 1..f and an underivable atom has implicit stage f+1.  With nothing
 derivable at all, f = 0 and every atom of the stratum sits at stage 1 = f+1.
 
-Formulas are compiled once into nested closures that evaluate a subformula
-only in the states still undecided (short-circuiting And/Or, early-exit
-quantifier loops).  Each variable is resolved at compile time to a slot of
-the environment, a list of object indices: head variables take the first
+Formulas compile in two tiers, both evaluating a subformula only in the
+states still undecided (short-circuiting And/Or, early-exit quantifier
+loops).  Each variable is resolved at compile time to a slot of the
+environment, a list of object indices: head variables take the first
 slots, and each quantifier gives its variables fresh slots for its scope,
 so a rebound name is sound.  An atom reads ``masks[base + env[a] * ca +
-...]``, its constants folded into ``base``.  Engine keeps the compiled
-program around so sweeps over many blocks pay compilation once.
+...]``, its constants folded into ``base``.  Every body compiles to nested
+closures, one call per formula node.  A heavy body, whose work estimate
+n ** (width + quantifier depth), its head instances times the bindings of
+its deepest quantifier nest, reaches ``_GENERATE_AT`` (1,024), is then
+generated as the source of one Python function, with slots as locals,
+quantifiers as ``for`` loops and connectives as ``if`` blocks, unless it
+nests deeper than CPython compiles; a lighter body keeps its closures,
+since compiling source would cost it more than the calls it saves.  The
+source holds only integers and the generator's own names, and compiles
+through a process-wide cache keyed by the source text and bounded at
+``_CACHED_BODIES`` (256) functions.  Engine keeps the compiled program
+around so sweeps over many blocks pay compilation once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
 from dataclasses import dataclass
-from functools import cache
-from itertools import chain, product
+from functools import cache, lru_cache
+from itertools import chain, count, product
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -171,8 +182,9 @@ def compile_formula(
     its variables the slots after every slot in scope, so a rebound name
     never overwrites a slot an enclosing binding still reads, and raises
     ``engine.env_size`` past them.  Each atom is appended to ``atoms``, in
-    preorder, as its predicate and per argument its slot or constant.  A
-    constant outside the universe raises EvalError.
+    preorder, as its predicate, per argument its slot or constant, its base
+    id and its (slot, coefficient) pairs.  A constant outside the universe
+    raises EvalError.
     """
     if isinstance(formula, Atom):
         refs = tuple(slots[t.name] if isinstance(t, Var) else t.name for t in formula.args)
@@ -184,8 +196,8 @@ def compile_formula(
                 base += engine.index[ref] * n ** (len(refs) - k)
             else:
                 raise EvalError(f"program mentions object {ref} outside the universe")
-        atoms.append((formula.pred, refs))
         pairs = tuple(terms.items())
+        atoms.append((formula.pred, refs, base, pairs))
         if not pairs:
             return lambda env, masks, care: masks[base] & care
         if len(pairs) == 1:
@@ -288,6 +300,113 @@ def _quantifier_loop(slot: int, fn: _Compiled, codes: tuple[int, ...], want: boo
     return ev_exists if want else ev_forall
 
 
+# A body is generated as one function when its work estimate, its head
+# instances times the bindings of its deepest quantifier nest, n ** (width +
+# depth), reaches this.  Below it, compiling the source costs more than the
+# closure calls it saves: every body of the random n=2 programs estimates at
+# most 256, and generating them all made the benchmark's random-n2 pass more
+# than twice as slow.
+_GENERATE_AT = 1024
+# CPython refuses a line indented 100 levels deep, or more than 20 nested
+# loops in one function; a body that would need more keeps its closures.
+_MAX_INDENT = 99
+_MAX_LOOPS = 20
+# Generated functions kept per process, the most recently used first.
+_CACHED_BODIES = 256
+
+
+def _body_source(formula: Formula, width: int, n: int, atoms: list) -> Optional[str]:
+    """The source of ``body(env, masks, care)``, one function computing
+    what ``compile_formula`` compiled ``formula`` to for an axiom with
+    ``width`` head variables over ``n`` objects; ``atoms`` is the list that
+    compile filled.  Slot k is the local ``s<k>``: the head slots are read
+    from ``env`` once, and each quantified variable is a ``for`` loop over
+    the object indices in the slot after every slot in scope, as
+    ``compile_formula`` numbers them.  Names of the program never enter the
+    source.  None if the function would nest deeper than Python allows."""
+    lines = ["def body(env, masks, care):"]
+    lines += [f"    s{k} = env[{k}]" for k in range(width)]
+    resolved, temps = iter(atoms), (f"t{k}" for k in count())
+    objects = "(" + "".join(f"{o}, " for o in range(n)) + ")"
+    deepest = loops = 0
+
+    def emit(node: Formula, care: str, out: str, depth: int, slot: int) -> None:
+        """Lines at indentation ``depth`` that set ``out`` to the node's
+        truth in the states of ``care``, with the closures' short-circuits;
+        they write only ``out`` and fresh temporaries, and read ``care``
+        only before they write ``out``, so ``out`` may be ``care``."""
+        nonlocal deepest, loops
+        deepest, loops = max(deepest, depth), max(loops, slot - width)
+        pad = "    " * depth
+        if isinstance(node, Atom):
+            _, _, base, pairs = next(resolved)
+            terms = [f"s{a}" if c == 1 else f"s{a} * {c}" for a, c in pairs]
+            index = " + ".join([str(base)] * (base > 0 or not terms) + terms)
+            lines.append(f"{pad}{out} = masks[{index}] & {care}")
+        elif isinstance(node, (Top, Bottom)):
+            lines.append(f"{pad}{out} = {care if isinstance(node, Top) else 0}")
+        elif isinstance(node, Not):
+            got = next(temps)
+            emit(node.sub, care, got, depth, slot)
+            lines.append(f"{pad}{out} = {care} ^ {got}")
+        elif isinstance(node, And):
+            # Each conjunct narrows ``out`` to where the earlier ones hold.
+            first, *rest = node.subs
+            emit(first, care, out, depth, slot)
+            for sub in rest:
+                lines.append(f"{pad}if {out}:")
+                emit(sub, out, out, depth + 1, slot)
+        elif isinstance(node, Or):
+            # ``left`` holds the states where every disjunct so far fails.
+            left, got = next(temps), next(temps)
+            first, *rest = node.subs
+            emit(first, care, got, depth, slot)
+            lines.append(f"{pad}{left} = {care} ^ {got}")
+            for sub in rest:
+                lines.append(f"{pad}if {left}:")
+                emit(sub, left, got, depth + 1, slot)
+                lines.append(f"{pad}    {left} ^= {got}")
+            lines.append(f"{pad}{out} = {care} ^ {left}")
+        else:  # a quantifier: compile_formula refused any other node
+            # ``exists`` narrows ``left`` to the states no binding satisfies
+            # yet, ``forall`` narrows ``out`` to those every binding does;
+            # each loop stops once no state is left.
+            want = isinstance(node, Exists)
+            watch = next(temps) if want else out
+            if watch != care:
+                lines.append(f"{pad}{watch} = {care}")
+            k = len(node.vars)
+            for i in range(k):
+                lines.append(f"{pad}{'    ' * i}for s{slot + i} in {objects}:")
+            if want:
+                got = next(temps)
+                emit(node.sub, watch, got, depth + k, slot + k)
+                lines.append(f"{pad}{'    ' * k}{watch} ^= {got}")
+            else:
+                emit(node.sub, watch, watch, depth + k, slot + k)
+            for i in reversed(range(k)):
+                lines.append(f"{pad}{'    ' * (i + 1)}if not {watch}: break")
+            if want:
+                lines.append(f"{pad}{out} = {care} ^ {watch}")
+
+    emit(formula, "care", "care", 1, width)
+    lines.append("    return care")
+    return "\n".join(lines) + "\n" if deepest <= _MAX_INDENT and loops <= _MAX_LOOPS else None
+
+
+@lru_cache(maxsize=_CACHED_BODIES)
+def _generated(source: str) -> _Compiled:
+    """The function ``source`` defines, compiled once while it stays among
+    the ``_CACHED_BODIES`` most recently used: verifier workers build an
+    engine per block, and their engines share few distinct bodies.  The
+    code object's file name is a digest of the source, so a profile keeps
+    each generated body apart."""
+    digest = hashlib.blake2s(source.encode(), digest_size=6).hexdigest()
+    namespace: dict = {"__builtins__": {}}
+    exec(compile(source, f"<axf body {digest}>", "exec"), namespace)
+    return namespace["body"]
+
+
 # ---------------------------------------------------------------------------
 # Extension engine
 
@@ -363,7 +482,7 @@ class Engine:
     def __init__(self, program: AxiomProgram, universe: Universe):
         self.program = program
         self.universe = universe
-        objects = universe.objects
+        objects, n = universe.objects, len(universe.objects)
         self.index = {o: k for k, o in enumerate(objects)}
         # Only the predicates some axiom mentions are numbered; p's atoms
         # take ids offsets[p], ... in product order.
@@ -375,9 +494,9 @@ class Engine:
         for pred in program.signature.values():
             if pred.name in mentioned:
                 self.offsets[pred.name] = self.size
-                self.size += len(objects) ** pred.arity
+                self.size += n ** pred.arity
         names = cache(lambda arity: tuple(product(objects, repeat=arity)))  # shared per arity
-        codes = cache(lambda arity: tuple(product(range(len(objects)), repeat=arity)))
+        codes = cache(lambda arity: tuple(product(range(n), repeat=arity)))
         split, getter = cache(_split), cache(_getter)  # patterns repeat across axioms
         self.env_size = 0  # the environment's length: one past the highest slot handed out
         self.compiled: list[list[_CompiledAxiom]] = []
@@ -388,12 +507,16 @@ class Engine:
             compiled = []
             for ax in stratum:
                 width = len(ax.head_vars)
-                self.env_size = max(self.env_size, width)
-                atoms: list[tuple[str, tuple]] = []
+                atoms: list[tuple[str, tuple, int, tuple]] = []
                 slots = dict(zip(ax.head_vars, range(width)))
+                outer, self.env_size = self.env_size, width  # count this body's slots
                 body = compile_formula(ax.body, self, slots, atoms)
+                if n ** self.env_size >= _GENERATE_AT:  # head instances x quantifier bindings
+                    source = _body_source(ax.body, width, n, atoms)
+                    body = body if source is None else _generated(source)
+                self.env_size = max(outer, self.env_size)
                 occurs: dict[tuple[int, tuple[int, ...]], None] = {}
-                for pred, refs in atoms:
+                for pred, refs, *_ in atoms:
                     if pred in same:
                         consts, at, hv = split(refs, width)
                         shape = shapes.setdefault((pred, consts, at), len(shapes))

@@ -1,6 +1,9 @@
 """Fixpoint evaluation, derivation stages, and the stage relations."""
 
+import io
 import random
+import re
+import tokenize
 from itertools import product
 
 import pytest
@@ -36,6 +39,7 @@ from axf import (
     parse_program,
     stage_relations,
 )
+import axf.evaluator as evaluator
 from axf.evaluator import stage_relation_masks
 
 U3 = Universe(("a", "b", "c"))
@@ -707,3 +711,263 @@ def test_stage_relation_masks_match_scalar_conditions(path_source, source, width
     assert fixpoints[0] == 0  # the empty state derives nothing
     if width > 1:
         assert len(set(fixpoints)) > 2  # states settled at different rounds
+
+
+# ---------------------------------------------------------------------------
+# Generated bodies: a body whose work estimate reaches the gate runs as one
+# generated Python function, and every other body as closures.  The tests set
+# the gate through the module constant: 0 generates every body Python can
+# compile, infinity none.
+
+
+def generated(body):
+    """Whether a compiled body is a generated function, not closures."""
+    return body.__code__.co_filename.startswith("<axf body ")
+
+
+def compiled_bodies(engine):
+    return [body for stratum in engine.compiled for _, _, body, _ in stratum]
+
+
+def one_axiom(body, objects):
+    """``Q(x) <- body`` over the basic ``E/2``."""
+    return AxiomProgram(
+        [Predicate("E", 2, "basic"), Predicate("Q", 1, "derived")],
+        objects,
+        [[Axiom("Q", ("x",), body)]],
+    )
+
+
+def chain(levels):
+    """``levels`` connectives, alternating Or and And, each nested in the
+    last operand of the one before."""
+    x = Var("x")
+    body = Atom("E", (x, x))
+    for k in range(levels):
+        body = (And if k % 2 else Or)((Atom("E", (x, Const("ab"[k % 2]))), body))
+    return body
+
+
+def nest(loops):
+    """Quantifiers of two variables, then one if ``loops`` is odd,
+    alternating Exists and Forall, binding ``loops`` variables in all."""
+    names = [f"v{k}" for k in range(loops)]
+    body = And((Atom("E", (Var("x"), Var(names[-1]))), Atom("E", (Var(names[0]), Var("x")))))
+    groups = [names[k : k + 2] for k in range(0, loops, 2)]
+    for k, group in reversed(list(enumerate(groups))):
+        body = (Exists if k % 2 else Forall)(tuple(group), body)
+    return body
+
+
+@pytest.mark.parametrize(
+    "shape, size, objects, fits",
+    [
+        ("chain", 98, "ab", True),
+        ("chain", 99, "ab", False),
+        ("chain", 250, "ab", False),
+        ("nest", 20, "a", True),
+        ("nest", 21, "a", False),
+        ("nest", 30, "a", False),
+    ],
+)
+def test_deep_bodies_stay_within_python_limits(monkeypatch, shape, size, objects, fits):
+    """CPython compiles no line indented 100 levels deep and no more than 20
+    nested loops.  With every body generated, the deepest chain of
+    connectives and the most quantified variables within those limits are
+    generated, and a deeper body keeps its closures; every extension is the
+    reference interpreter's."""
+    monkeypatch.setattr(evaluator, "_GENERATE_AT", 0)
+    program = one_axiom(chain(size) if shape == "chain" else nest(size), tuple(objects))
+    universe = Universe(tuple(objects))
+    engine = Engine(program, universe)
+    assert [generated(body) for body in compiled_bodies(engine)] == [fits]
+    states = list(all_states([("E", pair) for pair in product(universe.objects, repeat=2)]))
+    block = run_states(engine, states)
+    for s, state in enumerate(states):
+        assert state_of(block, s) == reference_stages(program, universe.objects, state)
+
+
+def both_tiers(monkeypatch, program, universe, states):
+    """The staged and a chaotic block of ``states``, run once on generated
+    bodies and once on closures."""
+    runs = []
+    for gate, tier in ((0, True), (float("inf"), False)):
+        monkeypatch.setattr(evaluator, "_GENERATE_AT", gate)
+        engine = Engine(program, universe)
+        assert {generated(body) for body in compiled_bodies(engine)} == {tier}
+        runs.append(
+            (run_states(engine, states), run_states(engine, states, random.Random("order:0")))
+        )
+    return runs
+
+
+@pytest.mark.parametrize(
+    "source, role, size, width",
+    [
+        ("path", "original", 3, None),
+        ("path", "transformed", 3, None),
+        ("path", "merged", 3, None),
+        ("path", "transformed", 4, 4096),
+        ("two-member", "original", 3, None),
+        ("two-member", "transformed", 3, None),
+    ],
+)
+def test_generated_bodies_match_closures(monkeypatch, path_source, source, role, size, width):
+    """Generated bodies and closures give the same ``Block.masks`` and
+    ``Block.added``, in staged and in chaotic order, on every state over
+    three objects (``width`` None) or on a block of four-object states."""
+    program = parse_program(path_source if source == "path" else TWO_MEMBERS)
+    if role != "original":
+        program, _ = eliminate_negative_occurrences(program)
+    if role == "merged":
+        program = merge_to_single_stratum(program)
+    universe = Universe(("a", "b", "c", "d")[:size])
+    cells = [
+        (p.name, args)
+        for p in program.basic_predicates
+        for args in product(universe.objects, repeat=p.arity)
+    ]
+    if width is None:
+        states = list(all_states(cells))
+    else:
+        states = block_states(cells, width, f"tiers:{source}:{role}")
+    generated_runs, closure_runs = both_tiers(monkeypatch, program, universe, states)
+    assert generated_runs == closure_runs
+    assert sum(map(len, generated_runs[0].added)) > 0
+
+
+def rebound(formula, names=None):
+    """``formula`` with every quantified variable renamed ``x``, so that a
+    quantifier rebinds the head's ``x`` or an enclosing quantifier's."""
+    names = names or {}
+    if isinstance(formula, Atom):
+        args = tuple(Var(names.get(t.name, t.name)) if isinstance(t, Var) else t for t in formula.args)
+        return Atom(formula.pred, args)
+    if isinstance(formula, (Exists, Forall)):
+        return type(formula)(("x",), rebound(formula.sub, {**names, **dict.fromkeys(formula.vars, "x")}))
+    return formula.rebuild([rebound(s, names) for s in formula.children()])
+
+
+def rebinds(formula, scope):
+    """Whether a quantifier in ``formula`` binds a name of ``scope`` or of an
+    enclosing quantifier."""
+    if isinstance(formula, (Exists, Forall)):
+        return bool(scope & set(formula.vars)) or rebinds(formula.sub, scope | set(formula.vars))
+    return any(rebinds(s, scope) for s in formula.children())
+
+
+def test_generated_bodies_match_closures_on_random_programs(monkeypatch):
+    """On 100 random programs over three objects, as generated and
+    transformed, half of them with every quantifier rebinding ``x``,
+    generated bodies and closures give the same blocks; the programs hold
+    constants, 0-ary predicates, atoms repeating a variable and rebound
+    names."""
+    profile = RandomProfile(objects=3, strata=3, max_members=2, constant_rate=0.3)
+    universe = Universe(("a", "b", "c"))
+    seen = dict.fromkeys(["constant", "0-ary", "repeated", "rebound"], 0)
+    for seed in range(100):
+        program = generate_random_program(f"tiers:{seed}", profile)
+        if seed % 2:
+            strata = [
+                [Axiom(ax.head_pred, ax.head_vars, rebound(ax.body)) for ax in stratum]
+                for stratum in program.strata
+            ]
+            program = AxiomProgram(program.signature.values(), program.universe_hint, strata)
+        for ax in (ax for stratum in program.strata for ax in stratum):
+            for _, atom, _ in ax.occurrences:
+                names = [t.name for t in atom.args if isinstance(t, Var)]
+                seen["constant"] += len(names) < len(atom.args)
+                seen["0-ary"] += not atom.args
+                seen["repeated"] += len(set(names)) < len(names)
+            seen["rebound"] += rebinds(ax.body, set(ax.head_vars))
+        transformed, _ = eliminate_negative_occurrences(program)
+        cells = [
+            (p.name, args)
+            for p in program.basic_predicates
+            for args in product(universe.objects, repeat=p.arity)
+        ]
+        states = block_states(cells, 64, f"tiers:{seed}")
+        for version in (program, transformed):
+            generated_runs, closure_runs = both_tiers(monkeypatch, version, universe, states)
+            assert generated_runs == closure_runs
+    assert all(seen.values()), seen
+
+
+# Every NAME token a generated source may hold, beside slots ``s<k>`` and
+# temporaries ``t<k>``: the keywords the generator writes, the function's
+# name and its parameters.
+GENERATED_NAMES = {"def", "body", "env", "masks", "care", "return", "if", "for", "in", "not", "break"}
+
+# Names that mean something in Python or in the generated source.
+TRICKY_NAMES = """
+(program
+  (objects m env)
+  (basic (__import__ 2) (care 1))
+  (derived (R 2))
+  (stratum
+    (axiom (R ?s0 ?care)
+      (or (__import__ ?s0 ?care)
+          (exists (?env) (and (R ?s0 ?env) (__import__ ?env m) (care ?care)))))))
+"""
+
+
+def test_generated_source_holds_no_program_name(monkeypatch, path_source):
+    """Every source generated for ``path``, as written, transformed and
+    merged, and for a program named after Python and generator names, holds
+    only the generator's own names and no string; the tricky program still
+    extends as the reference interpreter does."""
+    sources = []
+    real = evaluator._generated
+
+    def recording(source):
+        sources.append(source)
+        return real(source)
+
+    monkeypatch.setattr(evaluator, "_generated", recording)
+    monkeypatch.setattr(evaluator, "_GENERATE_AT", 0)
+    path = parse_program(path_source)
+    transformed, _ = eliminate_negative_occurrences(path)
+    tricky = parse_program(TRICKY_NAMES)
+    universe = Universe(tricky.universe_hint)
+    programs = [path, transformed, merge_to_single_stratum(transformed)]
+    for program in programs:
+        Engine(program, U3)
+    engine = Engine(tricky, universe)
+    assert len(sources) == sum(len(stratum) for p in programs + [tricky] for stratum in p.strata)
+    for source in sources:
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+        assert not [t.string for t in tokens if t.type == tokenize.STRING]
+        names = {t.string for t in tokens if t.type == tokenize.NAME}
+        assert {n for n in names if not re.fullmatch(r"[st]\d+", n)} <= GENERATED_NAMES
+    cells = [
+        (p.name, args)
+        for p in tricky.basic_predicates
+        for args in product(universe.objects, repeat=p.arity)
+    ]
+    states = list(all_states(cells))
+    block = run_states(engine, states)
+    for s, state in enumerate(states):
+        assert state_of(block, s) == reference_stages(tricky, universe.objects, state)
+
+
+def test_only_heavy_bodies_are_generated(path_program):
+    """At n=4 the five stage-family bodies of ``path`` are generated, each
+    under its own file name, while ``path``'s own axiom (64 bindings) and
+    ``acyclic`` (4) keep closures; no body of 100 default-profile random
+    programs at n=2, as generated, transformed or merged, is generated."""
+    transformed, _ = eliminate_negative_occurrences(path_program)
+    engine = Engine(transformed, Universe(("a", "b", "c", "d")))
+    assert [[generated(body) for _, _, body, _ in stratum] for stratum in engine.compiled] == [
+        [False],
+        [True] * 5,
+        [False],
+    ]
+    files = [body.__code__.co_filename for _, _, body, _ in engine.compiled[1]]
+    assert len(set(files)) == 5
+    assert all(re.fullmatch(r"<axf body [0-9a-f]{12}>", name) for name in files)
+    u2 = Universe(("a", "b"))
+    for seed in range(100):
+        program = generate_random_program(f"gate:{seed}", RandomProfile())
+        transformed, _ = eliminate_negative_occurrences(program)
+        for version in (program, transformed, merge_to_single_stratum(transformed)):
+            assert not any(generated(body) for body in compiled_bodies(Engine(version, u2)))

@@ -351,3 +351,44 @@ def test_detects_a_tuple_key_lookup():
         "d = lambda env: args(env)\n"
     )
     assert tuple_key_lookups(source) == [1, 3, 4]
+
+
+# The builtins that turn text into code.
+CODE_BUILTINS = ("exec", "eval", "compile")
+
+
+def code_from_text(source: str) -> list[int]:
+    """Lines of every call of ``exec``, ``eval`` or ``compile``, by bare name
+    or through ``builtins``; ``re.compile`` and other methods do not count."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (
+            isinstance(node.func, ast.Name)
+            and node.func.id in CODE_BUILTINS
+            or isinstance(node.func, ast.Attribute)
+            and node.func.attr in CODE_BUILTINS
+            and getattr(node.func.value, "id", None) == "builtins"
+        )
+    )
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_only_the_evaluator_runs_generated_code(path):
+    """The evaluator compiles generated bodies, whose source holds no name of
+    the program; no other module turns text into code."""
+    lines = code_from_text(path.read_text(encoding="utf-8"))
+    assert lines == [] or path.name == "evaluator.py" and len(lines) == 2
+
+
+def test_detects_code_from_text():
+    source = (
+        "import builtins, re\n"
+        "exec(compile(text, name, 'exec'), namespace)\n"
+        "pattern = re.compile(text)\n"
+        "value = eval(text)\n"
+        "builtins.exec(text)\n"
+        "run = exec\n"
+    )
+    assert code_from_text(source) == [2, 2, 4, 5]
