@@ -23,10 +23,10 @@ every planned check.  A state is the tuple of its true basic cells in cell
 order, from generation to counterexample.  A block of states becomes one
 bit mask per basic atom, built once; each program runs once per block from
 those masks, and each check compares the results for all the block's
-states at once.  Sweeps of 64 states or more are chunked over AXF_THREADS
-processes (default: machine CPU count) from one process pool per run,
-reused across sizes; the least failing state (by its tuple) is reported,
-so results do not depend on worker count or chunk order.
+states at once.  A sweep of more than one block spreads them over at most
+AXF_THREADS processes (default: machine CPU count) of the run's pool; a
+sweep of one block runs in process.  The least failing state (by its tuple)
+is reported, so results do not depend on worker count or block order.
 """
 
 from __future__ import annotations
@@ -79,10 +79,11 @@ _MAX_EXHAUSTIVE_BITS = 24
 _MAX_SAMPLED_CELLS = 1 << 16
 _HUGE = 1 << 64  # counts of cells from here up are refused, never computed
 _MAX_WORKERS = 256  # a pool forks all its workers at its first task
-# States per block.  Each round's pass over every head instance costs the
-# same at any width, and the masks grow with it.  Exhaustive n=4 `path`, all
-# checks, 2 workers: 1,024 states took 44-48 s (worker peak RSS 25 MiB),
-# 4,096 15-17 s (40 MiB), 16,384 10.5 s (116 MiB): a third off for 3x memory.
+# States per block.  The masks grow with the width, but each round's pass
+# over every head instance costs the same at any width, so a block is never
+# split to feed more workers.  Exhaustive n=4 `path`, all checks, 2 workers:
+# 1,024 states took 44-48 s (worker peak RSS 25 MiB), 4,096 15-17 s (40 MiB),
+# 16,384 10.5 s (116 MiB): a third off for 3x memory.
 _MAX_BLOCK = 1 << 12
 _ALL_CHECKS = ("polarity", "theorem1", "theorem2", "equivalence", "aux", "order")
 # The checks that apply to a transformed program built elsewhere; the others
@@ -207,12 +208,13 @@ def sample_basic_state(
 
 
 def _spec_states(spec: tuple) -> Iterable[tuple[GroundAtom, ...]]:
-    kind, *source, start, stop = spec
+    kind, *source = spec
+    if kind == "explicit":
+        return source[0]
+    *source, start, stop = source
     if kind == "exhaustive":
         return enumerate_basic_states(*source, start, stop)
-    if kind == "sampled":
-        return (sample_basic_state(*source, index) for index in range(start, stop))
-    return source[0][start:stop]  # "explicit"
+    return (sample_basic_state(*source, index) for index in range(start, stop))
 
 
 def _refuse_dropped_constants(program: AxiomProgram, size: int) -> None:
@@ -413,17 +415,18 @@ def worker_count() -> int:
 
 
 class _Pool:
-    """The process pool of one verification run: the first sweep with more
-    than one chunk starts it, later sweeps reuse it, ``close`` shuts it
-    down."""
+    """The process pool of one verification run: the first sweep given more
+    than one worker starts it; a sweep given more than it has replaces it."""
 
     _executor: Optional[ProcessPoolExecutor] = None
+    _workers = 1
 
     def map_chunks(self, jobs: list, workers: int) -> list:
         if workers == 1:
             return [_run_chunk(job) for job in jobs]
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=workers)
+        if workers > self._workers:
+            self.close()
+            self._executor, self._workers = ProcessPoolExecutor(max_workers=workers), workers
         return list(self._executor.map(_run_chunk, jobs))
 
     def close(self) -> None:
@@ -441,40 +444,35 @@ def _sweep(
     pool: _Pool,
 ) -> list[CheckResult]:
     """Run ``checks`` over the given states, or else the planned ones over
-    ``program``'s basic cells, in blocks shared across ``pool`` once there
-    are 64 states or more.  A given state must hold only basic cells."""
+    ``program``'s basic cells, in the fewest blocks, on at most one worker of
+    ``pool`` per block.  A given state must hold only basic cells."""
     plan = plan or VerificationPlan()
     if states is not None:
-        head: tuple = ("explicit", tuple(tuple(sorted(set(s))) for s in states))
+        given = tuple(tuple(sorted(set(s))) for s in states)
         arity, objects = {p.name: p.arity for p in program.basic_predicates}, set(universe.objects)
-        stray = {(p, args) for s in head[1] for p, args in s if arity.get(p) != len(args)}
-        stray |= {(p, args) for s in head[1] for p, args in s if not objects.issuperset(args)}
+        stray = {(p, args) for s in given for p, args in s if arity.get(p) != len(args)}
+        stray |= {(p, args) for s in given for p, args in s if not objects.issuperset(args)}
         if stray:
             atom = format_ground_atom(*min(stray))
             raise VerifyError(f"given state atom {atom} is not a basic cell over the universe")
-        total, workers = len(head[1]), 1
+        total = len(given)
     else:
         total = _planned_states(program, len(universe.objects), plan)
         cells = basic_cells(program, universe)
         head = ("exhaustive", cells) if plan.samples is None else ("sampled", cells, plan.seed)
-        workers = worker_count()
-        workers = 1 if total < 64 else min(workers, total)
-    blocks = max(workers, -(-total // _MAX_BLOCK))
+    blocks = max(1, -(-total // _MAX_BLOCK))
+    workers = min(worker_count(), blocks)
     bounds = [total * k // blocks for k in range(blocks + 1)]
-    specs = [head + (bounds[k], bounds[k + 1]) for k in range(blocks)]
+    specs = [("explicit", given[a:b]) if states is not None else head + (a, b)
+             for a, b in zip(bounds, bounds[1:])]
     parts = pool.map_chunks([(checks, programs, universe, spec) for spec in specs], workers)
     size = (f"n={len(universe.objects)}",)
     results = []
-    for k, (name, tags, _, _) in enumerate(checks):
-        best = min(
-            (part[k][2] for part in parts if part[k][2] is not None),
-            key=lambda c: (c.state_atoms, c.detail),
-            default=None,
-        )
+    for (name, tags, _, _), tallies in zip(checks, zip(*parts)):
+        checked, failures, found = zip(*tallies)
+        best = min(filter(None, found), key=lambda c: (c.state_atoms, c.detail), default=None)
         label = f"{name}[{','.join(size + tags)}]"
-        results.append(
-            CheckResult(label, sum(p[k][0] for p in parts), sum(p[k][1] for p in parts), best)
-        )
+        results.append(CheckResult(label, sum(checked), sum(failures), best))
     return results
 
 

@@ -42,8 +42,9 @@ THREE_STRATA_SOURCE = """
 """
 
 
-# Seven basic cells over two objects: 128 basic states, enough for a sweep
-# to start a process pool, and cheap to evaluate.
+# Seven basic cells over two objects and 13 over three: the 8,192 states at
+# n=3 fill two blocks, enough for a sweep to start a process pool, and are
+# cheap to evaluate.
 POOL_SOURCE = """
 (program
   (objects a b)

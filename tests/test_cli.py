@@ -342,14 +342,14 @@ class TestVerify:
         source, wrong = tmp_path / "p.axp", tmp_path / "wrong.axp"
         source.write_text(print_program(program))
         wrong.write_text(print_program(bad))
-        argv = ("verify", str(source), "--transformed", str(wrong), "--universe", "2")
+        argv = ("verify", str(source), "--transformed", str(wrong), "--universe", "3")
         monkeypatch.setenv("AXF_THREADS", "1")
         code, serial, _ = run(capsys, *argv)
         assert pool_starts == []
         monkeypatch.setenv("AXF_THREADS", "2")
         _, parallel, _ = run(capsys, *argv)
         assert pool_starts == [2]
-        assert code == 1 and "states=128 failures=" in serial
+        assert code == 1 and "states=8192 failures=" in serial
         assert serial == parallel
 
     def test_transformed_polarity_failure_text(self, capsys):
@@ -378,6 +378,14 @@ class TestVerify:
             capsys, "verify", "samples/path.axp", "--universe", "2", "--checks", "equivalence"
         )
         assert code == 2 and "AXF_THREADS" in err
+
+    def test_bad_threads_exit_2_without_a_pool(self, capsys, monkeypatch, pool_starts):
+        # 512 states at --universe 3: one block, which runs in process
+        monkeypatch.setenv("AXF_THREADS", "abc")
+        code, out, err = run(capsys, "verify", "samples/path.axp", "--universe", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: AXF_THREADS must be an integer\n"
+        assert pool_starts == []
 
     def test_too_many_threads_exit_2(self, capsys, monkeypatch, pool_starts):
         # 16 states at --universe 2: the sweep would stay in process anyway

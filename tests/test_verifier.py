@@ -1,9 +1,12 @@
 """Semantic verification: oracles, sweeps, mutation sensitivity, sampling."""
 
+import contextlib
 import dataclasses
+import io
 import json
 
 import pytest
+from conftest import PATH_PROGRAM, ROOT
 
 import axf.evaluator
 import axf.verifier
@@ -38,6 +41,7 @@ from axf import (
     verify_theorem1,
     verify_theorem2,
 )
+from axf.cli import main
 from axf.transformer import MUTATIONS
 from axf.verifier import worker_count
 
@@ -434,16 +438,65 @@ class TestBudgets:
 class TestParallel:
     def test_parallel_matches_serial(self, pool_programs, pool_starts, monkeypatch):
         program, bad = pool_programs
-        u2 = universe_for(program, 2)
+        u3 = universe_for(program, 3)
         monkeypatch.setenv("AXF_THREADS", "1")
-        serial = verify_equivalence(program, u2, transformed=bad)
+        serial = verify_equivalence(program, u3, transformed=bad)
         assert pool_starts == []
         monkeypatch.setenv("AXF_THREADS", "2")
-        parallel = verify_equivalence(program, u2, transformed=bad)
+        parallel = verify_equivalence(program, u3, transformed=bad)
         assert pool_starts == [2]
-        assert serial.states_checked == parallel.states_checked == 128
+        assert serial.states_checked == parallel.states_checked == 8192
         assert serial.failures == parallel.failures > 0
         assert serial.counterexample == parallel.counterexample
+
+    def test_one_block_runs_in_process(self, pool_starts, monkeypatch):
+        """A sweep of at most ``_MAX_BLOCK`` states starts no pool, however
+        many workers are allowed, and reports what one worker reports."""
+        golden = json.loads((ROOT / "tests" / "golden" / "verify_path.json").read_text("utf-8"))
+        argv = ["verify", str(PATH_PROGRAM), "--universe", "2", "3", "--json"]
+        outputs = []
+        for threads in ("2", "1"):
+            monkeypatch.setenv("AXF_THREADS", threads)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            outputs.append(out.getvalue())
+            assert pool_starts == []
+        assert outputs == [golden["verify --universe 2 3 --json"]["stdout"]] * 2
+
+    @pytest.mark.parametrize("threads, size, plan, given, widths", [
+        pytest.param("3", 2, None, None, [128], id="one-block"),
+        pytest.param("3", 3, None, None, [4096, 4096], id="exhaustive"),
+        pytest.param("1", 3, None, None, [4096, 4096], id="one-worker"),
+        pytest.param("3", 2, VerificationPlan(samples=4097), None, [2048, 2049], id="sampled"),
+        pytest.param("3", 3, None, 4097, [2048, 2049], id="given"),
+    ])
+    def test_blocks_and_workers(
+        self, pool_programs, monkeypatch, threads, size, plan, given, widths
+    ):
+        """A sweep of T states runs in ceil(T / _MAX_BLOCK) blocks, none
+        larger than ``_MAX_BLOCK``, on min(AXF_THREADS, blocks) workers; a
+        job carries only its own block's states."""
+        program, bad = pool_programs
+        universe = universe_for(program, size)
+        states = None
+        if given is not None:
+            states = list(enumerate_basic_states(basic_cells(program, universe), 0, given))
+        calls = []
+
+        def spying(self, jobs, workers):
+            specs = [spec for *_, spec in jobs]
+            calls.append(([len(list(axf.verifier._spec_states(s))) for s in specs], workers))
+            if given is not None:
+                cuts = [sum(widths[:k]) for k in range(len(widths) + 1)]
+                assert specs == [("explicit", tuple(states[a:b])) for a, b in zip(cuts, cuts[1:])]
+            return [axf.verifier._run_chunk(job) for job in jobs]
+
+        monkeypatch.setattr(axf.verifier._Pool, "map_chunks", spying)
+        monkeypatch.setenv("AXF_THREADS", threads)
+        result = verify_equivalence(program, universe, plan, transformed=bad, states=states)
+        assert calls == [(widths, min(int(threads), len(widths)))]
+        assert result.states_checked == sum(widths) and result.failures > 0
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("AXF_THREADS", "3")
@@ -619,9 +672,18 @@ class TestOnePass:
 
     def test_one_pool_per_run(self, pool_programs, pool_starts, monkeypatch):
         monkeypatch.setenv("AXF_THREADS", "2")
-        result = run_checks(pool_programs[0], SAMPLED_2_3)
-        assert all(c.states_checked == 64 for c in result.checks[1:])
+        result = run_checks(pool_programs[0], dataclasses.replace(SAMPLED_2_3, samples=8192))
+        assert all(c.states_checked == 8192 for c in result.checks[1:])
         assert pool_starts == [2]
+
+    def test_more_workers_replace_the_pool(self, pool_programs, pool_starts, monkeypatch):
+        """A later size given more workers than the pool has replaces it."""
+        monkeypatch.setattr(axf.verifier, "_MAX_BLOCK", 64)
+        monkeypatch.setenv("AXF_THREADS", "3")
+        plan = VerificationPlan(universe_sizes=(2, 3), checks=("theorem2",))
+        result = run_checks(pool_programs[0], plan)
+        assert [c.states_checked for c in result.checks] == [128, 128, 8192, 8192]
+        assert pool_starts == [2, 3]
 
     def test_equivalence_skips_merge_after_failed_lint(self, path_program):
         """A transform that fails the polarity lint cannot be merged; both
