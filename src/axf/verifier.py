@@ -27,12 +27,18 @@ states at once.  A sweep of more than one block spreads them over at most
 AXF_THREADS processes (default: machine CPU count) of the run's pool; a
 sweep of one block runs in process.  The least failing state (by its tuple)
 is reported, so results do not depend on worker count or block order.
+
+Every check gives the same verdict on a basic state and on any renaming of
+its objects that fixes the constants of the programs checked, so an
+exhaustive sweep runs one state per orbit of those renamings and counts its
+failures once per state of the orbit.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
@@ -192,9 +198,15 @@ def basic_cells(program: AxiomProgram, universe: Universe) -> tuple[GroundAtom, 
 def enumerate_basic_states(
     cells: Sequence[GroundAtom], start: int = 0, stop: Optional[int] = None
 ) -> Iterator[tuple[GroundAtom, ...]]:
-    total = 1 << len(cells)
-    stop = total if stop is None else stop
-    for index in range(start, stop):
+    stop = 1 << len(cells) if stop is None else stop
+    return _states_at(cells, range(start, stop))
+
+
+def _states_at(
+    cells: Sequence[GroundAtom], indices: Iterable[int]
+) -> Iterator[tuple[GroundAtom, ...]]:
+    """The state of each index: the cells of its set bits, in cell order."""
+    for index in indices:
         yield tuple(cells[k] for k in range(len(cells)) if index >> k & 1)
 
 
@@ -208,34 +220,116 @@ def sample_basic_state(
 
 
 def _spec_states(spec: tuple) -> Iterable[tuple[GroundAtom, ...]]:
-    kind, *source = spec
+    """A block's states: given ones as they are, exhaustive ones decoded
+    from their indices, sampled ones drawn by index."""
+    kind, *source, items = spec
     if kind == "explicit":
-        return source[0]
-    *source, start, stop = source
+        return items
     if kind == "exhaustive":
-        return enumerate_basic_states(*source, start, stop)
-    return (sample_basic_state(*source, index) for index in range(start, stop))
+        return _states_at(*source, items)
+    return (sample_basic_state(*source, index) for index in items)
 
 
-def _refuse_dropped_constants(program: AxiomProgram, size: int) -> None:
-    """Raise VerifyError if a universe of ``size`` objects would drop an
-    object the program mentions as a constant.  Padding adds only fresh
-    names, so the declared objects kept are the ones to check."""
-    if size < 1:
-        raise VerifyError("universe size must be positive")
-    constants = {
+def _orbit_tables(perm: Sequence[int], width: int) -> list[list[int]]:
+    """Three tables, one per ``width``-bit part of a state index, each giving
+    the permuted index of that part's cells; ``perm[k]`` is the cell that
+    cell ``k`` becomes.  The permuted state's index is the union of the
+    three entries its index selects."""
+    tables = []
+    for base in (0, width, 2 * width):
+        table = [0]
+        for target in perm[base:base + width]:
+            table += [t | 1 << target for t in table]
+        tables.append(table)
+    return tables
+
+
+def _orbits(
+    cells: Sequence[GroundAtom], moved: Sequence[str]
+) -> tuple[Sequence[int], Optional[array]]:
+    """The index of the least state of each orbit, by its atoms, under every
+    permutation of the objects ``moved``, and each orbit's size; every index
+    and no sizes when no permutation moves a cell.
+
+    A transposition and a cycle of ``moved`` generate every permutation of
+    it.  States are visited in the order of their atoms, so the first one
+    of an orbit seen is its least; its orbit is closed under the generators
+    and marked seen."""
+    total = 1 << len(cells)
+    perms: list[list[int]] = []
+    if len(moved) > 1:
+        where = {cell: k for k, cell in enumerate(cells)}
+        for image in (moved[1::-1] + moved[2:], moved[1:] + moved[:1]):
+            rename = dict(zip(moved, image))
+            perm = [where[pred, tuple(rename.get(o, o) for o in args)] for pred, args in cells]
+            if perm != list(range(len(cells))) and perm not in perms:
+                perms.append(perm)
+    if not perms:
+        return range(total), None
+    width = -(-len(cells) // 3)
+    part = (1 << width) - 1
+    generators = [_orbit_tables(perm, width) for perm in perms]
+    seen = bytearray(total)
+    firsts, sizes = array("q"), array("q")
+    top = total >> 1
+    s = 0
+    while True:
+        if not seen[s]:
+            seen[s] = 1
+            orbit = [s]
+            for t in orbit:
+                low, mid, high = t & part, t >> width & part, t >> 2 * width
+                for a, b, c in generators:
+                    u = a[low] | b[mid] | c[high]
+                    if not seen[u]:
+                        seen[u] = 1
+                        orbit.append(u)
+            firsts.append(s)
+            sizes.append(len(orbit))
+        # the next state by its atoms: add the cell after the last one, or
+        # else drop the last cell and advance the one before it
+        if s < top:
+            s |= 1 << s.bit_length()
+        elif s == top:
+            return firsts, sizes
+        else:
+            s -= top
+            s += 1 << s.bit_length() - 1
+
+
+def _constants(programs: Iterable[AxiomProgram]) -> frozenset[str]:
+    """Every object the programs mention as a constant."""
+    return frozenset(
         term.name
+        for program in programs
         for stratum in program.strata
         for axiom in stratum
         for _, atom, _ in axiom.occurrences
         for term in atom.args
         if isinstance(term, Const)
-    }
-    missing = constants - set(program.universe_hint[:size])
+    )
+
+
+def _refuse_dropped_constants(
+    constants: AbstractSet[str], objects: Sequence[str], size: int
+) -> None:
+    """Raise VerifyError if a universe of ``size`` objects, the first of
+    ``objects`` padded with fresh names, would drop one of ``constants``."""
+    if size < 1:
+        raise VerifyError("universe size must be positive")
+    missing = constants - set(objects[:size])
     if missing:
         raise VerifyError(
             f"universe of size {size} would drop constants: " + ", ".join(sorted(missing))
         )
+
+
+def _padded(objects: Sequence[str], size: int) -> Universe:
+    """The first ``size`` of ``objects``, padded with fresh names."""
+    kept = tuple(objects[:size])
+    taken = set(kept)
+    names = (f"u{k}" for k in count(1))
+    return Universe(kept + tuple(islice((n for n in names if n not in taken), size - len(kept))))
 
 
 def universe_for(program: AxiomProgram, size: int) -> Universe:
@@ -243,12 +337,8 @@ def universe_for(program: AxiomProgram, size: int) -> Universe:
 
     Padding uses fresh names ``u1, u2, ...``; truncation refuses to drop an
     object the program mentions as a constant."""
-    _refuse_dropped_constants(program, size)
-    objects = program.universe_hint[:size]
-    taken = set(objects)
-    names = (f"u{k}" for k in count(1))
-    fresh = islice((name for name in names if name not in taken), size - len(objects))
-    return Universe(objects + tuple(fresh))
+    _refuse_dropped_constants(_constants((program,)), program.universe_hint, size)
+    return _padded(program.universe_hint, size)
 
 
 def _planned_states(program: AxiomProgram, size: int, plan: VerificationPlan) -> int:
@@ -286,10 +376,23 @@ def _planned_states(program: AxiomProgram, size: int, plan: VerificationPlan) ->
 # The sweep.  One pass runs every planned check over one universe's states.
 # ``_plan`` builds, once per run, the runs the checks read, keyed by role
 # ("original", ("family", i), "transformed", "merged", "optimized", and
-# ("order", seed) for a chaotic run of the original), and the
+# ("order", seed) for a chaotic run of the original), the
 # ``(name, tags, compare, args)`` check tuples, which hold nothing of the
-# universe; ``_sweep`` labels each result ``name[n=<size>,<tags>]``.
-# The states are split into blocks of at most ``_MAX_BLOCK``; each block
+# universe, and the constants of every program the pass reads;
+# ``_sweep`` labels each result ``name[n=<size>,<tags>]``.
+# An exhaustive sweep runs one state per orbit under the renamings of the
+# universe that fix those constants (padding names move freely): the least
+# state of each orbit by its atoms, weighted by the orbit's size.  A query
+# defined by a program commutes with such a renaming, so every state of an
+# orbit gets its representative's verdict, and the least failing state is
+# a representative: ``states_checked`` is the sum of the weights, and
+# ``failures`` that of the failing representatives'.  The order check's
+# chaotic runs reach the same fixpoint in any order, so they run on the
+# representatives too.  Where no renaming moves a cell every state is its
+# own orbit and the sweep runs all of them, unweighted; sampled and given
+# states are never reduced.
+# The states are split into blocks of at most ``_MAX_BLOCK``; a job carries
+# its block's states, or its slice of state indices and their weights, and
 # compiles one engine per program and runs each role once, to one ``Block``.
 # ``compare(*args, runs)`` reads the blocks' masks and yields its entries in
 # order of precedence: ``(failing, first, text, other)``, where a state of
@@ -366,8 +469,9 @@ def _order(order_seeds, runs) -> _Entries:
 def _run_chunk(job) -> list[tuple[int, int, Optional[Counterexample]]]:
     """A (checked, failures, least counterexample) triple for each check
     over one block of states: a check fails in the states of any of its
-    entries, and its counterexample is the least failing state."""
-    checks, programs, universe, spec = job
+    entries, and its counterexample is the least failing state.  A state
+    with a weight counts as that many states."""
+    checks, programs, universe, spec, weights = job
     states = tuple(_spec_states(spec))
     basic: dict[GroundAtom, int] = {}
     for s, atoms in enumerate(states):
@@ -381,15 +485,17 @@ def _run_chunk(job) -> list[tuple[int, int, Optional[Counterexample]]]:
         )
         for role, (program, order) in programs.items()
     }
+    checked = len(states) if weights is None else sum(weights)
     tallies = []
     for name, _, compare, args in checks:
         entries = list(compare(*args, runs))
         failing = 0
         for fails, *_ in entries:
             failing |= fails
-        least = None
+        failures, least = 0, None
         if failing:
-            failed = (s for s in range(len(states)) if failing >> s & 1)
+            failed = [s for s in range(len(states)) if failing >> s & 1]
+            failures = len(failed) if weights is None else sum(weights[s] for s in failed)
             s = min(failed, key=states.__getitem__)
             detail = next(
                 text if first >> s & 1 else other
@@ -397,7 +503,7 @@ def _run_chunk(job) -> list[tuple[int, int, Optional[Counterexample]]]:
                 if fails >> s & 1
             )
             least = Counterexample(name, universe.objects, states[s], detail)
-        tallies.append((len(states), failing.bit_count(), least))
+        tallies.append((checked, failures, least))
     return tallies
 
 
@@ -437,6 +543,7 @@ class _Pool:
 def _sweep(
     checks: list,
     programs: dict,
+    fixed: AbstractSet[str],
     program: AxiomProgram,
     universe: Universe,
     plan: Optional[VerificationPlan],
@@ -445,27 +552,36 @@ def _sweep(
 ) -> list[CheckResult]:
     """Run ``checks`` over the given states, or else the planned ones over
     ``program``'s basic cells, in the fewest blocks, on at most one worker of
-    ``pool`` per block.  A given state must hold only basic cells."""
+    ``pool`` per block.  A given state must hold only basic cells.  An
+    exhaustive sweep runs one state per orbit under the renamings that fix
+    the objects ``fixed``."""
     plan = plan or VerificationPlan()
+    weights = None
     if states is not None:
-        given = tuple(tuple(sorted(set(s))) for s in states)
+        items = tuple(tuple(sorted(set(s))) for s in states)
         arity, objects = {p.name: p.arity for p in program.basic_predicates}, set(universe.objects)
-        stray = {(p, args) for s in given for p, args in s if arity.get(p) != len(args)}
-        stray |= {(p, args) for s in given for p, args in s if not objects.issuperset(args)}
+        stray = {(p, args) for s in items for p, args in s if arity.get(p) != len(args)}
+        stray |= {(p, args) for s in items for p, args in s if not objects.issuperset(args)}
         if stray:
             atom = format_ground_atom(*min(stray))
             raise VerifyError(f"given state atom {atom} is not a basic cell over the universe")
-        total = len(given)
+        head = ("explicit",)
     else:
         total = _planned_states(program, len(universe.objects), plan)
         cells = basic_cells(program, universe)
-        head = ("exhaustive", cells) if plan.samples is None else ("sampled", cells, plan.seed)
-    blocks = max(1, -(-total // _MAX_BLOCK))
+        if plan.samples is None:
+            moved = tuple(o for o in universe.objects if o not in fixed)
+            items, weights = _orbits(cells, moved)
+            head = ("exhaustive", cells)
+        else:
+            items, head = range(total), ("sampled", cells, plan.seed)
+    blocks = max(1, -(-len(items) // _MAX_BLOCK))
     workers = min(worker_count(), blocks)
-    bounds = [total * k // blocks for k in range(blocks + 1)]
-    specs = [("explicit", given[a:b]) if states is not None else head + (a, b)
-             for a, b in zip(bounds, bounds[1:])]
-    parts = pool.map_chunks([(checks, programs, universe, spec) for spec in specs], workers)
+    bounds = [len(items) * k // blocks for k in range(blocks + 1)]
+    jobs = [(checks, programs, universe, head + (items[a:b],),
+             None if weights is None else weights[a:b])
+            for a, b in zip(bounds, bounds[1:])]
+    parts = pool.map_chunks(jobs, workers)
     size = (f"n={len(universe.objects)}",)
     results = []
     for (name, tags, _, _), tallies in zip(checks, zip(*parts)):
@@ -483,12 +599,12 @@ def _plan(
     strata: Iterable[int] = (),
     mutation: Optional[str] = None,
     orders: int = 8,
-) -> tuple[dict, list[tuple], Optional[CheckResult]]:
+) -> tuple[dict, list[tuple], Optional[CheckResult], frozenset[str]]:
     """The programs the ``planned`` checks read, keyed by role; the check
     tuples for the ``planned`` names, in order, one per stage family of
-    ``strata`` for theorem1 and theorem2 and none for polarity; and the
+    ``strata`` for theorem1 and theorem2 and none for polarity; the
     polarity result of the transform, or None when no transform is given or
-    read.
+    read; and the constants of ``program`` and of every program read.
 
     ``transformed`` stands in for the transform of ``program``.  The merged
     form is built only when the polarity lint passes, since merging needs a
@@ -538,7 +654,8 @@ def _plan(
             checks.append((check, (), _aux, (frozenset(shared),)))
         elif check == "order":
             checks.append((check, (), _order, (tuple(range(orders)),)))
-    return programs, checks, polarity
+    read = {id(p): p for p, _ in programs.values()}
+    return programs, checks, polarity, _constants([program, *read.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +675,9 @@ def _verify_one(
     mutation: Optional[str] = None,
     orders: int = 8,
 ) -> CheckResult:
-    programs, checks, _ = _plan(program, (check,), transformed, strata, mutation, orders)
+    programs, checks, _, fixed = _plan(program, (check,), transformed, strata, mutation, orders)
     with closing(_Pool()) as pool:
-        return _sweep(checks, programs, program, universe, plan, states, pool)[0]
+        return _sweep(checks, programs, fixed, program, universe, plan, states, pool)[0]
 
 
 def verify_theorem1(
@@ -648,7 +765,8 @@ def run_checks(
     The transforms, the merge, the stage families and the check tuples are
     built once, before the first size.  Each size is then one sweep of every planned check, and
     the sweeps share one process pool.  A size is checked for dropped
-    constants and against the state budget before its objects are built."""
+    constants of every program the sweep reads, and against the state
+    budget, before its objects are built."""
     plan = plan or VerificationPlan()
     if transformed is not None:
         unsupported = set(plan.checks) - set(TRANSFORMED_CHECKS)
@@ -658,15 +776,15 @@ def run_checks(
                 + ",".join(sorted(unsupported))
             )
     nonempty = [index for index, stratum in enumerate(program.strata) if stratum]
-    programs, checks, polarity = _plan(program, plan.checks, transformed, nonempty)
+    programs, checks, polarity, fixed = _plan(program, plan.checks, transformed, nonempty)
     results = [polarity] if "polarity" in plan.checks else []
     with closing(_Pool()) as pool:
         for size in plan.universe_sizes:
-            _refuse_dropped_constants(program, size)
+            _refuse_dropped_constants(fixed, program.universe_hint, size)
             if checks:
                 _planned_states(program, size, plan)
-                universe = universe_for(program, size)
-                results.extend(_sweep(checks, programs, program, universe, plan, None, pool))
+                universe = _padded(program.universe_hint, size)
+                results.extend(_sweep(checks, programs, fixed, program, universe, plan, None, pool))
     return VerificationResult(tuple(results))
 
 

@@ -43,8 +43,9 @@ THREE_STRATA_SOURCE = """
 
 
 # Seven basic cells over two objects and 13 over three: the 8,192 states at
-# n=3 fill two blocks, enough for a sweep to start a process pool, and are
-# cheap to evaluate.
+# n=3, sampled or given, fill two blocks, enough for a sweep to start a
+# process pool, and are cheap to evaluate.  An exhaustive sweep runs their
+# 1,504 orbit representatives (72 of 128 at n=2), one block.
 POOL_SOURCE = """
 (program
   (objects a b)

@@ -8,6 +8,7 @@ import time
 import pytest
 
 import axf
+import axf.verifier
 
 from axf import TransformError, print_program
 from axf.parser import MAX_NESTING
@@ -342,7 +343,8 @@ class TestVerify:
         source, wrong = tmp_path / "p.axp", tmp_path / "wrong.axp"
         source.write_text(print_program(program))
         wrong.write_text(print_program(bad))
-        argv = ("verify", str(source), "--transformed", str(wrong), "--universe", "3")
+        argv = ("verify", str(source), "--transformed", str(wrong), "--universe", "3",
+                "--samples", "8192")
         monkeypatch.setenv("AXF_THREADS", "1")
         code, serial, _ = run(capsys, *argv)
         assert pool_starts == []
@@ -561,6 +563,25 @@ class TestExitCodes:
         )
         assert (code, out) == (2, "")
         assert err == "error: universe of size 1 would drop constants: b\n"
+
+    def test_stray_transformed_constant_refused_before_any_cell(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """A constant that only the ``--transformed`` program mentions is
+        refused like one of the original, before any cell or orbit of the
+        sweep is built."""
+        prog, transformed = tmp_path / "o.axp", tmp_path / "tr.axp"
+        prog.write_text("(program (objects a b) (basic (E 1)) (derived (P 0))"
+                        " (stratum (axiom (P) (E a))))")
+        transformed.write_text("(program (objects a b c) (basic (E 1)) (derived (P 0))"
+                               " (stratum (axiom (P) (E c))))")
+        for name in ("basic_cells", "_orbits"):
+            monkeypatch.setattr(axf.verifier, name, lambda *_: pytest.fail("a sweep was built"))
+        code, out, err = run(
+            capsys, "verify", str(prog), "--transformed", str(transformed), "--universe", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: universe of size 3 would drop constants: c\n"
 
     def test_no_command_shows_help(self, capsys):
         with pytest.raises(SystemExit):

@@ -4,12 +4,15 @@
 over two and three objects, the same for a corrupted ``--transformed`` file
 (exit 1), and ``verify_theorem1`` under each stage-family sabotage at n=2
 and n=3: failure counts, counterexample states and detail texts.
+``tests/golden/verify_path_n4.json`` holds the ``--json`` output over four
+objects, written by a sweep that ran every one of the 65,536 states.
 """
 
 import contextlib
 import io
 import json
 
+import pytest
 from conftest import GOLDEN_TRANSFORMED, PATH_PROGRAM, ROOT
 
 from axf import Universe, parse_program, verify_theorem1
@@ -17,6 +20,7 @@ from axf.cli import main
 from axf.transformer import MUTATIONS
 
 GOLDEN_REPORT = ROOT / "tests" / "golden" / "verify_path.json"
+GOLDEN_N4 = ROOT / "tests" / "golden" / "verify_path_n4.json"
 
 
 def cli(*argv) -> dict:
@@ -55,3 +59,14 @@ def report(tmp_path) -> str:
 
 def test_report_matches_golden(tmp_path):
     assert report(tmp_path) == GOLDEN_REPORT.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("threads", ["1", None], ids=["one-thread", "default"])
+def test_exhaustive_n4_matches_golden(monkeypatch, threads):
+    if threads is None:
+        monkeypatch.delenv("AXF_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("AXF_THREADS", threads)
+    argv = ("verify", str(PATH_PROGRAM), "--universe", "4", "--json")
+    entries = {"verify --universe 4 --json": cli(*argv)}
+    assert json.dumps(entries, indent=1) + "\n" == GOLDEN_N4.read_text(encoding="utf-8")

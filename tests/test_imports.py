@@ -2,7 +2,8 @@
 every function reads each of its parameters, every module-level private name
 is referenced in its module, every public one is exported or read by another
 definition, every name the benchmark traces exists, every call shape the
-benchmark uses binds, and no module but ``logic`` walks an axiom body.
+benchmark uses binds, no module but ``logic`` walks an axiom body, and no
+environment variable but ``AXF_THREADS`` is read.
 
 ``__init__.py`` is skipped by the import check because its imports are the
 package's re-exports.
@@ -13,6 +14,7 @@ import importlib
 import inspect
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -392,3 +394,61 @@ def test_detects_code_from_text():
         "run = exec\n"
     )
     assert code_from_text(source) == [2, 2, 4, 5]
+
+
+# The names through which ``os`` reads the process environment.
+ENVIRONMENT = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_reads(source: str) -> list[tuple[int, Optional[str]]]:
+    """``(line, variable)`` for every use of the process environment: the
+    variable is the literal key of ``environ[...]``, ``environ.get(...)`` or
+    ``getenv(...)``, and None for any other use, a renamed import included."""
+    tree = ast.parse(source)
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, None) for alias in node.names
+                      if alias.name in ENVIRONMENT and alias.asname not in (None, alias.name)]
+            continue
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+        if name not in ENVIRONMENT:
+            continue
+        up, key = parents.get(node), None
+        if isinstance(up, ast.Subscript) and up.value is node:
+            key = up.slice
+        elif isinstance(up, ast.Call) and up.func is node and up.args:
+            key = up.args[0]
+        elif (isinstance(up, ast.Attribute) and up.attr == "get"
+              and isinstance(parents.get(up), ast.Call) and parents[up].args):
+            key = parents[up].args[0]
+        found.append((node.lineno, key.value if isinstance(key, ast.Constant) else None))
+    return sorted(found)
+
+
+def test_reads_no_environment_variable_but_threads():
+    """The worker count is the only setting the environment holds: no
+    option is read behind the command line's back."""
+    reads = {
+        (path.name, variable)
+        for path in ALL_SOURCES
+        for _, variable in environment_reads(path.read_text(encoding="utf-8"))
+    }
+    assert reads == {("verifier.py", "AXF_THREADS")}
+
+
+def test_detects_an_environment_read():
+    source = (
+        "import os\n"
+        "from os import environ, getenv as look\n"
+        "a = os.environ.get('AXF_THREADS', '')\n"
+        "b = os.environ['AXF_TRACE']\n"
+        "c = os.getenv('HOME')\n"
+        "d = environ.get(name)\n"
+        "e = dict(os.environ)\n"
+        "f = look('X')\n"
+    )
+    assert environment_reads(source) == [
+        (2, None), (3, "AXF_THREADS"), (4, "AXF_TRACE"), (5, "HOME"), (6, None), (7, None)
+    ]

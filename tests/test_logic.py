@@ -450,7 +450,7 @@ class TestStratification:
         scans read the stored occurrences and walk no built body again."""
         import axf.logic
         from axf.transformer import compute_metrics, eliminate_negative_occurrences
-        from axf.verifier import _refuse_dropped_constants
+        from axf.verifier import _constants
 
         walked, built = [], [0]
         real_scan, real_post_init = axf.logic._scan, Axiom.__post_init__
@@ -475,7 +475,7 @@ class TestStratification:
         assert check_stratified(path_program) == []
         assert lint_polarity(path_program)
         compute_metrics(path_program)
-        _refuse_dropped_constants(path_program, 2)
+        assert _constants((path_program,)) == frozenset()
         assert walked == []
 
         # The elimination walks only the bodies of the axioms it builds: the

@@ -3,7 +3,9 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
+from array import array
 
 import pytest
 from conftest import PATH_PROGRAM, ROOT
@@ -11,10 +13,12 @@ from conftest import PATH_PROGRAM, ROOT
 import axf.evaluator
 import axf.verifier
 from axf import (
+    Atom,
     AxiomProgram,
     Axiom,
     Bottom,
     BudgetError,
+    Const,
     Engine,
     Predicate,
     RandomProfile,
@@ -437,17 +441,23 @@ class TestBudgets:
 
 class TestParallel:
     def test_parallel_matches_serial(self, pool_programs, pool_starts, monkeypatch):
+        """All 8,192 states given, in two blocks, on one worker and on two;
+        the exhaustive sweep, one block of representatives, agrees."""
         program, bad = pool_programs
         u3 = universe_for(program, 3)
+        states = list(enumerate_basic_states(basic_cells(program, u3)))
         monkeypatch.setenv("AXF_THREADS", "1")
-        serial = verify_equivalence(program, u3, transformed=bad)
+        serial = verify_equivalence(program, u3, transformed=bad, states=states)
         assert pool_starts == []
         monkeypatch.setenv("AXF_THREADS", "2")
-        parallel = verify_equivalence(program, u3, transformed=bad)
+        parallel = verify_equivalence(program, u3, transformed=bad, states=states)
+        assert pool_starts == [2]
+        reduced = verify_equivalence(program, u3, transformed=bad)
         assert pool_starts == [2]
         assert serial.states_checked == parallel.states_checked == 8192
-        assert serial.failures == parallel.failures > 0
+        assert serial.failures == parallel.failures == 6528
         assert serial.counterexample == parallel.counterexample
+        assert reduced.to_json() == serial.to_json()
 
     def test_one_block_runs_in_process(self, pool_starts, monkeypatch):
         """A sweep of at most ``_MAX_BLOCK`` states starts no pool, however
@@ -464,19 +474,23 @@ class TestParallel:
             assert pool_starts == []
         assert outputs == [golden["verify --universe 2 3 --json"]["stdout"]] * 2
 
-    @pytest.mark.parametrize("threads, size, plan, given, widths", [
-        pytest.param("3", 2, None, None, [128], id="one-block"),
-        pytest.param("3", 3, None, None, [4096, 4096], id="exhaustive"),
-        pytest.param("1", 3, None, None, [4096, 4096], id="one-worker"),
-        pytest.param("3", 2, VerificationPlan(samples=4097), None, [2048, 2049], id="sampled"),
-        pytest.param("3", 3, None, 4097, [2048, 2049], id="given"),
+    @pytest.mark.parametrize("threads, size, plan, given, widths, checked", [
+        pytest.param("3", 2, None, None, [72], 128, id="one-block"),
+        pytest.param("3", 3, None, None, [1504], 8192, id="exhaustive"),
+        pytest.param("1", 3, VerificationPlan(samples=8192), None, [4096, 4096], 8192,
+                     id="one-worker"),
+        pytest.param("3", 2, VerificationPlan(samples=4097), None, [2048, 2049], 4097,
+                     id="sampled"),
+        pytest.param("3", 3, None, 4097, [2048, 2049], 4097, id="given"),
     ])
     def test_blocks_and_workers(
-        self, pool_programs, monkeypatch, threads, size, plan, given, widths
+        self, pool_programs, monkeypatch, threads, size, plan, given, widths, checked
     ):
         """A sweep of T states runs in ceil(T / _MAX_BLOCK) blocks, none
         larger than ``_MAX_BLOCK``, on min(AXF_THREADS, blocks) workers; a
-        job carries only its own block's states."""
+        job carries only its own block's states.  An exhaustive sweep's T is
+        its number of orbits (72 of 128 states at n=2, 1,504 of 8,192 at
+        n=3), and its jobs carry state indices and orbit sizes."""
         program, bad = pool_programs
         universe = universe_for(program, size)
         states = None
@@ -485,18 +499,24 @@ class TestParallel:
         calls = []
 
         def spying(self, jobs, workers):
-            specs = [spec for *_, spec in jobs]
+            specs = [spec for _, _, _, spec, _ in jobs]
             calls.append(([len(list(axf.verifier._spec_states(s))) for s in specs], workers))
             if given is not None:
                 cuts = [sum(widths[:k]) for k in range(len(widths) + 1)]
                 assert specs == [("explicit", tuple(states[a:b])) for a, b in zip(cuts, cuts[1:])]
+            weights = [w for *_, w in jobs]
+            if plan is None and given is None:
+                assert all(isinstance(s[-1], array) for s in specs)
+                assert sum(sum(w) for w in weights) == checked
+            else:
+                assert weights == [None] * len(jobs)
             return [axf.verifier._run_chunk(job) for job in jobs]
 
         monkeypatch.setattr(axf.verifier._Pool, "map_chunks", spying)
         monkeypatch.setenv("AXF_THREADS", threads)
         result = verify_equivalence(program, universe, plan, transformed=bad, states=states)
         assert calls == [(widths, min(int(threads), len(widths)))]
-        assert result.states_checked == sum(widths) and result.failures > 0
+        assert result.states_checked == checked and result.failures > 0
 
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("AXF_THREADS", "3")
@@ -556,10 +576,11 @@ class TestOnePass:
 
     def test_each_run_once_per_block(self, path_program, monkeypatch):
         """A serial n=3 pass compiles each program once and runs each role
-        once on its block of all 512 states, and the original once in
-        chaotic order per order seed; no state runs on its own, and no
-        state's stage table is built or read.  Every run of the block reads
-        one dict of basic masks, built once, and no run changes it."""
+        once on its block of the 104 orbit representatives of the 512
+        states, and the original once in chaotic order per order seed; no
+        state runs on its own, and no state's stage table is built or read.
+        Every run of the block reads one dict of basic masks, built once,
+        and no run changes it."""
         monkeypatch.setenv("AXF_THREADS", "1")
         built, blocks, given = [], [], []
         real_init, real = Engine.__init__, Engine.run_block
@@ -585,11 +606,11 @@ class TestOnePass:
         assert run_checks(path_program, VerificationPlan(universe_sizes=(3,))).passed
         # original, two stage families, transformed, merged, optimized
         assert len(built) == len(set(map(id, built))) == 6
-        assert sorted(blocks) == [(512, False)] * 8 + [(512, True)] * 6
+        assert sorted(blocks) == [(104, False)] * 8 + [(104, True)] * 6
         (basic, before), *_ = given
         assert all(masks is basic for masks, _ in given)
         assert all(seen == before for _, seen in given)
-        assert basic == before and len(basic) == 9 and max(basic.values()).bit_length() == 512
+        assert basic == before and len(basic) == 9 and max(basic.values()).bit_length() == 104
 
     def test_blocks_split_the_states(self, pool_programs, monkeypatch):
         """Blocks smaller than the sweep give the same results, serial and
@@ -728,6 +749,118 @@ class TestOnePass:
         assert blobs[0]["checks"][0]["name"] == "polarity"
         assert blobs[0]["checks"][1:] == [c.to_json() for c in singles]
         assert any(c.failures for c in singles) == corrupt
+
+
+def unreduced(monkeypatch) -> list:
+    """Make every exhaustive sweep run all its states, as under a group that
+    moves no object; the returned list records each sweep's orbit sizes,
+    or None where the real group moves no cell."""
+    sizes, real = [], axf.verifier._orbits
+
+    def identity(cells, moved):
+        sizes.append(real(cells, moved)[1])
+        return real(cells, ())
+
+    monkeypatch.setattr(axf.verifier, "_orbits", identity)
+    return sizes
+
+
+def corrupted(program, body):
+    """The transform of ``program`` with its last axiom's body replaced."""
+    out, _ = eliminate_negative_occurrences(program)
+    *strata, last = out.strata
+    ax = last[-1]
+    last = last[:-1] + (Axiom(ax.head_pred, ax.head_vars, body),)
+    return AxiomProgram(out.signature.values(), out.universe_hint, strata + [last])
+
+
+class TestOrbits:
+    def test_path_orbits(self, path_program):
+        """One representative per renaming class of ``path``'s states, the
+        least by its atoms, weighted by its class's size."""
+        for n, want in ((1, 2), (2, 10), (3, 104), (4, 3044)):
+            universe = universe_for(path_program, n)
+            cells = basic_cells(path_program, universe)
+            firsts, sizes = axf.verifier._orbits(cells, universe.objects)
+            assert len(firsts) == want
+            assert sizes is None if n == 1 else sum(sizes) == 2 ** n ** 2
+
+    def test_representatives_are_least(self, path_program):
+        """Brute force at n=3: each representative is the least renaming of
+        itself by its atoms, its weight counts its distinct renamings, and
+        the renamings of all of them are every state once."""
+        universe = universe_for(path_program, 3)
+        cells = basic_cells(path_program, universe)
+        states = list(enumerate_basic_states(cells))
+        firsts, sizes = axf.verifier._orbits(cells, universe.objects)
+        covered = []
+        for s, size in zip(firsts, sizes):
+            renamings = {
+                tuple(sorted((p, tuple(dict(zip("abc", perm))[o] for o in args))
+                             for p, args in states[s]))
+                for perm in itertools.permutations("abc")
+            }
+            assert min(renamings) == states[s] and len(renamings) == size
+            covered += renamings
+        assert sorted(covered) == sorted(states)
+
+    def test_path_reduced_equals_unreduced(self, path_program, monkeypatch):
+        plan = VerificationPlan(universe_sizes=(2, 3))
+        reduced = run_checks(path_program, plan).to_json()
+        sizes = unreduced(monkeypatch)
+        assert run_checks(path_program, plan).to_json() == reduced
+        assert [sum(s) for s in sizes] == [16, 512]
+
+    @pytest.mark.parametrize("stratum, failing", [(0, 10), (1, 4)])
+    def test_sabotages_reduced_equal_unreduced(self, path_program, monkeypatch, stratum, failing):
+        def sweeps():
+            return [
+                verify_theorem1(path_program, stratum, universe_for(path_program, n), mutation=m)
+                for n in (2, 3) for m in MUTATIONS
+            ]
+
+        reduced = sweeps()
+        unreduced(monkeypatch)
+        assert [r.to_json() for r in sweeps()] == [r.to_json() for r in reduced]
+        assert sum(not r.passed and r.counterexample is not None for r in reduced) == failing
+
+    def test_random_reduced_equal_unreduced(self, monkeypatch):
+        """Random programs with constants against corrupted transforms: the
+        constants of either program stay fixed, failures count whole orbits
+        and the counterexample is the least failing state."""
+        profile = RandomProfile(objects=3, constant_rate=0.3)
+        cases = []
+        for seed in range(60):
+            program = generate_random_program(f"orbits:{seed}", profile)
+            basics = [p for p in program.basic_predicates if p.arity]
+            bodies = [Top()] + [Atom(p.name, (Const("a"),) * p.arity) for p in basics[:1]]
+            for body in bodies:
+                for n in (2, 3):
+                    cells = sum(n ** p.arity for p in program.basic_predicates)
+                    if cells <= 10:
+                        cases.append((program, corrupted(program, body), n))
+        plan = VerificationPlan(checks=("equivalence",))
+
+        def sweeps():
+            results = []
+            for program, bad, n in cases:
+                try:
+                    results.append(run_checks(
+                        program, dataclasses.replace(plan, universe_sizes=(n,)), transformed=bad
+                    ).to_json())
+                except VerifyError as error:
+                    results.append(str(error))
+            return results
+
+        reduced = sweeps()
+        sizes = unreduced(monkeypatch)
+        assert sweeps() == reduced
+        weighted = [
+            r for r, s in zip([r for r in reduced if isinstance(r, dict)], sizes)
+            if s is not None and r["checks"][0]["failures"]
+        ]
+        assert len(weighted) >= 20
+        assert any(s is None for s in sizes) and any(isinstance(r, str) for r in reduced)
 
 
 class TestRandomPrograms:
