@@ -87,9 +87,10 @@ _HUGE = 1 << 64  # counts of cells from here up are refused, never computed
 _MAX_WORKERS = 256  # a pool forks all its workers at its first task
 # States per block.  The masks grow with the width, but each round's pass
 # over every head instance costs the same at any width, so a block is never
-# split to feed more workers.  Exhaustive n=4 `path`, all checks, 2 workers:
-# 1,024 states took 44-48 s (worker peak RSS 25 MiB), 4,096 15-17 s (40 MiB),
-# 16,384 10.5 s (116 MiB): a third off for 3x memory.
+# split to feed more workers.  `path` at n=4, all checks, 16,384 sampled
+# states, 2 workers, 2 CPUs: blocks of 1,024 states took 3.7-4.8 s (largest
+# process peak RSS 28 MiB), 4,096 1.6-1.9 s (45 MiB), and one block of 16,384
+# 1.6-1.8 s (118 MiB): a larger block saves nothing for 2.6x the memory.
 _MAX_BLOCK = 1 << 12
 _ALL_CHECKS = ("polarity", "theorem1", "theorem2", "equivalence", "aux", "order")
 # The checks that apply to a transformed program built elsewhere; the others
@@ -676,6 +677,7 @@ def _verify_one(
     orders: int = 8,
 ) -> CheckResult:
     programs, checks, _, fixed = _plan(program, (check,), transformed, strata, mutation, orders)
+    _refuse_dropped_constants(fixed, universe.objects, len(universe.objects))
     with closing(_Pool()) as pool:
         return _sweep(checks, programs, fixed, program, universe, plan, states, pool)[0]
 

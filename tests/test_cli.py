@@ -2,10 +2,14 @@
 
 import builtins
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
+from conftest import ROOT
 
 import axf
 import axf.verifier
@@ -143,6 +147,33 @@ class TestTransform:
         _, first, _ = run(capsys, "transform", "samples/path.axp")
         _, second, _ = run(capsys, "transform", "samples/path.axp")
         assert first == second
+
+    def test_output_ignores_the_hash_seed(self, tmp_path):
+        """Transform and verify runs, one failing with a counterexample,
+        print the same bytes and exit alike under two hash seeds."""
+        wrong = tmp_path / "wrong.axp"
+        wrong.write_text(
+            (ROOT / "tests/golden/path_transformed.axp")
+            .read_text()
+            .replace("(forall (?x) (not (not (nleq__path__path__r1 ?x ?x ?x ?x))))", "false")
+        )
+        commands = [
+            ["transform", "samples/path.axp", "--json"],
+            ["verify", "samples/path.axp", "--universe", "2", "3", "--json"],
+            ["verify", "samples/path.axp", "--transformed", str(wrong), "--universe", "2"],
+        ]
+        for argv in commands:
+            runs = [
+                subprocess.run(
+                    [sys.executable, "-m", "axf", *argv],
+                    cwd=ROOT,
+                    env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": seed},
+                    capture_output=True,
+                )
+                for seed in ("0", "1")
+            ]
+            assert len({(r.returncode, r.stdout, r.stderr) for r in runs}) == 1, argv
+        assert runs[0].returncode == 1 and b"  state:" in runs[0].stdout
 
     def test_output_file_and_report(self, capsys, tmp_path):
         out_file = tmp_path / "out.axp"

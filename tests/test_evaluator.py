@@ -1,12 +1,16 @@
 """Fixpoint evaluation, derivation stages, and the stage relations."""
 
 import io
+import os
 import random
 import re
+import subprocess
+import sys
 import tokenize
 from itertools import product
 
 import pytest
+from conftest import ROOT
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -201,6 +205,32 @@ class TestStages:
         with pytest.raises(EvalError) as err:
             extend(path_program, U3, basic_state(U3, atoms, covered))
         assert str(err.value) == message
+
+    def test_first_bad_atom_is_the_least(self):
+        """Of several bad atoms, the least is reported, whatever the hash
+        seed orders the state's frozenset by."""
+        code = (
+            "from axf import *\n"
+            "p = parse_program(open('samples/path.axp').read())\n"
+            "u = Universe(('a', 'b', 'c'))\n"
+            "bad = {('E', ('a', 'w')), ('E', ('x', 'a')), ('E', ('a', 'y')), ('E', ('z', 'b'))}\n"
+            "try:\n"
+            "    extend(p, u, TruthAssignment(u, frozenset(bad), frozenset({'E'})))\n"
+            "except EvalError as err:\n"
+            "    print(err)\n"
+        )
+        messages = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                cwd=ROOT,
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": str(seed)},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in range(6)
+        }
+        assert messages == {"state mentions object w outside the universe\n"}
 
     def test_full_cover(self, path_program):
         assert Engine(path_program, U3).full_cover() == {"E", "path", "acyclic"}
@@ -834,6 +864,50 @@ def test_generated_bodies_match_closures(monkeypatch, path_source, source, role,
     generated_runs, closure_runs = both_tiers(monkeypatch, program, universe, states)
     assert generated_runs == closure_runs
     assert sum(map(len, generated_runs[0].added)) > 0
+
+
+def connective(op, parts):
+    """``R(x, y) <- not exists (z w v). and ...`` or ``not forall (z w v).
+    or ...`` of the first ``parts`` of five literals over ``E``; the head and
+    the quantifier bind five slots."""
+    x, y, z, w, v = map(Var, "xyzwv")
+    literals = [
+        Atom("E", (x, z)),
+        Atom("E", (z, w)),
+        Not(Atom("E", (w, y))),
+        Atom("E", (w, v)),
+        Atom("E", (v, x)),
+    ]
+    quantifier = Exists if op is And else Forall
+    body = Not(quantifier(("z", "w", "v"), op(tuple(literals[:parts]))))
+    return AxiomProgram(
+        [Predicate("E", 2, "basic"), Predicate("R", 2, "derived")],
+        ("a", "b", "c", "d"),
+        [[Axiom("R", ("x", "y"), body)]],
+    )
+
+
+@pytest.mark.parametrize("parts", [2, 3, 4, 5])
+@pytest.mark.parametrize("op", [And, Or])
+def test_n_ary_connectives_on_both_tiers(op, parts):
+    """An And or Or of 2 to 5 parts under ``not`` and a quantifier: over
+    three objects (243 bindings) the body runs on closures, over four (1,024)
+    it is generated, and on both each state's atoms and stage tables are the
+    reference interpreter's."""
+    program = connective(op, parts)
+    for size, tier in ((3, False), (4, True)):
+        universe = Universe(program.universe_hint[:size])
+        engine = Engine(program, universe)
+        assert [generated(body) for body in compiled_bodies(engine)] == [tier]
+        cells = [("E", pair) for pair in product(universe.objects, repeat=2)]
+        states = block_states(cells, 64, f"connective:{op.__name__}:{parts}:{size}")
+        block = run_states(engine, states)
+        outcomes = set()
+        for s, state in enumerate(states):
+            want = reference_stages(program, universe.objects, state)
+            assert state_of(block, s) == want
+            outcomes.add(len(want[0]) - len(state))
+        assert len(outcomes) > 1  # R holds in some states and fails in others
 
 
 def rebound(formula, names=None):

@@ -354,6 +354,21 @@ class TestBudgets:
             "use sampled mode"
         )
 
+    def test_stray_constant_refused_before_building_cells(self, monkeypatch):
+        """A single check refuses a caller's universe that lacks a constant
+        of a program it reads, as ``run_checks`` does, before any cell."""
+        from axf import parse_program
+
+        original = parse_program("(program (objects a b) (basic (E 1)) (derived (P 0))"
+                                 " (stratum (axiom (P) (E a))))")
+        transformed = parse_program("(program (objects c) (basic (E 1)) (derived (P 0))"
+                                    " (stratum (axiom (P) (E c))))")
+        for name in ("basic_cells", "_orbits"):
+            monkeypatch.setattr(axf.verifier, name, lambda *_: pytest.fail("a sweep was built"))
+        with pytest.raises(VerifyError) as info:
+            verify_equivalence(original, Universe(("a", "b", "u1")), transformed=transformed)
+        assert str(info.value) == "universe of size 3 would drop constants: c"
+
     def test_sampled_budget_refused_before_building_cells(self, monkeypatch):
         from axf import parse_program
 
