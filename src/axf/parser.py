@@ -18,8 +18,8 @@ concrete syntax only; internally names are stored bare.
 
 Parsing is total: any byte string either yields an AST or raises ParseError
 carrying a list of diagnostics, each with a span into the input.  The reader
-goes from text to nested lists in one pass, with no token list between them;
-the builder then turns the lists into a program.  Lists nest at most
+goes from the text's lexemes to nested tuples in one pass; the builder then
+turns the tuples into a program.  Lists nest at most
 ``MAX_NESTING`` deep, counting the enclosing ``(program``, ``(stratum`` and
 ``(axiom`` forms, because every later pass walks formulas
 recursively.  ``imply`` is desugared to ``(or (not a) b)`` while reading.  A quantifier that rebinds
@@ -28,9 +28,10 @@ on the spot (``x`` becomes ``x__1``), so downstream code never needs
 capture-avoidance logic.
 
 Positions live in this module only; formula nodes and axioms carry just
-their logic.  Reader nodes hold start and end offsets into the text, and
-``_Builder.err``, the one maker of a ``SourceSpan``, computes a line and
-column only for a diagnostic.  The builder keeps one table per parse from
+their logic.  Reader nodes hold lexeme indices, not offsets: ``_Builder.err``,
+the one maker of a ``SourceSpan``, finds the offsets of every lexeme and
+newline at a parse's first diagnostic, so a clean parse finds none.  The
+builder also shares one ``Var`` per internal name, and keeps one table from
 each atom and axiom it makes to its reader node: those are the only nodes a
 ``not-stratified`` diagnostic points at, since an occurrence path ends at an
 atom and a head-level violation names its axiom.  The table is keyed by
@@ -50,7 +51,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional
 
 from .evaluator import TruthAssignment, Universe
 from .logic import (
@@ -117,54 +118,42 @@ class ParseError(Exception):
 # Reading
 
 
-class _SAtom(NamedTuple):
-    text: str
-    start: int
-    end: int
-
-
-class _SList(NamedTuple):
-    items: tuple
-    start: int
-    end: int
-
-
-_SNode = Union[_SAtom, _SList]
+# A reader node is a plain tuple: ``(text, k)`` for a symbol and
+# ``(items, k_open, k_close)`` for a list, where k numbers the text's
+# lexemes from 0, comments included; ``node[0]`` is a str only for a symbol.
+# ``_WHOLE`` stands for the whole input in a diagnostic.
+_WHOLE = ((), -1, -1)
 
 # A comment, a parenthesis or a symbol; whatever none of them matches is
 # whitespace, since ``\s`` matches exactly the ``str.isspace`` characters.
 _LEXEME = re.compile(r";[^\n]*|[()]|[^\s();]+")
 
 
-def _read(text: str, filename: str) -> list[_SNode]:
-    """Read ``text`` into nested lists in one pass; raises ParseError for
+def _read(b: _Builder) -> list[tuple]:
+    """Read ``b.text`` into nested lists in one pass; raises ParseError for
     unbalanced parentheses and the first list deeper than ``MAX_NESTING``."""
-    b = _Builder(text, filename)
-    top: list[_SNode] = []
-    stack: list[tuple[list[_SNode], int]] = []  # enclosing lists, '(' offsets
+    top: list[tuple] = []
+    stack: list[tuple[list[tuple], int]] = []  # enclosing lists, '(' indices
     current = top
     too_deep = False
-    for match in _LEXEME.finditer(text):
-        lexeme = match.group()
-        start = match.start()
+    for k, lexeme in enumerate(_LEXEME.findall(b.text)):
         if lexeme == "(":
-            stack.append((current, start))
+            stack.append((current, k))
             current = []
             if len(stack) > MAX_NESTING and not too_deep:
                 too_deep = True
-                message = f"lists nest deeper than {MAX_NESTING} levels"
-                b.err("too-deep", message, _SAtom(lexeme, start, start + 1))
+                b.err("too-deep", f"lists nest deeper than {MAX_NESTING} levels", (lexeme, k))
         elif lexeme == ")":
             if not stack:
-                b.err("unbalanced-paren", "unmatched ')'", _SAtom(lexeme, start, start + 1))
+                b.err("unbalanced-paren", "unmatched ')'", (lexeme, k))
                 continue
-            parent, open_start = stack.pop()
-            parent.append(_SList(tuple(current), open_start, start + 1))
+            parent, k_open = stack.pop()
+            parent.append((tuple(current), k_open, k))
             current = parent
         elif lexeme[0] != ";":
-            current.append(_SAtom(lexeme, start, match.end()))
-    for _, open_start in reversed(stack):
-        b.err("unbalanced-paren", "unclosed '('", _SAtom("(", open_start, open_start + 1))
+            current.append((lexeme, k))
+    for _, k_open in reversed(stack):
+        b.err("unbalanced-paren", "unclosed '('", ("(", k_open))
     if b.diags:
         raise ParseError(b.diags)
     return top
@@ -179,43 +168,46 @@ class _Builder:
         self.text = text
         self.filename = filename
         self.diags: list[Diagnostic] = []
-        self.nodes: dict[int, _SNode] = {}  # id() of an atom or axiom -> its reader node
-        self.newlines: Optional[list[int]] = None  # offsets in ``text``, found by the first err
+        self.nodes: dict[int, tuple] = {}  # id() of an atom or axiom -> its reader node
+        self.vars: dict[str, Var] = {}  # internal name -> the one Var of this parse
+        self.spans: Optional[list[tuple[int, int]]] = None  # lexeme offsets, found by the first err
+        self.newlines: list[int] = []  # newline offsets, found with them
 
-    def err(self, code: str, message: str, node: _SNode) -> None:
+    def err(self, code: str, message: str, node: tuple) -> None:
         """Record a diagnostic at ``node``.  Only a newline starts a new
         line, so a column counts every character since the last one."""
-        if self.newlines is None:
+        if self.spans is None:
+            # The lexemes ``_read`` numbered, then the whole text for ``_WHOLE``'s -1.
+            self.spans = [m.span() for m in _LEXEME.finditer(self.text)]
+            self.spans.append((0, len(self.text)))
             self.newlines = [m.start() for m in re.finditer("\n", self.text)]
-        before = bisect_left(self.newlines, node.start)  # newlines before the node
-        column = node.start - (self.newlines[before - 1] if before else -1)
-        span = SourceSpan(self.filename, node.start, node.end, before + 1, column)
+        start, end = self.spans[node[1]][0], self.spans[node[-1]][1]
+        before = bisect_left(self.newlines, start)  # newlines before the node
+        column = start - (self.newlines[before - 1] if before else -1)
+        span = SourceSpan(self.filename, start, end, before + 1, column)
         self.diags.append(Diagnostic(code, message, span))
 
     # -- small helpers
 
-    def expect_list(self, node: _SNode, what: str) -> Optional[_SList]:
-        if not isinstance(node, _SList):
-            self.err("expected-list", f"expected {what}, got {node.text!r}", node)
+    def expect_list(self, node: tuple, what: str) -> Optional[tuple]:
+        if type(node[0]) is str:
+            self.err("expected-list", f"expected {what}, got {node[0]!r}", node)
             return None
         return node
 
-    def head_is(self, node: _SList, word: str) -> bool:
-        return (
-            bool(node.items)
-            and isinstance(node.items[0], _SAtom)
-            and node.items[0].text == word
-        )
+    def head_is(self, node: tuple, word: str) -> bool:
+        return bool(node[0]) and node[0][0][0] == word
 
-    def name_token(self, node: _SNode, what: str) -> Optional[_SAtom]:
-        if not isinstance(node, _SAtom):
+    def name_token(self, node: tuple, what: str) -> Optional[tuple]:
+        text = node[0]
+        if type(text) is not str:
             self.err("expected-name", f"expected {what}", node)
             return None
-        if node.text.startswith("?"):
+        if text.startswith("?"):
             self.err("expected-name", f"{what} may not be a variable", node)
             return None
-        if node.text in RESERVED:
-            self.err("reserved-name", f"{node.text!r} is reserved", node)
+        if text in RESERVED:
+            self.err("reserved-name", f"{text!r} is reserved", node)
             return None
         return node
 
@@ -236,18 +228,17 @@ def parse_program(text: str, filename: str = "<string>") -> AxiomProgram:
 
 
 def _parse_program(text: str, filename: str) -> AxiomProgram:
-    forms = _read(text, filename)
     b = _Builder(text, filename)
+    forms = _read(b)
     if len(forms) != 1:
-        whole = _SList(tuple(forms), 0, len(text))
-        b.err("program-shape", "input must be exactly one (program ...) form", whole)
+        b.err("program-shape", "input must be exactly one (program ...) form", _WHOLE)
         raise ParseError(b.diags)
     root = forms[0]
-    if not isinstance(root, _SList) or not b.head_is(root, "program"):
+    if type(root[0]) is str or not b.head_is(root, "program"):
         b.err("program-shape", "top-level form must start with 'program'", root)
         raise ParseError(b.diags)
 
-    sections = root.items[1:]
+    sections = root[0][1:]
     if len(sections) < 3:
         message = "program needs (objects ...), (basic ...), and (derived ...) sections"
         b.err("program-shape", message, root)
@@ -268,7 +259,7 @@ def _parse_program(text: str, filename: str) -> AxiomProgram:
             b.err("program-shape", "expected a (stratum ...) section", node)
             continue
         axioms: list[Axiom] = []
-        for form in node.items[1:]:
+        for form in node[0][1:]:
             ax = _parse_axiom(b, form, predicates, declared)
             if ax is not None:
                 axioms.append(ax)
@@ -279,7 +270,7 @@ def _parse_program(text: str, filename: str) -> AxiomProgram:
 
     program = AxiomProgram(predicates.values(), objects, strata, validate=False)
     # No diagnostic so far, so every atom and axiom the builder made is held
-    # by the program and no id in the span table has been reused.
+    # by the program and no id in the node table has been reused.
     for v in check_stratified(program):
         axiom = program.strata[v.stratum_index][v.axiom_index]
         node = axiom if v.occurrence is None else formula_at(axiom.body, v.occurrence.path)
@@ -289,7 +280,7 @@ def _parse_program(text: str, filename: str) -> AxiomProgram:
     return program
 
 
-def _parse_objects(b: _Builder, node: _SNode) -> list[str]:
+def _parse_objects(b: _Builder, node: tuple) -> list[str]:
     out: list[str] = []
     lst = b.expect_list(node, "an (objects ...) section")
     if lst is None:
@@ -297,19 +288,19 @@ def _parse_objects(b: _Builder, node: _SNode) -> list[str]:
     if not b.head_is(lst, "objects"):
         b.err("program-shape", "first section must be (objects ...)", lst)
         return out
-    for item in lst.items[1:]:
+    for item in lst[0][1:]:
         name = b.name_token(item, "an object name")
         if name is None:
             continue
-        if name.text in out:
-            b.err("duplicate-object", f"object {name.text} declared twice", name)
+        if name[0] in out:
+            b.err("duplicate-object", f"object {name[0]} declared twice", name)
             continue
-        out.append(name.text)
+        out.append(name[0])
     return out
 
 
 def _parse_decls(
-    b: _Builder, node: _SNode, kind: str, predicates: dict[str, Predicate]
+    b: _Builder, node: tuple, kind: str, predicates: dict[str, Predicate]
 ) -> None:
     lst = b.expect_list(node, f"a ({kind} ...) section")
     if lst is None:
@@ -317,58 +308,60 @@ def _parse_decls(
     if not b.head_is(lst, kind):
         b.err("program-shape", f"expected a ({kind} ...) section", lst)
         return
-    for item in lst.items[1:]:
+    for item in lst[0][1:]:
         decl = b.expect_list(item, "a (name arity) declaration")
         if decl is None:
             continue
-        if len(decl.items) != 2:
+        if len(decl[0]) != 2:
             b.err("bad-declaration", "declaration must be (name arity)", decl)
             continue
-        name = b.name_token(decl.items[0], "a predicate name")
+        name = b.name_token(decl[0][0], "a predicate name")
         if name is None:
             continue
-        arity_tok = decl.items[1]
-        if not isinstance(arity_tok, _SAtom) or not (arity_tok.text.isascii() and arity_tok.text.isdigit()):
+        arity_tok = decl[0][1]
+        arity = arity_tok[0]
+        if type(arity) is not str or not (arity.isascii() and arity.isdigit()):
             b.err("bad-declaration", "arity must be a nonnegative integer", arity_tok)
             continue
-        if name.text in predicates:
-            b.err("duplicate-predicate", f"predicate {name.text} declared twice", name)
+        if name[0] in predicates:
+            b.err("duplicate-predicate", f"predicate {name[0]} declared twice", name)
             continue
-        predicates[name.text] = Predicate(name.text, int(arity_tok.text), kind)  # type: ignore[arg-type]
+        predicates[name[0]] = Predicate(name[0], int(arity), kind)  # type: ignore[arg-type]
 
 
 def _parse_axiom(
-    b: _Builder, node: _SNode, predicates: dict[str, Predicate], objects: set[str]
+    b: _Builder, node: tuple, predicates: dict[str, Predicate], objects: set[str]
 ) -> Optional[Axiom]:
     lst = b.expect_list(node, "an (axiom head body) form")
     if lst is None:
         return None
-    if not b.head_is(lst, "axiom") or len(lst.items) != 3:
+    if not b.head_is(lst, "axiom") or len(lst[0]) != 3:
         b.err("bad-axiom", "axiom must be (axiom (pred ?v ...) formula)", lst)
         return None
-    head = b.expect_list(lst.items[1], "an axiom head")
-    if head is None or not head.items:
+    head = b.expect_list(lst[0][1], "an axiom head")
+    if head is None or not head[0]:
         if head is not None:
             b.err("bad-axiom", "axiom head must be (pred ?v ...)", head)
         return None
-    name = b.name_token(head.items[0], "a predicate name")
+    name = b.name_token(head[0][0], "a predicate name")
     if name is None:
         return None
-    pred = predicates.get(name.text)
+    pred = predicates.get(name[0])
     if pred is None:
-        b.err("undeclared-predicate", f"undeclared predicate {name.text}", name)
+        b.err("undeclared-predicate", f"undeclared predicate {name[0]}", name)
         return None
     if pred.kind != "derived":
-        b.err("head-not-derived", f"head predicate {name.text} is basic", name)
+        b.err("head-not-derived", f"head predicate {name[0]} is basic", name)
         return None
     head_vars: list[str] = []
     ok = True
-    for item in head.items[1:]:
-        if not isinstance(item, _SAtom) or not item.text.startswith("?"):
+    for item in head[0][1:]:
+        text = item[0]
+        if type(text) is not str or not text.startswith("?"):
             b.err("head-constant", "axiom head arguments must be variables", item)
             ok = False
             continue
-        v = item.text[1:]
+        v = text[1:]
         if not v:
             b.err("bad-variable", "bare '?' is not a variable", item)
             ok = False
@@ -386,7 +379,7 @@ def _parse_axiom(
         )
         ok = False
     body = _parse_formula(
-        b, lst.items[2], predicates, objects, {v: v for v in head_vars}, frozenset(head_vars)
+        b, lst[0][2], predicates, objects, {v: v for v in head_vars}, frozenset(head_vars)
     )
     if body is None or not ok:
         return None
@@ -397,7 +390,7 @@ def _parse_axiom(
         loose = free_vars(body) - set(head_vars)
         names = ", ".join("?" + v for v in sorted(loose))
         message = f"body uses variables not bound by the head: {names}"
-        b.err("free-variable-mismatch", message, lst.items[2])
+        b.err("free-variable-mismatch", message, lst[0][2])
         return None
     b.nodes[id(axiom)] = lst
     return axiom
@@ -405,7 +398,7 @@ def _parse_axiom(
 
 def _parse_formula(
     b: _Builder,
-    node: _SNode,
+    node: tuple,
     predicates: dict[str, Predicate],
     objects: set[str],
     scope: dict[str, str],
@@ -416,29 +409,30 @@ def _parse_formula(
     ``taken`` holds every internal name bound anywhere on this path, even
     ones whose source name was since rebound; fresh names must avoid all of
     them or nested rebindings of one source name could collide."""
-    if isinstance(node, _SAtom):
-        if node.text == "true":
+    items = node[0]
+    if type(items) is str:
+        if items == "true":
             return Top()
-        if node.text == "false":
+        if items == "false":
             return Bottom()
-        b.err("bad-formula", f"expected a formula, got {node.text!r}", node)
+        b.err("bad-formula", f"expected a formula, got {items!r}", node)
         return None
-    if not node.items:
+    if not items:
         b.err("bad-formula", "empty list is not a formula", node)
         return None
-    head = node.items[0]
-    if not isinstance(head, _SAtom):
+    head = items[0]
+    word = head[0]
+    if type(word) is not str:
         b.err("bad-formula", "formula must start with a connective or predicate", head)
         return None
-    word = head.text
 
     if word in ("and", "or"):
-        if len(node.items) < 3:
+        if len(items) < 3:
             b.err("bad-formula", f"({word} ...) needs at least two subformulas", node)
             return None
         subs = [
             _parse_formula(b, item, predicates, objects, scope, taken)
-            for item in node.items[1:]
+            for item in items[1:]
         ]
         if any(s is None for s in subs):
             return None
@@ -446,35 +440,36 @@ def _parse_formula(
         return cls(tuple(subs))  # type: ignore[arg-type]
 
     if word == "not":
-        if len(node.items) != 2:
+        if len(items) != 2:
             b.err("bad-formula", "(not ...) takes exactly one subformula", node)
             return None
-        sub = _parse_formula(b, node.items[1], predicates, objects, scope, taken)
+        sub = _parse_formula(b, items[1], predicates, objects, scope, taken)
         return None if sub is None else Not(sub)
 
     if word == "imply":
-        if len(node.items) != 3:
+        if len(items) != 3:
             b.err("bad-formula", "(imply a b) takes exactly two subformulas", node)
             return None
-        left = _parse_formula(b, node.items[1], predicates, objects, scope, taken)
-        right = _parse_formula(b, node.items[2], predicates, objects, scope, taken)
+        left = _parse_formula(b, items[1], predicates, objects, scope, taken)
+        right = _parse_formula(b, items[2], predicates, objects, scope, taken)
         if left is None or right is None:
             return None
         return Or((Not(left), right))
 
     if word in ("exists", "forall"):
-        if len(node.items) != 3:
+        if len(items) != 3:
             b.err("bad-formula", f"({word} (?v ...) body) takes a variable list and a body", node)
             return None
-        var_list = b.expect_list(node.items[1], "a variable list")
+        var_list = b.expect_list(items[1], "a variable list")
         if var_list is None:
             return None
         names: list[str] = []
-        for item in var_list.items:
-            if not isinstance(item, _SAtom) or not item.text.startswith("?") or len(item.text) < 2:
+        for item in var_list[0]:
+            text = item[0]
+            if type(text) is not str or not text.startswith("?") or len(text) < 2:
                 b.err("bad-variable", "quantifier variables look like ?name", item)
                 return None
-            v = item.text[1:]
+            v = text[1:]
             if v in names:
                 b.err("duplicate-quantifier-variable", f"?{v} bound twice in one quantifier", item)
                 return None
@@ -495,7 +490,7 @@ def _parse_formula(
             in_use.add(fresh)
             bound.append(fresh)
         sub = _parse_formula(
-            b, node.items[2], predicates, objects, inner_scope, frozenset(in_use)
+            b, items[2], predicates, objects, inner_scope, frozenset(in_use)
         )
         if sub is None:
             return None
@@ -515,28 +510,33 @@ def _parse_formula(
         return None
     args: list[Term] = []
     ok = True
-    for item in node.items[1:]:
-        if not isinstance(item, _SAtom):
+    for item in items[1:]:
+        text = item[0]
+        if type(text) is not str:
             b.err("bad-term", "atom arguments must be variables or objects", item)
             ok = False
             continue
-        if item.text.startswith("?"):
-            v = item.text[1:]
+        if text.startswith("?"):
+            v = text[1:]
             if not v:
                 b.err("bad-variable", "bare '?' is not a variable", item)
                 ok = False
                 continue
-            args.append(Var(scope.get(v, v)))
+            v = scope.get(v, v)
+            var = b.vars.get(v)
+            if var is None:
+                var = b.vars[v] = Var(v)
+            args.append(var)
         else:
-            if item.text not in objects:
-                b.err("unknown-object", f"unknown object {item.text}", item)
+            if text not in objects:
+                b.err("unknown-object", f"unknown object {text}", item)
                 ok = False
                 continue
-            args.append(Const(item.text))
+            args.append(Const(text))
     if len(args) != pred.arity and ok:
         b.err(
             "arity-mismatch",
-            f"atom {word} has {len(node.items) - 1} arguments, declared arity is {pred.arity}",
+            f"atom {word} has {len(items) - 1} arguments, declared arity is {pred.arity}",
             node,
         )
         ok = False
@@ -554,46 +554,46 @@ def _parse_formula(
 def parse_state(text: str, program: AxiomProgram, filename: str = "<string>"):
     """Parse ``(state (P obj ...) ...)`` into a basic-state TruthAssignment
     over the program's declared objects."""
-    forms = _read(text, filename)
     b = _Builder(text, filename)
-    whole = _SList(tuple(forms), 0, len(text))
-    if len(forms) != 1 or not isinstance(forms[0], _SList) or not b.head_is(forms[0], "state"):
-        b.err("state-shape", "input must be exactly one (state ...) form", whole)
+    forms = _read(b)
+    if len(forms) != 1 or type(forms[0][0]) is str or not b.head_is(forms[0], "state"):
+        b.err("state-shape", "input must be exactly one (state ...) form", _WHOLE)
         raise ParseError(b.diags)
     if not program.universe_hint:
-        b.err("empty-universe", "program declares no objects to build a state over", whole)
+        b.err("empty-universe", "program declares no objects to build a state over", _WHOLE)
         raise ParseError(b.diags)
 
     objects = set(program.universe_hint)
     atoms: set[tuple[str, tuple[str, ...]]] = set()
-    for item in forms[0].items[1:]:
+    for item in forms[0][0][1:]:
         lst = b.expect_list(item, "a ground atom (P obj ...)")
-        if lst is None or not lst.items:
+        if lst is None or not lst[0]:
             if lst is not None:
                 b.err("bad-ground-atom", "empty list is not a ground atom", lst)
             continue
-        name = b.name_token(lst.items[0], "a predicate name")
+        name = b.name_token(lst[0][0], "a predicate name")
         if name is None:
             continue
-        pred = program.signature.get(name.text)
+        pred = program.signature.get(name[0])
         if pred is None:
-            b.err("undeclared-predicate", f"undeclared predicate {name.text}", name)
+            b.err("undeclared-predicate", f"undeclared predicate {name[0]}", name)
             continue
         if pred.kind != "basic":
-            b.err("derived-in-state", f"{name.text} is derived; states assign basic predicates only", name)
+            b.err("derived-in-state", f"{name[0]} is derived; states assign basic predicates only", name)
             continue
         consts: list[str] = []
         ok = True
-        for arg in lst.items[1:]:
-            if not isinstance(arg, _SAtom) or arg.text.startswith("?"):
+        for arg in lst[0][1:]:
+            text = arg[0]
+            if type(text) is not str or text.startswith("?"):
                 b.err("bad-ground-atom", "state atoms take object names only", arg)
                 ok = False
                 continue
-            if arg.text not in objects:
-                b.err("unknown-object", f"unknown object {arg.text}", arg)
+            if text not in objects:
+                b.err("unknown-object", f"unknown object {text}", arg)
                 ok = False
                 continue
-            consts.append(arg.text)
+            consts.append(text)
         if ok and len(consts) != pred.arity:
             b.err(
                 "arity-mismatch",

@@ -5,8 +5,9 @@ fixed list of malformed programs and states: a ``== name`` line per input,
 then one line per diagnostic, in the order ParseError lists them.  The
 inputs cover every diagnostic code, and their positions follow CRLF, tabs,
 ``\\x85`` and ``\\u2028`` (which start no new line), non-ASCII text, comments
-holding parentheses and a last line with no newline.  The file is the
-output of ``diagnostics_text()``.
+holding parentheses and semicolons, unclosed and too-deep lists after
+comments, and an error on the last character of a file with no newline.
+The file is the output of ``diagnostics_text()``.
 """
 
 import re
@@ -95,6 +96,20 @@ CASES = [
         "  (stratum (axiom (P ?x) (or (B ?x) (not (not (Q ?x))))))\n"
         "  (stratum (axiom (Q ?x) (B ?x))))",
     ),
+    (
+        "after-comments.axp",
+        None,
+        "(program ; (a) ;) ((\n  (objects a a) (basic (E 2)) (derived (P 1))\r\n"
+        "  ; ) (stratum ; (\n  (stratum (axiom (P ?x) (E ?x zz))))",
+    ),
+    ("last-paren.axp", None, "(program (objects a) (basic) (derived))\n; (\n)"),
+    ("last-list.axp", None, "; (program)\n(program (objects a))"),
+    ("unclosed-after-comments.axp", None, "; ( ; )\n(program ; ((\n (objects a) ; )\n\t(basic"),
+    (
+        "too-deep-after-comments.axp",
+        None,
+        "; ((( )\n" + "(" * 200 + " ; ) ;\n" + "(" * 100 + ")" * 300,
+    ),
     ("state-empty.st", STATE_PROGRAM, ""),
     ("state-head.st", STATE_PROGRAM, "; (state)\r\n (stat (E a b))"),
     ("state-two-forms.st", STATE_PROGRAM, "(state)\n(state)"),
@@ -106,7 +121,18 @@ CASES = [
         "(state E ()\r\n\t(?E a) (Q a) (path a b)\x85(E ?x a) (E (a) b)\n"
         "  ; (E a b)\n  (E a zz) (E a) (and a b) (é a) ((E) a b) (E a b))",
     ),
+    ("state-after-comments.st", STATE_PROGRAM, "; (state ; )\n(state (E a b) ; (\n (E zz a))"),
 ]
+
+
+def diagnostics(name, source, text):
+    """The diagnostics of one case, in the order ParseError lists them."""
+    with pytest.raises(ParseError) as info:
+        if source is None:
+            parse_program(text, name)
+        else:
+            parse_state(text, parse_program(source), name)
+    return info.value.diagnostics
 
 
 def diagnostics_text() -> str:
@@ -114,12 +140,7 @@ def diagnostics_text() -> str:
     lines = []
     for name, source, text in CASES:
         lines.append(f"== {name}")
-        with pytest.raises(ParseError) as info:
-            if source is None:
-                parse_program(text, name)
-            else:
-                parse_state(text, parse_program(source), name)
-        lines.extend(str(d) for d in info.value.diagnostics)
+        lines.extend(str(d) for d in diagnostics(name, source, text))
     return "\n".join(lines) + "\n"
 
 
@@ -132,3 +153,20 @@ def test_golden_covers_every_code():
     codes = set(re.findall(r'(?:err|Diagnostic)\(\s*"([a-z-]+)"', source))
     pinned = set(re.findall(r": ([a-z-]+): ", GOLDEN_DIAGNOSTICS.read_text(encoding="utf-8")))
     assert codes and codes <= pinned
+
+
+@pytest.mark.parametrize("name, source, text", CASES, ids=[case[0] for case in CASES])
+def test_spans_cover_a_lexeme_a_list_or_the_input(name, source, text):
+    """The golden file shows where a span starts, not where it ends: each
+    one covers a whole symbol or parenthesis, a list from its '(' through
+    the matching ')', or the whole input."""
+    lexemes, lists, opens = {(0, len(text))}, set(), []
+    for match in re.finditer(r";[^\n]*|[()]|[^\s();]+", text):
+        if match.group()[0] != ";":
+            lexemes.add(match.span())
+        if match.group() == "(":
+            opens.append(match.start())
+        elif match.group() == ")" and opens:
+            lists.add((opens.pop(), match.end()))
+    for d in diagnostics(name, source, text):
+        assert (d.span.start, d.span.end) in lexemes | lists, str(d)

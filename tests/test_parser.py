@@ -247,6 +247,23 @@ class TestDiagnostics:
             (gc.enable if was else gc.disable)()
         assert seen == [False, False]
 
+    def test_every_position_of_many_diagnostics(self):
+        """2,000 unknown objects, one per line: each diagnostic names its
+        own symbol, on the line and column counted from the text."""
+        derived = " ".join(f"(P{i} 1)" for i in range(50))
+        axioms = "".join(
+            f"\n  (axiom (P{k % 50} ?x) (and (E ?x zz{k}) (E ?x a)))" for k in range(2000)
+        )
+        text = f"(program (objects a b) (basic (E 2)) (derived {derived})\n (stratum{axioms}))\n"
+        with pytest.raises(ParseError) as info:
+            parse_program(text, "many.axp")
+        assert len(info.value.diagnostics) == 2000
+        for k, d in enumerate(info.value.diagnostics):
+            start = d.span.start
+            assert (d.code, text[start:d.span.end]) == ("unknown-object", f"zz{k}")
+            assert d.span.line == text.count("\n", 0, start) + 1
+            assert d.span.column == start - text.rfind("\n", 0, start)
+
     def test_empty_object_section_gives_empty_hint(self):
         prog = parse_program("(program (objects) (basic (B 1)) (derived))")
         assert prog.universe_hint == ()
@@ -339,25 +356,56 @@ READER_PIECES = [
 @given(st.lists(st.sampled_from(READER_PIECES), max_size=60).map("".join))
 @settings(max_examples=300, deadline=None)
 def test_reader_spans_match_the_text(text):
-    """Every symbol's offsets cover its text, and every list runs from its
-    '(' through its ')'; a diagnostic at a node counts the newlines before
-    it for its line and the characters since the last one for its column."""
-    from axf.parser import _Builder, _SList, _read
+    """A diagnostic at a symbol spans its text, and one at a list runs from
+    its '(' through its ')', inside the enclosing list; its line counts the
+    newlines before it and its column the characters since the last one."""
+    from axf.parser import _Builder, _read
 
     try:
-        nodes = _read(text, "f")
+        nodes = _read(_Builder(text, "f"))
     except ParseError:
         return
     b = _Builder(text, "f")
-    while nodes:
-        node = nodes.pop()
-        if isinstance(node, _SList):
-            assert text[node.start] == "(" and text[node.end - 1] == ")"
-            nodes.extend(node.items)
-        else:
-            assert text[node.start:node.end] == node.text
+    todo = [(node, 0, len(text)) for node in nodes]  # with the enclosing bounds
+    while todo:
+        node, low, high = todo.pop()
         b.err("code", "message", node)
         span = b.diags[-1].span
-        assert (span.start, span.end) == (node.start, node.end)
-        assert span.line == text.count("\n", 0, node.start) + 1
-        assert span.column == node.start - text.rfind("\n", 0, node.start)
+        assert low <= span.start < span.end <= high
+        if type(node[0]) is str:
+            assert text[span.start:span.end] == node[0]
+        else:
+            assert text[span.start] == "(" and text[span.end - 1] == ")"
+            todo.extend((item, span.start + 1, span.end - 1) for item in node[0])
+        assert span.line == text.count("\n", 0, span.start) + 1
+        assert span.column == span.start - text.rfind("\n", 0, span.start)
+
+
+def test_clean_parse_builds_no_span(path_source, monkeypatch):
+    """Offsets are found only for a diagnostic: a parse without one never
+    builds the lexeme offset table or a SourceSpan."""
+    import axf.parser
+
+    real, real_span = axf.parser._LEXEME, axf.parser.SourceSpan
+    tables, spans = [], []
+
+    class Lexemes:
+        findall = real.findall
+
+        def finditer(self, text):
+            tables.append(text)
+            return real.finditer(text)
+
+    def source_span(*args):
+        spans.append(args)
+        return real_span(*args)
+
+    monkeypatch.setattr(axf.parser, "_LEXEME", Lexemes())
+    monkeypatch.setattr(axf.parser, "SourceSpan", source_span)
+    texts = [path_source] + [print_program(generate_random_program(seed)) for seed in range(50)]
+    for text in texts:
+        parse_program(text)
+    assert (tables, spans) == ([], [])
+    with pytest.raises(ParseError):
+        parse_program("(program (objects a a b b) (basic) (derived))")
+    assert len(tables) == 1 and len(spans) == 2
