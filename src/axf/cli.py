@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .evaluator import Universe, extend_in_stages
+from .evaluator import Universe, extend, extend_in_stages
 from .logic import AxiomProgram, LogicError
 from .parser import (
     ParseError,
@@ -60,7 +60,11 @@ def cmd_parse(args) -> int:
 def cmd_eval(args) -> int:
     program = _load_program(args.program)
     state = parse_state(_read(args.state), program, args.state)
-    extension, tables = extend_in_stages(program, Universe(program.universe_hint), state)
+    universe = Universe(program.universe_hint)
+    if args.stages:
+        extension, tables = extend_in_stages(program, universe, state)
+    else:
+        extension, tables = extend(program, universe, state), []
     derived = {p.name for p in program.derived_predicates}
     atoms = sorted(k for k in extension.true_atoms if k[0] in derived)
     if args.json:

@@ -11,29 +11,41 @@ state is a block of one.  A run holds the masks in a list, one entry per
 atom id of a predicate some axiom mentions: p(o1, ..., ok) has id
 offset(p) plus the base-n value of the objects' indices; the atoms of a
 predicate no axiom mentions get no id and pass through a run unread.  One
-per-stratum fixpoint loop runs in two orders:
+per-stratum fixpoint loop runs in three orders:
 
  - staged: each round applies all axioms in parallel against a frozen
    snapshot of the masks and records, for every derived atom, the first
    snapshot in which it holds;
 
+ - in place: each round visits the axioms in program order and reads the
+   live masks, so a body sees what earlier bodies of its round added;
+
  - chaotic: each round visits the axioms and their head instances in an
-   order drawn from a caller-supplied RNG and reads the live masks; any
-   order reaches the same fixed point because same-stratum predicates only
-   occur positively.  Round r draws the same shuffles for every state.
+   order drawn from a caller-supplied RNG and reads the live masks.  Round
+   r draws the same shuffles for every state.
+
+Any order reaches the same fixed point, because same-stratum predicates
+only occur positively, but only a staged run's rounds are stages: only the
+staged ``Block.added`` holds them.  ``run_with_stages`` and
+``extend_in_stages`` run staged, ``run`` and ``extend`` in place.
 
 The live mask holds the states that gained an atom in the previous round; a
 round evaluates a head instance only in the live states that lack it, and
-the loop ends when no state is live.  A staged round after the first
-narrows that further, semi-naively: a body false in the snapshot before can
-turn true only where a same-stratum atom it reads grew in the previous
-round, so the engine indexes that round's additions by the argument
-pattern of each such atom in the body (head variable, constant, or a
-quantified variable read as any object) and evaluates a head instance only
-in the states its index entries hold.  Each state thus runs the rounds it
-would run alone.  A run returns its ``Block``: the final masks and each
-stratum's additions by round, off which ``stage_relation_masks`` reads the
-stage-order relations of every state of the block at once.
+the loop ends when no state is live.  A staged or in-place round after the
+first narrows that further, semi-naively: a body false where it last ran
+can turn true only where a same-stratum atom it reads was added since, so
+each addition is indexed as it is made, per shape of its atom (predicate,
+constants and the positions that read head variables; a quantified
+variable reads any object), by an integer key, the base-n number of its
+object indices at those positions.  A head instance's key under each
+occurrence in its body comes from a table shared by the process, and the
+instance is evaluated only in the states its index entries hold: the
+additions of the round before when staged, so that each state runs the
+rounds it would run alone, and those since the start of the round before
+when in place.  A chaotic run narrows nothing.  A run returns its
+``Block``: the final masks and each stratum's additions by round, off
+which ``stage_relation_masks`` reads the stage-order relations of every
+state of a staged block at once.
 
 Stage convention: snapshot 0 is the state before anything is derived, and
 round l (l = 1, 2, ...) adds every head instance whose body holds in
@@ -69,7 +81,6 @@ import random
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import chain, count, product
-from operator import itemgetter
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .logic import (
@@ -393,17 +404,14 @@ def _generated(source: str) -> _Compiled:
 # ---------------------------------------------------------------------------
 # Extension engine
 
-# The atoms a same-stratum atom occurrence can read: (predicate,
-# (position, constant) pairs to match, getter of the arguments at the
-# positions that read head variables).
-_Shape = tuple[str, tuple[tuple[int, str], ...], Callable[[tuple[str, ...]], object]]
-# An occurrence in a body: (index of its shape among the stratum's shapes,
-# getter that takes a head instance to the key, under its shape's getter,
-# of the atoms the occurrence reads for that instance).
-_Occurrence = tuple[int, Callable[[tuple[str, ...]], object]]
 # A head instance: (atom id, object indices, object names).
 _Instance = tuple[int, tuple[int, ...], tuple[str, ...]]
-_CompiledAxiom = tuple[str, tuple[_Instance, ...], _Compiled, tuple[_Occurrence, ...]]
+# A compiled axiom: (head predicate, head instances, body, (reads, writes)).
+# ``reads`` holds, per same-stratum atom occurrence in the body, the index of
+# its shape among the stratum's shapes and each head instance's key under
+# it; ``writes`` holds, per shape of the head predicate, its index, its
+# (position, object index) constants and each head atom's key under it.
+_CompiledAxiom = tuple[str, tuple[_Instance, ...], _Compiled, tuple[tuple, tuple]]
 # A stratum's additions in the order made: (round, atom, mask of the states
 # that gained the atom in that round).
 _Added = list[tuple[int, GroundAtom, int]]
@@ -420,28 +428,15 @@ def _split(refs: tuple, width: int) -> tuple[tuple, tuple[int, ...], tuple[int, 
     return consts, at, tuple(refs[i] for i in at)
 
 
-def _getter(positions: tuple[int, ...]) -> Callable[[tuple[str, ...]], object]:
-    """The items of a tuple at ``positions``: one item as itself, several
-    as a tuple, none as ``()``."""
-    return itemgetter(*positions) if positions else lambda _: ()
-
-
-def _grown(shapes: Sequence[_Shape], additions: _Added) -> list[dict[object, int]]:
-    """Per shape, the states where an atom of that shape was added among
-    ``additions``, keyed by the atom's arguments at the shape's head-variable
-    positions."""
-    by_pred: dict[str, list[tuple[tuple[str, ...], int]]] = {}
-    for _, (pred, args), got in additions:
-        by_pred.setdefault(pred, []).append((args, got))
-    out = []
-    for pred, consts, key in shapes:
-        index: dict[object, int] = {}
-        for args, got in by_pred.get(pred, ()):
-            if all(args[i] == c for i, c in consts):
-                k = key(args)
-                index[k] = index.get(k, 0) | got
-        out.append(index)
-    return out
+@lru_cache(maxsize=_CACHED_BODIES)
+def _keys(n: int, width: int, positions: tuple[int, ...]) -> tuple[int, ...]:
+    """Per tuple of ``width`` object indices, in product order, the base-n
+    number of its indices at ``positions``: the semi-naive key of a head
+    instance, or of an added atom, under one occurrence or shape.  Shared by
+    every engine of the process, like the generated bodies."""
+    weights = tuple((p, n ** k) for k, p in enumerate(reversed(positions)))
+    tuples = product(range(n), repeat=width)
+    return tuple(sum([codes[p] * w for p, w in weights]) for codes in tuples)
 
 
 class Block(NamedTuple):
@@ -480,14 +475,14 @@ class Engine:
                 self.size += n ** pred.arity
         names = cache(lambda arity: tuple(product(objects, repeat=arity)))  # shared per arity
         codes = cache(lambda arity: tuple(product(range(n), repeat=arity)))
-        split, getter = cache(_split), cache(_getter)  # patterns repeat across axioms
+        split = cache(_split)  # patterns repeat across axioms
         self.env_size = 0  # the environment's length: one past the highest slot handed out
         self.compiled: list[list[_CompiledAxiom]] = []
-        self.shapes: list[list[_Shape]] = []
+        self.shapes: list[int] = []  # per stratum, the number of shapes its bodies read
         for stratum in program.strata:
             same = {ax.head_pred for ax in stratum}
             shapes: dict[tuple[str, tuple, tuple[int, ...]], int] = {}
-            compiled = []
+            made = []
             for ax in stratum:
                 width = len(ax.head_vars)
                 atoms: list[tuple[str, tuple, int, tuple]] = []
@@ -502,14 +497,21 @@ class Engine:
                 for pred, refs, *_ in atoms:
                     if pred in same:
                         consts, at, hv = split(refs, width)
-                        shape = shapes.setdefault((pred, consts, at), len(shapes))
-                        occurs[shape, hv] = None
-                occurrences = tuple((shape, getter(hv)) for shape, hv in occurs)
+                        occurs[shapes.setdefault((pred, consts, at), len(shapes)), hv] = None
+                reads = tuple((shape, _keys(n, width, hv)) for shape, hv in occurs)
                 ids = range(self.offsets[ax.head_pred], self.size)
                 instances = tuple(zip(ids, codes(width), names(width)))
-                compiled.append((ax.head_pred, instances, body, occurrences))
-            self.compiled.append(compiled)
-            self.shapes.append([(pred, consts, getter(at)) for pred, consts, at in shapes])
+                made.append((ax.head_pred, instances, body, reads))
+            writes: dict[str, tuple] = {}  # head predicate -> the shapes of its atoms
+            for (pred, consts, at), shape in shapes.items():
+                consts = tuple((i, self.index[c]) for i, c in consts)
+                keys = _keys(n, program.signature[pred].arity, at)
+                writes[pred] = writes.get(pred, ()) + ((shape, consts, keys),)
+            self.compiled.append([
+                (head, instances, body, (reads, writes.get(head, ())))
+                for head, instances, body, reads in made
+            ])
+            self.shapes.append(len(shapes))
 
     def check_basic_state(self, basic_state: TruthAssignment) -> None:
         if basic_state.universe != self.universe:
@@ -528,9 +530,10 @@ class Engine:
     def run(
         self, basic_atoms: frozenset[GroundAtom], *, rng: Optional[random.Random] = None
     ) -> frozenset[GroundAtom]:
-        """Extend a basic state through every stratum; ``rng`` switches to
-        chaotic order for order-independence experiments."""
-        return frozenset(self.run_block(dict.fromkeys(basic_atoms, 1), 1, rng=rng).masks)
+        """Extend a basic state through every stratum, in place; ``rng``
+        switches to chaotic order for order-independence experiments."""
+        block = self.run_block(dict.fromkeys(basic_atoms, 1), 1, rng=rng, staged=False)
+        return frozenset(block.masks)
 
     def run_with_stages(
         self, basic_atoms: frozenset[GroundAtom]
@@ -541,12 +544,19 @@ class Engine:
         return frozenset(block.masks), tables
 
     def run_block(
-        self, basic: Mapping[GroundAtom, int], width: int, *, rng: Optional[random.Random] = None
+        self,
+        basic: Mapping[GroundAtom, int],
+        width: int,
+        *,
+        rng: Optional[random.Random] = None,
+        staged: bool = True,
     ) -> Block:
-        """Extend ``width`` states, in staged order unless ``rng`` switches
-        to chaotic order, on a list of masks indexed by atom id; the run's
-        ``Block.masks`` is ``basic`` plus each derived atom's final mask.  An
-        atom the program does not declare at its arity reads as false."""
+        """Extend ``width`` states on a list of masks indexed by atom id: in
+        chaotic order if ``rng`` is given, else in staged order, or in place
+        if not ``staged``.  The run's ``Block.masks`` is ``basic`` plus each
+        derived atom's final mask; only a staged run's ``Block.added`` holds
+        stages.  An atom the program does not declare at its arity reads as
+        false."""
         masks, n = [0] * self.size, len(self.index)
         for (pred, args), got in basic.items():
             if pred in self.offsets and self.program.signature[pred].arity == len(args):
@@ -554,7 +564,7 @@ class Engine:
                 masks[self.offsets[pred] + at] = got
         every = (1 << width) - 1
         added = [
-            self._fixpoint(compiled, shapes, masks, every, rng)
+            self._fixpoint(compiled, shapes, masks, every, rng, staged)
             for compiled, shapes in zip(self.compiled, self.shapes)
         ]
         out = dict(basic)
@@ -565,51 +575,47 @@ class Engine:
     def _fixpoint(
         self,
         compiled: list[_CompiledAxiom],
-        shapes: list[_Shape],
+        shapes: int,
         masks: list[int],
         live: int,
         rng: Optional[random.Random],
+        staged: bool,
     ) -> _Added:
-        """Add the stratum's derivable atoms to ``masks``; return the
-        additions.  A round evaluates a head instance only in the ``live``
-        states that lack it; a state stays live while it gains atoms.
-        Without ``rng`` every body reads the snapshot taken at the start of
-        its round, so rounds are stages, and a round after the first also
-        skips the states where no same-stratum atom the body reads grew in
-        the round before: there the body is still false.  With ``rng``, each
-        round shuffles the axioms, then each axiom's head instances, and
-        every body reads the live masks."""
+        """Add the stratum's derivable atoms to ``masks``, in the order the
+        module docstring describes; return the additions.  ``cur`` indexes
+        this round's additions per shape and ``prev`` the round before's:
+        a staged round narrows by ``prev``, an in-place one by both."""
         added: _Added = []
-        rounds = start = 0
+        rounds = 0
         env = [0] * self.env_size
+        prev, cur = None, [{} for _ in range(shapes)]  # per shape, key -> states
         while live:
             rounds += 1
-            grew = None
-            if rng is None:
-                order, reads = compiled, masks[:]
-                if rounds > 1:
-                    grew = _grown(shapes, added[start:])
-                start = len(added)
-            else:
-                order, reads = list(compiled), masks
+            order, reads = compiled, masks
+            if rng is not None:
+                order = list(compiled)
                 rng.shuffle(order)
+            elif staged:
+                reads = masks[:]
             gained = 0
-            for head, instances, body, occurrences in order:
+            for head, instances, body, (occurrences, writes) in order:
                 deltas = None
-                if grew is not None:
-                    deltas = [(grew[i], project) for i, project in occurrences if grew[i]]
+                if prev is not None:
+                    deltas = [(prev[i], keys) for i, keys in occurrences if prev[i]]
+                    if not staged:
+                        deltas += [(cur[i], keys) for i, keys in occurrences if cur[i]]
                     if not deltas:
                         continue
-                if rng is not None:
-                    instances = list(instances)
+                if rng is not None:  # a chaotic run narrows nothing, so it indexes nothing
+                    instances, writes = list(instances), ()
                     rng.shuffle(instances)
-                for at, codes, names in instances:
+                for k, (at, codes, names) in enumerate(instances):
                     old = masks[at]
                     need = live & ~old
                     if need and deltas:
                         grown = 0
-                        for index, project in deltas:
-                            grown |= index.get(project(names), 0)
+                        for index, keys in deltas:
+                            grown |= index.get(keys[k], 0)
                         need &= grown
                     if need:
                         env[: len(codes)] = codes
@@ -618,7 +624,13 @@ class Engine:
                             masks[at] = old | got
                             added.append((rounds, (head, names), got))
                             gained |= got
+                            for i, consts, keys in writes:
+                                if not consts or all(codes[p] == c for p, c in consts):
+                                    index, key = cur[i], keys[k]
+                                    index[key] = index.get(key, 0) | got
             live = gained
+            if rng is None:
+                prev, cur = cur, [{} for _ in range(shapes)]
         return added
 
     def full_cover(self) -> frozenset[str]:

@@ -108,10 +108,16 @@ class Diagnostic:
 
 
 class ParseError(Exception):
+    """The diagnostics of a failed parse; the summary that ``str`` gives,
+    one line per diagnostic, is built only when asked for."""
+
     def __init__(self, diagnostics: Iterable[Diagnostic]):
         self.diagnostics = list(diagnostics)
+        super().__init__(self.diagnostics)
+
+    def __str__(self) -> str:
         summary = "\n".join(str(d) for d in self.diagnostics)
-        super().__init__(f"{len(self.diagnostics)} parse diagnostic(s):\n{summary}")
+        return f"{len(self.diagnostics)} parse diagnostic(s):\n{summary}"
 
 
 # ---------------------------------------------------------------------------

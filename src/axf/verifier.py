@@ -394,7 +394,9 @@ def _planned_states(program: AxiomProgram, size: int, plan: VerificationPlan) ->
 # states are never reduced.
 # The states are split into blocks of at most ``_MAX_BLOCK``; a job carries
 # its block's states, or its slice of state indices and their weights, and
-# compiles one engine per program and runs each role once, to one ``Block``.
+# compiles one engine per program and runs each role once, to one ``Block``:
+# the original staged, since theorem1's oracle reads its stages, and the
+# other roles in place or, for the order check, in chaotic order.
 # ``compare(*args, runs)`` reads the blocks' masks and yields its entries in
 # order of precedence: ``(failing, first, text, other)``, where a state of
 # ``failing`` fails with ``text`` if it is in ``first``, else with ``other``,
@@ -482,7 +484,10 @@ def _run_chunk(job) -> list[tuple[int, int, Optional[Counterexample]]]:
     compiled = {key: Engine(program, universe) for key, program in distinct.items()}
     runs = {
         role: compiled[id(program)].run_block(
-            basic, len(states), rng=None if order is None else random.Random(f"order:{order}")
+            basic,
+            len(states),
+            rng=None if order is None else random.Random(f"order:{order}"),
+            staged=role == "original",
         )
         for role, (program, order) in programs.items()
     }

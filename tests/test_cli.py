@@ -12,6 +12,7 @@ import pytest
 from conftest import ROOT
 
 import axf
+import axf.cli
 import axf.verifier
 
 from axf import TransformError, print_program
@@ -128,6 +129,37 @@ class TestEval:
         assert "(path a c)" in blob["derived"]
         assert blob["stages"][0]["fixpoint"] == 2
         assert blob["stages"][0]["atoms"]["(path a c)"] == 2
+
+    @pytest.mark.parametrize("stages", [False, True])
+    def test_stages_only_when_asked(self, capsys, monkeypatch, stages):
+        """Without ``--stages`` eval calls ``extend``, which runs in place,
+        and with it ``extend_in_stages``; the JSON is pinned byte for byte
+        (the text by the tests above)."""
+        called = []
+        for name in ("extend", "extend_in_stages"):
+            real = getattr(axf.cli, name)
+            monkeypatch.setattr(
+                axf.cli, name, lambda *a, name=name, real=real: called.append(name) or real(*a)
+            )
+        argv = ["eval", "samples/path.axp", "samples/path_state.st", "--json"]
+        code, out, err = run(capsys, *argv + ["--stages"] * stages)
+        assert (code, err) == (0, "")
+        assert called == ["extend_in_stages" if stages else "extend"]
+        derived = '  "derived": [\n' + ",\n".join(
+            f'    "{atom}"' for atom in ("(acyclic)", "(path a b)", "(path a c)", "(path b c)")
+        ) + "\n  ]"
+        if not stages:
+            assert out == "{\n" + derived + "\n}\n"
+            return
+        assert out == "{\n" + derived + ",\n" + "".join(
+            [
+                '  "stages": [\n    {\n      "atoms": {\n        "(path a b)": 1,\n',
+                '        "(path a c)": 2,\n        "(path b c)": 1\n      },\n',
+                '      "fixpoint": 2,\n      "stratum": 0\n    },\n    {\n',
+                '      "atoms": {\n        "(acyclic)": 1\n      },\n',
+                '      "fixpoint": 1,\n      "stratum": 1\n    }\n  ]\n}\n',
+            ]
+        )
 
     def test_state_errors_exit_2(self, capsys, tmp_path):
         st = tmp_path / "s.st"

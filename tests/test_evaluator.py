@@ -327,7 +327,8 @@ def test_stage_invariants_exhaustive(path_program):
 @given(st.integers(min_value=0, max_value=10 ** 6), st.integers(min_value=0, max_value=255))
 @settings(max_examples=60, deadline=None)
 def test_staged_equals_chaotic(seed, state_seed):
-    """Derived atoms do not depend on rule application order."""
+    """Derived atoms do not depend on rule application order: staged, in
+    place or chaotic."""
     prog = generate_random_program(seed)
     universe = Universe(prog.universe_hint or ("a", "b"))
     cells = sorted(
@@ -342,6 +343,7 @@ def test_staged_equals_chaotic(seed, state_seed):
         universe, atoms, frozenset(p.name for p in prog.signature.values() if p.kind == "basic")
     )
     ordered = extend(prog, universe, state)
+    assert extend_in_stages(prog, universe, state)[0] == ordered
     for order_seed in (0, 1):
         chaotic = extend(prog, universe, state, rng=random.Random(order_seed))
         assert chaotic.true_atoms == ordered.true_atoms
@@ -456,14 +458,14 @@ def block_states(cells, width, seed):
     return states
 
 
-def run_states(engine, states, rng=None):
+def run_states(engine, states, rng=None, staged=True):
     """``engine.run_block`` over ``states``, each an iterable of basic
     atoms: bit s of an atom's mask is its truth in state s."""
     basic = {}
     for s, atoms in enumerate(states):
         for key in atoms:
             basic[key] = basic.get(key, 0) | 1 << s
-    return engine.run_block(basic, len(states), rng=rng)
+    return engine.run_block(basic, len(states), rng=rng, staged=staged)
 
 
 def state_of(block, s):
@@ -481,7 +483,7 @@ def state_of(block, s):
 @pytest.mark.parametrize("role, size", [("original", 3), ("transformed", 2), ("merged", 2)])
 def test_block_matches_reference(path_program, role, size, width):
     """A block run holds, state by state, the reference interpreter's atoms
-    and stage tables; a chaotic block run its atoms."""
+    and stage tables; a chaotic and an in-place block run its atoms."""
     transformed, _ = eliminate_negative_occurrences(path_program)
     program = {
         "original": path_program,
@@ -504,6 +506,7 @@ def test_block_matches_reference(path_program, role, size, width):
     for seed in (0, 1):
         chaotic = run_states(engine, states, random.Random(f"order:{seed}"))
         assert [state_of(chaotic, s)[0] for s in range(width)] == [want[s][0] for s in states]
+    assert run_states(engine, states, staged=False).masks == block.masks
 
 
 def _recursive_programs():
@@ -547,13 +550,16 @@ def _recursive_programs():
 def test_same_stratum_reads_match_reference(program, width):
     """Rounds after the first re-evaluate a head instance only where a
     ``Q`` atom its body reads grew; the atoms and stage tables of every
-    state still match the reference interpreter's."""
+    state still match the reference interpreter's, and an in-place run
+    gives the same atoms."""
     cells = [("E", pair) for pair in product(U3.objects, repeat=2)]
     states = block_states(cells, width, f"recursive:{width}")
     want = {s: reference_stages(program, U3.objects, s) for s in set(states)}
-    block = run_states(Engine(program, U3), states)
+    engine = Engine(program, U3)
+    block = run_states(engine, states)
     for s, state in enumerate(states):
         assert state_of(block, s) == want[state]
+    assert run_states(engine, states, staged=False).masks == block.masks
     if width > 1:
         assert max(want[s][1][0][1] for s in states) > 1  # a round after the first derives
 
@@ -588,8 +594,9 @@ ARITIES = """
 @pytest.mark.parametrize("size", [1, 2, 3])
 def test_atom_numbering_matches_reference(size, width):
     """Over one, two and three objects, a staged block holds the reference
-    interpreter's atoms and stage tables state by state, and a chaotic
-    block its atoms, for atoms of every arity and argument pattern."""
+    interpreter's atoms and stage tables state by state, and a chaotic and
+    an in-place block its atoms, for atoms of every arity and argument
+    pattern."""
     program = parse_program(ARITIES)
     universe = Universe(("a", "b", "c")[:size])
     cells = [
@@ -602,9 +609,10 @@ def test_atom_numbering_matches_reference(size, width):
     engine = Engine(program, universe)
     block = run_states(engine, states)
     chaotic = run_states(engine, states, random.Random(f"order:{size}"))
+    in_place = run_states(engine, states, staged=False)
     for s, state in enumerate(states):
         assert state_of(block, s) == want[state]
-        assert state_of(chaotic, s)[0] == want[state][0]
+        assert state_of(chaotic, s)[0] == state_of(in_place, s)[0] == want[state][0]
     if width > 1:
         assert any(pred == "W" for s in states for pred, _ in want[s][0])  # W is derived
         assert max(want[s][1][1][1] for s in states) > 1  # P reads itself
@@ -678,6 +686,98 @@ def test_later_rounds_skip_unchanged_bodies(path_program):
     calls.clear()
     run_states(engine, states, random.Random("order:0"))
     assert (len(calls), sum(calls)) == (2836, 837641)
+
+
+def counting_bodies(engine):
+    """Wrap every compiled body of ``engine`` to record the number of
+    states each call evaluates; returns the list the calls append to."""
+    calls = []
+
+    def counted(body):
+        def run(env, masks, care):
+            calls.append(bin(care).count("1"))
+            return body(env, masks, care)
+
+        return run
+
+    engine.compiled = [
+        [(head, combos, counted(body), *rest) for head, combos, body, *rest in stratum]
+        for stratum in engine.compiled
+    ]
+    return calls
+
+
+def test_in_place_rounds_skip_more(path_program):
+    """In place, the block of ``test_later_rounds_skip_unchanged_bodies``
+    calls the bodies 1,558 times over 389,610 states and adds 992 atoms,
+    against 2,818, 433,553 and 1,852 staged: a body reads what earlier
+    bodies of its round added, and a round narrows to the states where an
+    atom it reads was added since the start of the round before.  The
+    masks are the staged ones."""
+    transformed, _ = eliminate_negative_occurrences(path_program)
+    engine = Engine(transformed, U3)
+    calls = counting_bodies(engine)
+    states = list(all_states([("E", pair) for pair in product(U3.objects, repeat=2)]))
+    block = run_states(engine, states, staged=False)
+    assert (len(calls), sum(calls)) == (1558, 389610)
+    assert sum(map(len, block.added)) == 992
+    assert block.masks == run_states(engine, states).masks
+
+
+@pytest.mark.parametrize(
+    "name, staged, in_place",
+    [
+        pytest.param("rebound", (18, 2225), (18, 2047), id="rebound"),
+        pytest.param("rebound-inner", (27, 2626), (27, 2387), id="rebound-inner"),
+        pytest.param("constant", (22, 2202), (19, 2158), id="constant"),
+        pytest.param("repeated", (38, 2553), (31, 2332), id="repeated"),
+        pytest.param("arities", (1729, 112494), (1648, 93113), id="arities"),
+    ],
+)
+def test_reads_narrow_by_constants_and_repeats(name, staged, in_place):
+    """Body calls and the states they evaluate, staged and in place, on 200
+    three-object states of the recursive programs and ``ARITIES``, whose
+    same-stratum reads hold constants, repeated variables and rebound
+    names: an addition narrows only the reads whose constants it matches."""
+    programs = {p.id: p.values[0] for p in _recursive_programs()}
+    program = parse_program(ARITIES) if name == "arities" else programs[name]
+    engine = Engine(program, U3)
+    calls = counting_bodies(engine)
+    cells = [
+        (p.name, args)
+        for p in program.basic_predicates
+        for args in product(U3.objects, repeat=p.arity)
+    ]
+    states = block_states(cells, 200, f"count:{name}")
+    for order, want in ((True, staged), (False, in_place)):
+        calls.clear()
+        run_states(engine, states, staged=order)
+        assert (len(calls), sum(calls)) == want
+
+
+@pytest.mark.parametrize("size", [3, 4])
+@pytest.mark.parametrize("source", ["path", "two-member"])
+def test_run_matches_run_with_stages(path_source, source, size):
+    """``Engine.run`` runs in place and derives the atoms
+    ``run_with_stages`` derives, state by state."""
+    program = parse_program(path_source if source == "path" else TWO_MEMBERS)
+    universe = Universe(("a", "b", "c", "d")[:size])
+    cells = [
+        (p.name, args)
+        for p in program.basic_predicates
+        for args in product(universe.objects, repeat=p.arity)
+    ]
+    engine = Engine(program, universe)
+    orders, real = [], engine.run_block
+
+    def spying(basic, width, **kwargs):
+        orders.append(kwargs.get("staged", True))
+        return real(basic, width, **kwargs)
+
+    engine.run_block = spying
+    for state in block_states(cells, 40, f"run:{source}:{size}"):
+        assert engine.run(state) == engine.run_with_stages(state)[0]
+    assert orders == [False, True] * 40
 
 
 # The five stage-order conditions, written out apart from
@@ -818,16 +918,18 @@ def test_deep_bodies_stay_within_python_limits(monkeypatch, shape, size, objects
 
 
 def both_tiers(monkeypatch, program, universe, states):
-    """The staged and a chaotic block of ``states``, run once on generated
-    bodies and once on closures."""
+    """The staged, a chaotic and the in-place block of ``states``, run once
+    on generated bodies and once on closures."""
     runs = []
     for gate, tier in ((0, True), (float("inf"), False)):
         monkeypatch.setattr(evaluator, "_GENERATE_AT", gate)
         engine = Engine(program, universe)
         assert {generated(body) for body in compiled_bodies(engine)} == {tier}
-        runs.append(
-            (run_states(engine, states), run_states(engine, states, random.Random("order:0")))
-        )
+        runs.append((
+            run_states(engine, states),
+            run_states(engine, states, random.Random("order:0")),
+            run_states(engine, states, staged=False),
+        ))
     return runs
 
 
@@ -844,8 +946,9 @@ def both_tiers(monkeypatch, program, universe, states):
 )
 def test_generated_bodies_match_closures(monkeypatch, path_source, source, role, size, width):
     """Generated bodies and closures give the same ``Block.masks`` and
-    ``Block.added``, in staged and in chaotic order, on every state over
-    three objects (``width`` None) or on a block of four-object states."""
+    ``Block.added``, in staged, chaotic and in-place order, on every state
+    over three objects (``width`` None) or on a block of four-object
+    states; in place, they give the staged masks."""
     program = parse_program(path_source if source == "path" else TWO_MEMBERS)
     if role != "original":
         program, _ = eliminate_negative_occurrences(program)
@@ -864,6 +967,8 @@ def test_generated_bodies_match_closures(monkeypatch, path_source, source, role,
     generated_runs, closure_runs = both_tiers(monkeypatch, program, universe, states)
     assert generated_runs == closure_runs
     assert sum(map(len, generated_runs[0].added)) > 0
+    staged, _, in_place = generated_runs
+    assert in_place.masks == staged.masks
 
 
 def connective(op, parts):
@@ -933,9 +1038,9 @@ def rebinds(formula, scope):
 def test_generated_bodies_match_closures_on_random_programs(monkeypatch):
     """On 100 random programs over three objects, as generated and
     transformed, half of them with every quantifier rebinding ``x``,
-    generated bodies and closures give the same blocks; the programs hold
-    constants, 0-ary predicates, atoms repeating a variable and rebound
-    names."""
+    generated bodies and closures give the same blocks, and the in-place
+    block the staged block's masks; the programs hold constants, 0-ary
+    predicates, atoms repeating a variable and rebound names."""
     profile = RandomProfile(objects=3, strata=3, max_members=2, constant_rate=0.3)
     universe = Universe(("a", "b", "c"))
     seen = dict.fromkeys(["constant", "0-ary", "repeated", "rebound"], 0)
@@ -964,6 +1069,8 @@ def test_generated_bodies_match_closures_on_random_programs(monkeypatch):
         for version in (program, transformed):
             generated_runs, closure_runs = both_tiers(monkeypatch, version, universe, states)
             assert generated_runs == closure_runs
+            staged, _, in_place = generated_runs
+            assert in_place.masks == staged.masks
     assert all(seen.values()), seen
 
 

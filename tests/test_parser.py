@@ -409,3 +409,27 @@ def test_clean_parse_builds_no_span(path_source, monkeypatch):
     with pytest.raises(ParseError):
         parse_program("(program (objects a a b b) (basic) (derived))")
     assert len(tables) == 1 and len(spans) == 2
+
+
+def test_error_summary_is_built_when_asked(monkeypatch):
+    """Raising a ParseError formats no diagnostic; ``str`` gives the count,
+    then one line per diagnostic, and a pickled error keeps both."""
+    import pickle
+
+    import axf.parser
+
+    formatted = []
+    real = axf.parser.Diagnostic.__str__
+    monkeypatch.setattr(axf.parser.Diagnostic, "__str__", lambda d: formatted.append(d) or real(d))
+    with pytest.raises(ParseError) as info:
+        parse_program("(program (objects a) (basic (E 1)) (derived (P 0))\n"
+                      "  (stratum (axiom (P) (and (E zz) (E yy)))))", "u.axp")
+    assert formatted == []
+    want = (
+        "2 parse diagnostic(s):\n"
+        "u.axp:2:31: unknown-object: unknown object zz\n"
+        "u.axp:2:38: unknown-object: unknown object yy"
+    )
+    assert str(info.value) == want
+    again = pickle.loads(pickle.dumps(info.value))
+    assert (str(again), again.diagnostics) == (want, info.value.diagnostics)

@@ -305,9 +305,9 @@ class TestFailureTexts:
     def test_order(self, path_program, monkeypatch):
         real = Engine.run_block
 
-        def broken(self, basic, width, *, rng=None):
+        def broken(self, basic, width, *, rng=None, staged=True):
             """Clears each state's greatest derived atom in a chaotic block."""
-            block = real(self, basic, width, rng=rng)
+            block = real(self, basic, width, rng=rng, staged=staged)
             for s in range(width if rng is not None else 0):
                 held = {key for key, mask in block.masks.items() if mask >> s & 1}
                 derived = held - {key for key, mask in basic.items() if mask >> s & 1}
@@ -604,10 +604,10 @@ class TestOnePass:
             built.append(program)
             real_init(self, program, universe)
 
-        def counting(self, basic, width, *, rng=None):
+        def counting(self, basic, width, *, rng=None, staged=True):
             blocks.append((width, rng is None))
             given.append((basic, dict(basic)))
-            return real(self, basic, width, rng=rng)
+            return real(self, basic, width, rng=rng, staged=staged)
 
         def refuse(*args, **kwargs):
             pytest.fail("the sweep went per state")
@@ -627,6 +627,37 @@ class TestOnePass:
         assert all(seen == before for _, seen in given)
         assert basic == before and len(basic) == 9 and max(basic.values()).bit_length() == 104
 
+    def test_only_the_original_runs_staged(self, path_program, monkeypatch):
+        """A pass runs the original staged, the order check's runs in
+        chaotic order and every other role in place; theorem1's oracle
+        reads the additions of a staged run of the original."""
+        monkeypatch.setenv("AXF_THREADS", "1")
+        runs, read = [], []  # (program, order, block) of each run; additions the oracle read
+        real, real_oracle = Engine.run_block, axf.verifier.stage_relation_masks
+
+        def spying(self, basic, width, *, rng=None, staged=True):
+            block = real(self, basic, width, rng=rng, staged=staged)
+            order = "chaotic" if rng is not None else "staged" if staged else "in place"
+            runs.append((self.program, order, block))
+            return block
+
+        def oracle(universe, added, every, preds):
+            read.append(added)
+            return real_oracle(universe, added, every, preds)
+
+        monkeypatch.setattr(Engine, "run_block", spying)
+        monkeypatch.setattr(axf.verifier, "stage_relation_masks", oracle)
+        assert run_checks(path_program, VerificationPlan(universe_sizes=(2, 3))).passed
+        orders = [order for _, order, _ in runs]
+        # per size: the original, then two stage families, the transformed,
+        # merged and optimized programs, then eight chaotic runs
+        assert orders == (["staged"] + ["in place"] * 5 + ["chaotic"] * 8) * 2
+        assert all(program is path_program for program, order, _ in runs if order != "in place")
+        assert not any(program is path_program for program, order, _ in runs if order == "in place")
+        staged = [block for _, order, block in runs if order == "staged"]
+        assert len(read) == 4  # two strata at each size
+        assert all(any(added is s for block in staged for s in block.added) for added in read)
+
     def test_blocks_split_the_states(self, pool_programs, monkeypatch):
         """Blocks smaller than the sweep give the same results, serial and
         parallel, for planned and for given states."""
@@ -641,9 +672,9 @@ class TestOnePass:
         widths = []  # of the blocks run in this process
         real = Engine.run_block
 
-        def counting(self, basic, width, *, rng=None):
+        def counting(self, basic, width, *, rng=None, staged=True):
             widths.append(width)
-            return real(self, basic, width, rng=rng)
+            return real(self, basic, width, rng=rng, staged=staged)
 
         monkeypatch.setattr(Engine, "run_block", counting)
         for threads in ("1", "2"):
